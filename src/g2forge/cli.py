@@ -19,7 +19,7 @@ from . import catalog, scalars
 from .curvature import (curvature_tensors, einstein_constant, nilsoliton_check)
 from .exterior import InnerProduct, KForm, render_form
 from .g2 import metric_from_phi, scalar_curvature_from_torsion, star_ricci, \
-    torsion_forms, MetricMismatchError
+    torsion_forms
 from .liealg import (LieAlgebra, MetricLieAlgebra, StructureParseError,
                      is_nilpotent, parse_form, parse_structure_equations,
                      render_structure_equations, to_float_algebra)
@@ -233,7 +233,7 @@ def cmd_metric(args) -> Report:
     if not algebra.is_polynomial_ring():
         nilp, _ = is_nilpotent(algebra)
         if nilp:
-            witness = nilsoliton_check(m, tol=args.tol)
+            witness = nilsoliton_check(m, tol=args.tol, tensors=tensors)
             rep.results["nilsoliton"] = None if witness is None else {
                 "c": witness.constant, "derivation": witness.derivation}
         else:
@@ -267,14 +267,9 @@ def cmd_g2(args) -> Report:
     m = MetricLieAlgebra(algebra, s.metric)
     tensors = curvature_tensors(m)
     rep.results["scal_ricci"] = tensors.scal
-    try:
-        sr = star_ricci(m, phi, s, tol=args.tol)
-        rep.results["star_ricci"] = sr.matrix
-        rep.results["star_einstein"] = sr.star_einstein
-    except MetricMismatchError as exc:
-        rep.results["star_ricci"] = None
-        rep.results["star_einstein"] = None
-        rep.results["star_ricci_note"] = str(exc)
+    sr = star_ricci(m, phi, s, tol=args.tol, tensors=tensors)
+    rep.results["star_ricci"] = sr.matrix
+    rep.results["star_einstein"] = sr.star_einstein
     return rep
 
 
@@ -509,7 +504,10 @@ def run_scenario(scenario: Scenario, ring: str = "exact",
     if unknown:
         raise ValueError("unknown analyses: %s" % ", ".join(unknown))
     m = MetricLieAlgebra(algebra, metric)
+    tensors = None
     for analysis in scenario.analyses:
+        if tensors is None and analysis in ("ricci", "einstein", "nilsoliton"):
+            tensors = curvature_tensors(m)
         if analysis == "su3":
             verdict = su3_predicates(algebra, parsed_forms["omega"],
                                      parsed_forms["sigma"], tol=tol)
@@ -520,13 +518,12 @@ def run_scenario(scenario: Scenario, ring: str = "exact",
                 "coupled_c": verdict.coupled_c,
                 "half_flat": verdict.half_flat}
         elif analysis == "ricci":
-            tensors = curvature_tensors(m)
             rep.results["ricci"] = {"matrix": tensors.ricci,
                                     "scal": tensors.scal}
         elif analysis == "einstein":
-            rep.results["einstein"] = einstein_constant(m, tol=tol)
+            rep.results["einstein"] = einstein_constant(m, tensors, tol=tol)
         elif analysis == "nilsoliton":
-            witness = nilsoliton_check(m, tol=tol)
+            witness = nilsoliton_check(m, tol=tol, tensors=tensors)
             rep.results["nilsoliton"] = None if witness is None else {
                 "c": witness.constant, "derivation": witness.derivation}
         elif analysis == "g2":

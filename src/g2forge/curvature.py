@@ -186,20 +186,22 @@ class NilsolitonWitness:
     derivation: linalg.Matrix
 
 
-def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10
+def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
+                     tensors: Optional[CurvatureTensors] = None
                      ) -> Optional[NilsolitonWitness]:
     """Solve Ric = c I + D with D a derivation of the nilpotent algebra.
 
     Linear feasibility in (c, coordinates of D in the derivation space);
     exact elimination over rationals, least squares with a residual
-    threshold over floats.
+    threshold over floats.  ``tensors`` reuses the curvature of m when the
+    caller has it.
     """
     algebra = m.algebra
     nilp, _ = is_nilpotent(algebra)
     if not nilp:
         raise ValueError("nilsoliton criterion needs a nilpotent algebra")
     n = algebra.dim
-    ric_op = ricci_operator(m)
+    ric_op = ricci_operator(m, tensors)
     basis = derivation_space(algebra)
     float_ring = algebra.is_float_ring() or m.metric._has_float()
     ncols = 1 + len(basis)

@@ -218,19 +218,26 @@ class Vector:
 
 
 class InnerProduct:
-    """Symmetric positive-definite bilinear form on vectors."""
+    """Symmetric positive-definite bilinear form on vectors.
 
-    __slots__ = ("matrix", "_inverse")
+    The inverse, the compound rows of the inverse and sqrt(det g) are
+    computed on first use and kept with the metric."""
+
+    __slots__ = ("matrix", "_inverse", "_compound", "_sqrt_det")
 
     def __init__(self, matrix):
         self.matrix = linalg.mat(matrix)
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("metric matrix must be square")
-        if not linalg.is_symmetric(self.matrix, tol=0.0 if not self._has_float()
-                                   else 1e-12):
+        # float rounding grows with the size of the entries
+        tol = 1e-12 * max([1.0] + [abs(x) for row in self.matrix
+                                    for x in row]) if self._has_float() else 0.0
+        if not linalg.is_symmetric(self.matrix, tol=tol):
             raise ValueError("metric matrix must be symmetric")
         self._inverse = None
+        self._compound = {(): {(): Fraction(1)}}
+        self._sqrt_det = None
 
     def _has_float(self) -> bool:
         return any(isinstance(x, float) for row in self.matrix for x in row)
@@ -254,6 +261,39 @@ class InnerProduct:
         if self._inverse is None:
             self._inverse = linalg.inverse(self.matrix)
         return self._inverse
+
+    @property
+    def sqrt_det(self) -> Scalar:
+        """sqrt(det g); exact when det g is a rational square."""
+        if self._sqrt_det is None:
+            self._sqrt_det = scalars.ssqrt(linalg.det(self.matrix))
+        return self._sqrt_det
+
+    def compound_row(self, idx: Index) -> Dict[Index, Scalar]:
+        """Nonzero Gram entries <e^idx, e^J> = det(g^-1[idx, J]), keyed by J.
+
+        Built once per row, by Laplace expansion along idx[0] from the row
+        of idx[1:]; a diagonal metric costs one product per row.  The dict
+        returned is the cached row itself: read it, do not change it."""
+        row = self._compound.get(idx)
+        if row is None:
+            row = self._compound[idx] = self._expand_row(idx)
+        return row
+
+    def _expand_row(self, idx: Index) -> Dict[Index, Scalar]:
+        if len(idx) == 1:
+            return {(j,): x for j, x in enumerate(self.inverse[idx[0] - 1],
+                                                  start=1) if not is_zero(x)}
+        acc: Dict[Index, Scalar] = {}
+        first = self.compound_row(idx[:1]).items()
+        for rest, minor in self.compound_row(idx[1:]).items():
+            for j, x in first:
+                sign, col = merge_sign(j, rest)
+                if sign:
+                    term = x * minor
+                    acc[col] = acc.get(col, Fraction(0)) + (
+                        term if sign > 0 else -term)
+        return {j: c for j, c in acc.items() if not is_zero(c)}
 
     def is_diagonal(self) -> bool:
         n = self.dim
@@ -395,40 +435,19 @@ def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
     """Inner product on k-forms induced by g.
 
     Monomials of an orthonormal coframe are orthonormal; in general the
-    Gram entries are minors of the inverse metric.
+    Gram entries are minors of the inverse metric (``g.compound_row``).
     """
     if a.dim != b.dim or a.dim != g.dim:
         raise DimensionMismatchError("dimension mismatch in form_inner")
     if a.degree != b.degree:
         raise DegreeError("inner product needs equal degrees")
-    if a.degree == 0:
-        ca = a.coeffs.get((), Fraction(0))
-        cb = b.coeffs.get((), Fraction(0))
-        return ca * cb
-    ginv = g.inverse
     total: Scalar = Fraction(0)
-    if g.is_diagonal():
-        for idx, ca in a.coeffs.items():
-            cb = b.coeffs.get(idx)
-            if cb is None:
-                continue
-            w: Scalar = Fraction(1)
-            for i in idx:
-                w = w * ginv[i - 1][i - 1]
-            total = total + ca * cb * w
-        return total
     for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            gram = linalg.submatrix_det(ginv, [i - 1 for i in ia],
-                                        [j - 1 for j in ib])
-            if is_zero(gram):
-                continue
-            total = total + ca * cb * gram
+        for ib, gram in g.compound_row(ia).items():
+            cb = b.coeffs.get(ib)
+            if cb is not None:
+                total = total + ca * cb * gram
     return total
-
-
-def form_norm_sq(a: KForm, g: InnerProduct) -> Scalar:
-    return form_inner(a, a, g)
 
 
 def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
@@ -438,49 +457,26 @@ def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
     return sign, comp
 
 
-def metric_volume(g: InnerProduct, orient: Orientation) -> KForm:
-    """The g-volume form in the given orientation; exact when det g is square."""
-    d = linalg.det(g.matrix)
-    v = scalars.ssqrt(d)
-    if orient.sign < 0:
-        v = -v
-    n = g.dim
-    return KForm(n, n, {tuple(range(1, n + 1)): v})
-
-
 def hodge_star(a: KForm, g: InnerProduct, orient: Orientation) -> KForm:
-    """Hodge dual fixed by a ^ *b = <a,b> dV for the oriented g-volume dV."""
+    """Hodge dual fixed by a ^ *b = <a,b> dV for the oriented g-volume dV,
+    +-sqrt(det g) e^(1..n) (exact when det g is a rational square).
+
+    *e^J sums <e^J, e^L> dV over L onto the complements of L."""
     n = a.dim
     if g.dim != n or orient.dim != n:
         raise DimensionMismatchError("dimension mismatch in hodge_star")
-    k = a.degree
-    vol_coeff = next(iter(metric_volume(g, orient).coeffs.values()))
-    ginv = g.inverse
-    diag = g.is_diagonal()
+    vol_coeff = g.sqrt_det if orient.sign > 0 else -g.sqrt_det
+    inner: Dict[Index, Scalar] = {}
+    for idx_j, c in a.coeffs.items():
+        for idx_l, gram in g.compound_row(idx_j).items():
+            inner[idx_l] = inner.get(idx_l, Fraction(0)) + c * gram
     acc: Dict[Index, Scalar] = {}
-    if diag:
-        for idx, c in a.coeffs.items():
-            w: Scalar = Fraction(1)
-            for i in idx:
-                w = w * ginv[i - 1][i - 1]
-            sign, comp = complement_sign(idx, n)
-            val = (c * w * vol_coeff) * sign
-            if not is_zero(val):
-                acc[comp] = acc.get(comp, Fraction(0)) + val
-        return KForm(n, n - k, acc)
-    for idx_l in combinations(range(1, n + 1), k):
-        inner: Scalar = Fraction(0)
-        for idx_j, c in a.coeffs.items():
-            gram = linalg.submatrix_det(ginv, [i - 1 for i in idx_l],
-                                        [j - 1 for j in idx_j])
-            if not is_zero(gram):
-                inner = inner + c * gram
-        if is_zero(inner):
+    for idx_l, total in inner.items():
+        if is_zero(total):
             continue
         sign, comp = complement_sign(idx_l, n)
-        val = (inner * vol_coeff) * sign
-        acc[comp] = acc.get(comp, Fraction(0)) + val
-    return KForm(n, n - k, acc)
+        acc[comp] = (total * vol_coeff) * sign
+    return KForm(n, n - a.degree, acc)
 
 
 def codifferential(a: KForm, d: Callable[[KForm], KForm], g: InnerProduct,

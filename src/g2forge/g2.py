@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg, scalars
+from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, basis_indices,
                        codifferential, contract_basis, form_inner, form_to_vec,
                        hodge_star, vec_to_form, wedge)
@@ -246,9 +247,9 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     s = structure if structure is not None else metric_from_phi(phi)
     g, orient, star_phi = s.metric, s.volume, s.star_phi
     float_ring = s.is_float_ring() or algebra.is_float_ring()
-    use_tol = tol if float_ring else 0.0
     dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
+    use_tol = _scaled(tol if float_ring else 0.0, phi, star_phi, dphi, dstar)
 
     # --- 4-form equation ---------------------------------------------------
     tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
@@ -258,8 +259,9 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
                         if not is_zero(c)})
     star_tau3 = dphi - tau0 * star_phi - p47
     tau3 = hodge_star(star_tau3, g, orient)
-    if not wedge(tau3, phi).is_zero(use_tol) or \
-            not wedge(tau3, star_phi).is_zero(use_tol):
+    type_tol = _scaled(use_tol, tau3)
+    if not wedge(tau3, phi).is_zero(type_tol) or \
+            not wedge(tau3, star_phi).is_zero(type_tol):
         raise TorsionInconsistencyError("tau3 escaped the 27-dimensional type")
 
     # --- 5-form equation ---------------------------------------------------
@@ -268,7 +270,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     p57, coeffs57 = _gram_project(dstar, basis57, g, use_tol)
     tau1_bis = KForm(7, 1, {(i + 1,): c / 4 for i, c in enumerate(coeffs57)
                             if not is_zero(c)})
-    if not (tau1 - tau1_bis).is_zero(max(use_tol, tol if float_ring else 0.0)):
+    if not (tau1 - tau1_bis).is_zero(use_tol):
         raise TorsionInconsistencyError(
             "tau1 from d(phi) and d(*phi) disagree")
     rest = dstar - p57
@@ -282,7 +284,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
         a = np.array([[scalars.as_float(x) for x in row] for row in rows])
         b_vec = np.array([scalars.as_float(x) for x in rhs])
         x, res = linalg.lstsq(a, b_vec)
-        if res > tol:
+        if res > use_tol:
             raise TorsionInconsistencyError("tau2 system residual %.3g" % res)
         tau2 = KForm.zero(7, 2)
         for c, f in zip(x, basis14):
@@ -298,13 +300,26 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     # --- exact reconstruction ------------------------------------------------
     recon4 = tau0 * star_phi + 3 * wedge(tau1, phi) + star_tau3
     recon5 = 4 * wedge(tau1, star_phi) + wedge(tau2, phi)
-    if not (recon4 - dphi).is_zero(use_tol) or \
-            not (recon5 - dstar).is_zero(use_tol):
+    recon_tol = _scaled(use_tol, tau1, tau2, tau3)
+    if not (recon4 - dphi).is_zero(recon_tol) or \
+            not (recon5 - dstar).is_zero(recon_tol):
         raise TorsionInconsistencyError("torsion reconstruction failed")
 
     label = _classify(tau0, tau1, tau2, tau3, use_tol)
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
                         class_label=label)
+
+
+def _scaled(tol: float, *forms: KForm) -> float:
+    """tol times the largest coefficient of the forms, at least 1.
+
+    Float rounding grows with the size of the terms a residual sums, so
+    float-ring zero tests are relative to the forms they combine; with
+    tol = 0 (the exact ring) the coefficients are not read."""
+    if not tol:
+        return 0.0
+    return tol * max([1.0] + [abs(c) for f in forms
+                              for c in f.coeffs.values()])
 
 
 def _classify(tau0, tau1, tau2, tau3, tol) -> str:
@@ -342,11 +357,17 @@ def scalar_curvature_from_torsion(t: TorsionForms, s: G2Structure,
 
 def star_ricci(m: MetricLieAlgebra, phi: KForm,
                structure: Optional[G2Structure] = None,
-               tol: float = 1e-10) -> StarRicci:
-    """Contraction rho*_{sm} = R_{ijkl} phi_{ijs} phi_{klm} in an
-    orthonormal frame, with the star-Einstein verdict on its traceless part.
+               tol: float = 1e-10,
+               tensors: Optional[CurvatureTensors] = None) -> StarRicci:
+    """rho*_{sm} = R_{ijkl} phi^{ij}_s phi^{kl}_m, with the star-Einstein
+    verdict on its traceless part.
+
+    The first two indices of phi are raised with g^-1, so rho* is a
+    bilinear form like g, on any coframe: ``trace`` is tr(g^-1 rho*) and
+    star-Einstein means rho* = (trace/7) g.  In an orthonormal coframe this
+    is R_{ijkl} phi_{ijs} phi_{klm}.  ``tensors`` reuses the curvature of m
+    when the caller has it.
     """
-    from .curvature import curvature_tensors
     s = structure if structure is not None else metric_from_phi(phi)
     float_ring = s.is_float_ring() or m.algebra.is_float_ring()
     use_tol = tol if float_ring else 0.0
@@ -354,42 +375,49 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
                for ra, rb in zip(s.metric.matrix, m.metric.matrix)
                for a, b in zip(ra, rb)):
         raise MetricMismatchError("phi does not induce the supplied metric")
-    if not m.metric.is_identity():
-        raise MetricMismatchError("star-Ricci is computed in an orthonormal "
-                                  "coframe; re-express the metric first")
-    tensors = curvature_tensors(m)
+    if tensors is None:
+        tensors = curvature_tensors(m)
+    g, ginv = m.metric.matrix, m.metric.inverse
     n = 7
-    # full antisymmetric coefficients phi_{ijk}
-    phi_full: Dict[Tuple[int, int, int], Scalar] = {}
+    # full antisymmetric coefficients phi_{ijk}, then one index raised at a
+    # time: up[(i, j)][s] = phi^{ij}_s
+    half: Dict[Tuple[int, int, int], Scalar] = {}
     for (i, j, k), c in phi.coeffs.items():
-        for (a, b, cc), sign in _perms3():
-            phi_full[_apply3((i, j, k), (a, b, cc))] = c * sign
-    rows = []
-    for ss in range(1, 8):
-        row = []
-        for mm in range(1, 8):
-            total: Scalar = Fraction(0)
-            for (i, j, k, l), r in tensors.riemann.items():
-                c1 = phi_full.get((i, j, ss))
-                if c1 is None:
-                    continue
-                c2 = phi_full.get((k, l, mm))
-                if c2 is None:
-                    continue
-                total = total + r * c1 * c2
-            row.append(total)
-        rows.append(row)
+        for perm, sign in _perms3():
+            p, q, r = _apply3((i, j, k), perm)
+            for t in range(1, n + 1):
+                x = ginv[t - 1][p - 1]
+                if not is_zero(x):
+                    key = (t, q, r)
+                    half[key] = half.get(key, Fraction(0)) + x * c * sign
+    up: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for (t, q, r), c in half.items():
+        for u in range(1, n + 1):
+            x = ginv[u - 1][q - 1]
+            if not is_zero(x):
+                row = up.setdefault((t, u), {})
+                row[r] = row.get(r, Fraction(0)) + x * c
+    # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} = A_{kl,s} phi^{kl}_m
+    contracted: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    for (i, j, k, l), r in tensors.riemann.items():
+        for ss, c in up.get((i, j), {}).items():
+            row = contracted.setdefault((k, l), {})
+            row[ss] = row.get(ss, Fraction(0)) + r * c
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for kl, row in contracted.items():
+        for mm, c2 in up.get(kl, {}).items():
+            for ss, c1 in row.items():
+                rows[ss - 1][mm - 1] = rows[ss - 1][mm - 1] + c1 * c2
     matrix = linalg.mat(rows)
     trace: Scalar = Fraction(0)
-    for i in range(7):
-        trace = trace + matrix[i][i]
+    for i in range(n):
+        for j in range(n):
+            if not is_zero(ginv[i][j]):
+                trace = trace + ginv[i][j] * matrix[i][j]
     symmetric = linalg.is_symmetric(matrix, use_tol)
-    star_einstein = True
-    for i in range(7):
-        for j in range(7):
-            expect = trace / 7 if i == j else Fraction(0)
-            if not is_zero(matrix[i][j] - expect, use_tol):
-                star_einstein = False
+    star_einstein = all(
+        is_zero(matrix[i][j] - trace / n * g[i][j], use_tol)
+        for i in range(n) for j in range(n))
     return StarRicci(matrix=matrix, trace=trace, star_einstein=star_einstein,
                      symmetric=symmetric)
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
-from .exterior import (DimensionMismatchError, InnerProduct, KForm, Vector,
-                       render_form, wedge)
+from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
+                       Vector, render_form, sort_index)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -82,18 +82,16 @@ class LieAlgebra:
             raise DimensionMismatchError("form does not live on this algebra")
         if a.degree == 0:
             return KForm.zero(self.dim, 1)
-        out = KForm.zero(self.dim, a.degree + 1)
+        acc: Dict[Index, Scalar] = {}
         for idx, c in a.coeffs.items():
             for pos, i in enumerate(idx):
-                di = self.d_coframe[i - 1]
-                if not di.coeffs:
-                    continue
-                left = KForm.monomial(self.dim, idx[:pos])
-                right = KForm.monomial(self.dim, idx[pos + 1:])
-                term = wedge(wedge(left, di), right)
-                sign = c if pos % 2 == 0 else -c
-                out = out + sign * term
-        return out
+                signed = c if pos % 2 == 0 else -c
+                for pair, cd in self.d_coframe[i - 1].coeffs.items():
+                    sign, merged = sort_index(idx[:pos] + pair + idx[pos + 1:])
+                    if sign:
+                        acc[merged] = acc.get(merged, Fraction(0)) + \
+                            signed * (cd * sign)
+        return KForm(self.dim, a.degree + 1, acc)
 
     # -- structure constants and brackets -----------------------------------
     @property

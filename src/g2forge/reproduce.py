@@ -63,7 +63,7 @@ def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]
     verdict = su3_predicates(algebra, omega, sigma, tol=tol)
     m = MetricLieAlgebra(algebra, pair.metric)
     tensors = curvature_tensors(m)
-    witness = nilsoliton_check(m, tol=tol)
+    witness = nilsoliton_check(m, tol=tol, tensors=tensors)
     return {
         "omega": form_payload(omega),
         "sigma": form_payload(sigma),
@@ -114,7 +114,7 @@ def suite_einstein_extension(ring: str = "exact",
     e7 = KForm(7, 1, {(7,): 1.0 if ring == "float" else Fraction(1)})
     dphi_relation = (algebra.d(phi) - (-1) * wedge(e7, phi)).is_zero(
         tol if ring == "float" else 0.0)
-    sr = star_ricci(ext, phi, s, tol=tol)
+    sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
     return {
         "structure": render_structure_equations(catalog.algebra("n28_ext")),
         "ricci": matrix_payload(tensors.ricci),
@@ -141,7 +141,7 @@ def suite_lcp_extension(tol: float = 1e-10) -> Dict[str, Any]:
     s = metric_from_phi(phi)
     t = torsion_forms(algebra, phi, s, tol=tol)
     tensors = curvature_tensors(ext)
-    sr = star_ricci(ext, phi, s, tol=tol)
+    sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
     return {
         "structure": render_structure_equations(algebra),
         "einstein_constant": _scalar_payload(einstein_constant(ext, tensors,

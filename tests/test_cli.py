@@ -239,3 +239,40 @@ ricci
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["ricci"]["scal"] == "-2"
+
+
+
+@pytest.fixture
+def curvature_calls(monkeypatch):
+    """Every curvature_tensors call made through the modules that use it."""
+    from g2forge import cli, curvature, g2
+    calls = []
+    original = curvature.curvature_tensors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli, curvature, g2):
+        monkeypatch.setattr(module, "curvature_tensors", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "analyze", "n28"],
+    ["g2", "analyze", "n28_ext", "--phi",
+     "e127+e347-e567+e136-e145-e235-e246"],
+])
+def test_commands_compute_curvature_once(capsys, curvature_calls, argv):
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(curvature_calls) == 1
+
+
+def test_scenario_computes_curvature_once(tmp_path, capsys, curvature_calls):
+    path = tmp_path / "all.txt"
+    path.write_text("[algebra]\nn28\n[analyses]\nricci\neinstein\nnilsoliton\n")
+    code, out = run_cli(capsys, "check", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"
+    assert len(curvature_calls) == 1

@@ -1,0 +1,159 @@
+"""Invariance of the G2 analysis under integer changes of coframe.
+
+A structure on the coframe e^1..e^7 is rewritten on f = P e with P an
+integer matrix of determinant 1, so Q = P^-1 is integral, the orientation
+is kept and the exact ring stays exact.  Substituting e^j = sum_i Q[j][i] f^i
+rewrites every form; the induced metric becomes dense.  Torsion class,
+tau0, the norms |tau_i|^2, the scalar curvature and the star-Ricci trace
+are invariants and must not change.
+"""
+import dataclasses
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from g2forge import catalog, linalg
+from g2forge.curvature import curvature_tensors
+from g2forge.exterior import InnerProduct, KForm, form_inner, wedge
+from g2forge.g2 import (TorsionInconsistencyError, metric_from_phi,
+                        star_ricci, torsion_forms)
+from g2forge.liealg import (LieAlgebra, MetricLieAlgebra, specialize,
+                            to_float_algebra)
+
+# dense: every entry of P^-1 is nonzero
+P_DENSE = ((1, 0, -1, 0, 1, 0, -1),
+           (-1, 1, 0, 0, -1, 0, 1),
+           (1, -1, 1, 0, 1, -1, -1),
+           (1, -1, -1, 1, 2, 1, -1),
+           (1, 1, -2, -1, 1, -1, 0),
+           (0, 0, -1, 1, 1, 2, 1),
+           (-1, 1, 1, 1, -1, 1, 2))
+# a few shears
+P_SHEAR = ((1, 1, 0, 0, 0, 0, 0),
+           (0, 1, 0, 0, 0, 0, -1),
+           (0, 0, 1, 2, 0, 0, 0),
+           (0, 0, 0, 1, 0, 0, 0),
+           (1, 0, 0, 0, 1, 0, 0),
+           (0, 0, 0, 0, 0, 1, 1),
+           (0, 0, 0, 0, 0, 0, 1))
+
+
+class Coframe:
+    """The change of coframe f = P e for an integer P with det P = 1."""
+
+    def __init__(self, p):
+        self.p = linalg.mat(p)
+        assert linalg.det(self.p) == 1
+        self.q = linalg.inverse(self.p)
+        assert all(x.denominator == 1 for row in self.q for x in row)
+        n = len(p)
+        # e^j written on the new coframe
+        self.old_on_new = [KForm(n, 1, {(i + 1,): self.q[j][i]
+                                        for i in range(n)})
+                           for j in range(n)]
+
+    def form(self, a: KForm) -> KForm:
+        out = KForm.zero(a.dim, a.degree)
+        for idx, c in a.coeffs.items():
+            term = KForm(a.dim, 0, {(): c})
+            for j in idx:
+                term = wedge(term, self.old_on_new[j - 1])
+            out = out + term
+        return out
+
+    def algebra(self, alg: LieAlgebra) -> LieAlgebra:
+        """df^i = sum_j P[i][j] de^j, rewritten on f (Jacobi re-checked)."""
+        n = alg.dim
+        forms = []
+        for i in range(n):
+            de = KForm.zero(n, 2)
+            for j in range(n):
+                de = de + self.p[i][j] * alg.d_coframe[j]
+            forms.append(self.form(de))
+        return LieAlgebra(n, forms)
+
+
+def abelian_ext_at(a: Fraction) -> LieAlgebra:
+    return specialize(catalog.abelian_scaling_extension().algebra, {"a": a})
+
+
+CASES = {
+    "n28_ext": (catalog.n28_einstein_extension().algebra,
+                catalog.n28_ext_g2_form()),
+    "abelian_ext": (abelian_ext_at(Fraction(2, 3)),
+                    catalog.abelian_ext_g2_form()),
+}
+
+
+def invariants(algebra: LieAlgebra, phi: KForm):
+    s = metric_from_phi(phi)
+    t = torsion_forms(algebra, phi, s)
+    g = s.metric
+    m = MetricLieAlgebra(algebra, g)
+    tensors = curvature_tensors(m)
+    return {
+        "class": t.class_label,
+        "tau0": t.tau0,
+        "norms": [form_inner(x, x, g) for x in (t.tau1, t.tau2, t.tau3)],
+        "scal": tensors.scal,
+        "star_ricci_trace": star_ricci(m, phi, s, tensors=tensors).trace,
+    }
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return {name: invariants(*case) for name, case in CASES.items()}
+
+
+@pytest.mark.parametrize("p", [P_DENSE, P_SHEAR], ids=["dense", "shear"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_g2_invariants_under_change_of_coframe(reference, name, p):
+    algebra, phi = CASES[name]
+    c = Coframe(p)
+    twisted_phi = c.form(phi)
+    twisted = invariants(c.algebra(algebra), twisted_phi)
+    assert not metric_from_phi(twisted_phi).metric.is_diagonal()
+    assert twisted == reference[name]
+
+
+def test_dense_twist_reads_each_minor_once(monkeypatch):
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    algebra, phi = c.algebra(algebra), c.form(phi)
+    rows = Counter()
+    minors = []
+    expand = InnerProduct._expand_row
+    submatrix_det = linalg.submatrix_det
+
+    def counted_expand(self, idx):
+        rows[id(self), idx] += 1
+        return expand(self, idx)
+
+    def counted_submatrix_det(m, r, c):
+        minors.append((tuple(r), tuple(c)))
+        return submatrix_det(m, r, c)
+
+    monkeypatch.setattr(InnerProduct, "_expand_row", counted_expand)
+    monkeypatch.setattr(linalg, "submatrix_det", counted_submatrix_det)
+    t = torsion_forms(algebra, phi)
+    assert t.class_label == "locally_conformal_calibrated"
+    assert rows and max(rows.values()) == 1
+    # only Sylvester's leading minors, from the positive-definiteness check
+    assert minors == [(tuple(range(k)), tuple(range(k))) for k in range(1, 8)]
+
+
+def test_float_ring_on_dense_twist_matches_exact(reference):
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    algebra = to_float_algebra(c.algebra(algebra))
+    phi = c.form(phi).to_float()
+    t = torsion_forms(algebra, phi, tol=1e-10)
+    assert t.class_label == reference["n28_ext"]["class"]
+    assert abs(t.tau0 - reference["n28_ext"]["tau0"]) <= 1e-9
+    # negative control: a *phi that is off by 1e-6 must not close
+    s = metric_from_phi(phi)
+    bent = dataclasses.replace(
+        s, star_phi=s.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
+    with pytest.raises(TorsionInconsistencyError):
+        torsion_forms(algebra, phi, bent, tol=1e-10)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forge import catalog
+from g2forge import catalog, linalg
 from g2forge.exterior import (InnerProduct, KForm, Orientation, Vector,
                               basis_indices, codifferential, contract,
                               contract_basis, form_inner, hodge_star,
@@ -120,6 +120,56 @@ def test_hodge_defining_identity_diagonal_metric(dim):
                 b = KForm.monomial(dim, ib)
                 lhs = wedge(a, hodge_star(b, g, orient))
                 assert lhs == form_inner(a, b, g) * vol
+
+
+def dense_metric(dim):
+    """g with g^-1 = M^T M, M = L U for the all-ones unit triangles L and U:
+    integral both ways, det g = 1, and every entry of g^-1 nonzero."""
+    lower = [[1 if j <= i else 0 for j in range(dim)] for i in range(dim)]
+    m = linalg.mat_mul(linalg.mat(lower), linalg.transpose(linalg.mat(lower)))
+    return InnerProduct(linalg.inverse(linalg.mat_mul(linalg.transpose(m), m)))
+
+
+def test_compound_rows_are_minors_of_the_inverse():
+    g = dense_metric(5)
+    ginv = g.inverse
+    assert all(x != 0 for row in ginv for x in row)
+    for k in range(6):
+        for ia in basis_indices(5, k):
+            row = g.compound_row(ia)
+            for ib in basis_indices(5, k):
+                minor = linalg.submatrix_det(ginv, [i - 1 for i in ia],
+                                             [j - 1 for j in ib])
+                assert row.get(ib, 0) == minor
+    diag = InnerProduct.diagonal([Fraction(2), Fraction(3), Fraction(5)])
+    assert diag.compound_row((1, 3)) == {(1, 3): Fraction(1, 10)}
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_hodge_defining_identity_dense_metric(dim):
+    g = dense_metric(dim)
+    assert not g.is_diagonal()
+    orient = Orientation.standard(dim)
+    vol = KForm.monomial(dim, tuple(range(1, dim + 1)))
+    for k in (1, 2, 3):
+        idx = basis_indices(dim, k)
+        for ia in idx:
+            a = KForm.monomial(dim, ia)
+            for ib in idx:
+                b = KForm.monomial(dim, ib)
+                lhs = wedge(a, hodge_star(b, g, orient))
+                assert lhs == form_inner(a, b, g) * vol
+
+
+def test_float_symmetry_tolerance_scales_with_entries():
+    big = 966.4843506234333
+    off = 0.25
+    # asymmetry 2.2e-12: float rounding on entries near 1e3
+    InnerProduct([[big, off + 2.2e-12], [off, 1.0]])
+    with pytest.raises(ValueError):
+        InnerProduct([[big, off + 1e-6], [off, 1.0]])
+    with pytest.raises(ValueError):
+        InnerProduct([[1.0, off + 2e-12], [off, 1.0]])
 
 
 @given(form_strategy(6, 2), form_strategy(6, 2))

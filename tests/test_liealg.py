@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
-from g2forge.exterior import KForm
+from g2forge.exterior import KForm, basis_indices, wedge
 from g2forge.liealg import (Derivation, JacobiError,
                             MetricLieAlgebra, NotDerivationError,
                             StructureParseError, derivation_space,
                             is_derivation, is_nilpotent, parse_form,
                             parse_structure_equations, rank_one_extension,
-                            render_structure_equations, restrict, specialize)
+                            render_structure_equations, restrict, specialize,
+                            to_float_algebra)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -100,6 +101,32 @@ def test_ce_differential_examples(n28):
     sigma = KForm.from_terms(6, 3, (1, 1, 3, 6), (-1, 1, 4, 5),
                              (-1, 2, 3, 5), (-1, 2, 4, 6))
     assert n28.d(omega) == -1 * sigma
+
+
+def d_by_wedges(algebra, a):
+    """Reference: d(e^I) = sum over positions of +-e^left ^ de^i ^ e^right."""
+    out = KForm.zero(algebra.dim, a.degree + 1)
+    for idx, c in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            left = KForm.monomial(algebra.dim, idx[:pos])
+            right = KForm.monomial(algebra.dim, idx[pos + 1:])
+            term = wedge(wedge(left, algebra.d_coframe[i - 1]), right)
+            out = out + (c if pos % 2 == 0 else -c) * term
+    return out
+
+
+@pytest.mark.parametrize("name", ["n28_ext", "abelian_ext", "n9"])
+def test_d_matches_wedge_expansion(name):
+    algebra = catalog.algebra(name)
+    n = algebra.dim
+    for degree in range(n + 1):
+        idx = basis_indices(n, degree)
+        a = KForm(n, degree, {ix: Fraction(k % 7 - 3, k % 3 + 1)
+                              for k, ix in enumerate(idx)})
+        assert algebra.d(a) == d_by_wedges(algebra, a)
+        if not algebra.is_polynomial_ring():
+            fa = to_float_algebra(algebra)
+            assert fa.d(a.to_float()) == d_by_wedges(fa, a.to_float())
 
 
 def test_derivation_space_abelian():
