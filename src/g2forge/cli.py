@@ -15,15 +15,15 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import catalog, scalars
+from . import catalog
 from .curvature import (curvature_tensors, einstein_constant, nilsoliton_check)
-from .exterior import InnerProduct, KForm, render_form
+from .exterior import InnerProduct, KForm
 from .g2 import metric_from_phi, scalar_curvature_from_torsion, star_ricci, \
     torsion_forms
 from .liealg import (LieAlgebra, MetricLieAlgebra, StructureParseError,
                      is_nilpotent, parse_form, parse_structure_equations,
                      render_structure_equations, to_float_algebra)
-from .scalars import Polynomial
+from .reproduce import compute_suites, payload
 from .stable_forms import su3_predicates
 from .survey import (build_table, n4_obstruction_sample,
                      n9_nilsoliton_obstruction_sample, sign_partition)
@@ -54,36 +54,16 @@ class Report:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "command": self.command,
-            "inputs": _canon(self.inputs),
-            "results": _canon(self.results),
-            "provenance": _canon(self.provenance),
+            "inputs": payload(self.inputs),
+            "results": payload(self.results),
+            "provenance": payload(self.provenance),
             "checks": [
                 {"name": c.name, "passed": c.passed,
-                 "expected": _canon(c.expected), "computed": _canon(c.computed)}
+                 "expected": payload(c.expected),
+                 "computed": payload(c.computed)}
                 for c in self.checks],
             "passed": self.passed,
         }
-
-
-def _canon(x: Any) -> Any:
-    """Canonical JSON payload: scalars to strings, forms rendered."""
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if isinstance(x, float):
-        return x
-    if isinstance(x, Fraction):
-        return scalars.render_scalar(x)
-    if isinstance(x, Polynomial):
-        return str(x)
-    if isinstance(x, KForm):
-        return render_form(x)
-    if isinstance(x, InnerProduct):
-        return _canon(x.matrix)
-    if isinstance(x, dict):
-        return {str(k): _canon(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(x, (list, tuple)):
-        return [_canon(v) for v in x]
-    return str(x)
 
 
 def render_report(report: Report, fmt: str, color: bool = False) -> str:
@@ -117,7 +97,7 @@ def render_report(report: Report, fmt: str, color: bool = False) -> str:
 
 
 def _flat(v: Any) -> str:
-    v = _canon(v)
+    v = payload(v)
     if isinstance(v, (dict, list)):
         return json.dumps(v, sort_keys=True)
     return str(v)
@@ -170,6 +150,9 @@ def cmd_algebra(args) -> Report:
             name: render_structure_equations(catalog.algebra(name))
             for name in catalog.names()}
         return rep
+    if args.name is None:
+        raise ValueError("algebra show needs a catalog name or structure "
+                         "equations")
     algebra = _load_algebra(args.name, args.ring)
     rep = Report(command="algebra show")
     rep.inputs["name"] = args.name
@@ -177,15 +160,9 @@ def cmd_algebra(args) -> Report:
     rep.results["dim"] = algebra.dim
     if algebra.is_polynomial_ring():
         rep.results["ring"] = "polynomial"
-    elif algebra.is_float_ring():
-        rep.results["ring"] = "float"
     else:
-        rep.results["ring"] = "rational"
-        nilp, step = is_nilpotent(algebra)
-        rep.results["nilpotent"] = nilp
-        if nilp:
-            rep.results["nilpotency_step"] = step
-    if algebra.is_float_ring():
+        rep.results["ring"] = ("float" if algebra.is_float_ring()
+                               else "rational")
         nilp, step = is_nilpotent(algebra)
         rep.results["nilpotent"] = nilp
         if nilp:
@@ -386,16 +363,6 @@ def _close(a: Any, b: Any, tol: float) -> bool:
     if na is not None and nb is not None:
         return abs(na - nb) <= tol
     return a == b
-
-
-def compute_suites(ring: str = "exact", tol: float = 1e-10,
-                   seed: int = 1, only: Optional[str] = None,
-                   n4_trials: int = 100, n9_starts: int = 200
-                   ) -> Dict[str, Dict[str, Any]]:
-    """Every golden payload, computed fresh."""
-    from . import reproduce
-    return reproduce.compute_suites(ring=ring, tol=tol, seed=seed, only=only,
-                                    n4_trials=n4_trials, n9_starts=n9_starts)
 
 
 def cmd_reproduce(args) -> Report:

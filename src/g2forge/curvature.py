@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from . import linalg, scalars
+from . import linalg
 from .exterior import Vector
 from .liealg import MetricLieAlgebra, is_derivation, is_nilpotent, \
     derivation_space
@@ -37,7 +37,7 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
-    if not g.is_positive_definite(1e-12 if g._has_float() else 0.0):
+    if not g.is_positive_definite(1e-12):
         raise ValueError("metric must be positive definite")
     ginv = g.inverse
     brackets = [[algebra.bracket_basis(i + 1, j + 1) for j in range(n)]
@@ -169,13 +169,11 @@ def einstein_constant(m: MetricLieAlgebra,
         tensors = curvature_tensors(m)
     g = m.metric
     n = g.dim
-    float_ring = g._has_float() or m.algebra.is_float_ring()
-    use_tol = tol if float_ring else 0.0
     # candidate from the first diagonal entry
     lam = tensors.ricci[0][0] / g.matrix[0][0]
     for i in range(n):
         for j in range(n):
-            if not is_zero(tensors.ricci[i][j] - lam * g.matrix[i][j], use_tol):
+            if not is_zero(tensors.ricci[i][j] - lam * g.matrix[i][j], tol):
                 return None
     return lam
 
@@ -191,10 +189,10 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
                      ) -> Optional[NilsolitonWitness]:
     """Solve Ric = c I + D with D a derivation of the nilpotent algebra.
 
-    Linear feasibility in (c, coordinates of D in the derivation space);
-    exact elimination over rationals, least squares with a residual
-    threshold over floats.  ``tensors`` reuses the curvature of m when the
-    caller has it.
+    Linear feasibility in (c, coordinates of D in the derivation space),
+    solved by ``linalg.solve``: exact over rationals, least squares with a
+    residual threshold over floats.  ``tensors`` reuses the curvature of m
+    when the caller has it.
     """
     algebra = m.algebra
     nilp, _ = is_nilpotent(algebra)
@@ -203,8 +201,6 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
     n = algebra.dim
     ric_op = ricci_operator(m, tensors)
     basis = derivation_space(algebra)
-    float_ring = algebra.is_float_ring() or m.metric._has_float()
-    ncols = 1 + len(basis)
     rows = []
     rhs = []
     for p in range(n):
@@ -214,27 +210,13 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
                 row.append(b[p][q])
             rows.append(row)
             rhs.append(ric_op[p][q])
-    if float_ring:
-        import numpy as np
-        a = np.array([[scalars.as_float(x) for x in row] for row in rows])
-        b = np.array([scalars.as_float(x) for x in rhs])
-        x, res = linalg.lstsq(a, b)
-        if res > tol:
-            return None
-        c_val = float(x[0])
-        d = tuple(tuple(scalars.as_float(ric_op[p][q])
-                        - (c_val if p == q else 0.0) for q in range(n))
-                  for p in range(n))
-        if not is_derivation(algebra, d, tol=max(tol, 1e-8)):
-            return None
-        return NilsolitonWitness(constant=c_val, derivation=d)
-    sol = linalg.solve(linalg.mat(rows), rhs)
+    sol = linalg.solve(linalg.mat(rows), rhs, tol)
     if sol is None:
         return None
     c_val = sol[0]
-    d = tuple(tuple(ric_op[p][q] - (c_val if p == q else Fraction(0))
+    d = tuple(tuple(ric_op[p][q] - c_val if p == q else ric_op[p][q]
                     for q in range(n)) for p in range(n))
-    if not is_derivation(algebra, d):
+    if not is_derivation(algebra, d, tol=max(tol, 1e-8)):
         return None
     return NilsolitonWitness(constant=c_val, derivation=d)
 

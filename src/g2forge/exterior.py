@@ -232,15 +232,12 @@ class InnerProduct:
             raise ValueError("metric matrix must be square")
         # float rounding grows with the size of the entries
         tol = 1e-12 * max([1.0] + [abs(x) for row in self.matrix
-                                    for x in row]) if self._has_float() else 0.0
+                                    for x in row if isinstance(x, float)])
         if not linalg.is_symmetric(self.matrix, tol=tol):
             raise ValueError("metric matrix must be symmetric")
         self._inverse = None
         self._compound = {(): {(): Fraction(1)}}
         self._sqrt_det = None
-
-    def _has_float(self) -> bool:
-        return any(isinstance(x, float) for row in self.matrix for x in row)
 
     @property
     def dim(self) -> int:
@@ -273,11 +270,21 @@ class InnerProduct:
         """Nonzero Gram entries <e^idx, e^J> = det(g^-1[idx, J]), keyed by J.
 
         Built once per row, by Laplace expansion along idx[0] from the row
-        of idx[1:]; a diagonal metric costs one product per row.  The dict
-        returned is the cached row itself: read it, do not change it."""
+        of idx[1:]; a diagonal metric costs one product per row.  A new row
+        takes the entries it shares with rows of its degree built before
+        it, so the compound stays exactly symmetric under float rounding
+        and Gram matrices built from it can be mirrored.  The dict returned
+        is the cached row itself: read it, do not change it."""
         row = self._compound.get(idx)
         if row is None:
-            row = self._compound[idx] = self._expand_row(idx)
+            row = self._expand_row(idx)
+            for j, other in self._compound.items():
+                if len(j) == len(idx):
+                    if idx in other:
+                        row[j] = other[idx]
+                    else:
+                        row.pop(j, None)
+            self._compound[idx] = row
         return row
 
     def _expand_row(self, idx: Index) -> Dict[Index, Scalar]:
@@ -360,10 +367,6 @@ class Orientation:
     def standard(cls, dim: int) -> "Orientation":
         return cls(KForm(dim, dim, {tuple(range(1, dim + 1)): Fraction(1)}))
 
-    @classmethod
-    def reversed(cls, dim: int) -> "Orientation":
-        return cls(KForm(dim, dim, {tuple(range(1, dim + 1)): Fraction(-1)}))
-
     @property
     def dim(self) -> int:
         return self.volume.dim
@@ -396,13 +399,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
             else:
                 acc[merged] = val
     return KForm(a.dim, deg, acc)
-
-
-def wedge_all(*forms: KForm) -> KForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
 
 
 def contract(x: Vector, a: KForm) -> KForm:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .curvature import CurvatureTensors, curvature_tensors
@@ -57,9 +57,6 @@ class G2Structure:
     star_phi: KForm
     orientation_sign: int = 1
 
-    def is_float_ring(self) -> bool:
-        return any(isinstance(c, float) for c in self.phi.coeffs.values())
-
 
 @dataclass(frozen=True)
 class TorsionForms:
@@ -104,29 +101,27 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     g(X,Y) dV = (1/6) i_X phi ^ i_Y phi ^ phi is then verified exactly.
     """
     b = b_form(phi)
-    float_ring = any(isinstance(c, float) for c in phi.coeffs.values())
     det_b = linalg.det(b)
     if isinstance(det_b, Polynomial):
         if not det_b.is_constant():
             raise NotPositiveError("symbolic 3-forms are not supported here")
         det_b = det_b.constant_value()
-    if is_zero(det_b, tol if float_ring else 0.0):
+    if is_zero(det_b, tol):
         raise NotPositiveError("degenerate 3-form: det B = 0")
     # det B = v^9 with v of either sign: the form picks its own orientation
     v = scalars.snth_root(det_b, 9)
     sign = 1 if (v > 0 if not isinstance(v, float) else v > 0.0) else -1
     g_rows = tuple(tuple(x / v for x in row) for row in b)
     metric = InnerProduct(g_rows)
-    if not metric.is_positive_definite(tol if float_ring else 0.0):
+    if not metric.is_positive_definite(tol):
         raise NotPositiveError("B form is not positive definite")
     abs_v = v if sign > 0 else -v
     volume = Orientation(KForm(7, 7, {tuple(range(1, 8)): abs_v}))
     # defining relation, checked on all 49 basis pairs: g * v == B with the
     # signed volume coefficient
-    use_tol = tol if float_ring else 0.0
     for i in range(7):
         for j in range(7):
-            if not is_zero(g_rows[i][j] * v - b[i][j], use_tol):
+            if not is_zero(g_rows[i][j] * v - b[i][j], tol):
                 raise TorsionInconsistencyError("metric extraction failed "
                                                 "the defining relation")
     star = hodge_star(phi, metric, volume)
@@ -139,23 +134,19 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
 # ---------------------------------------------------------------------------
 
 def _gram_project(target: KForm, basis: List[KForm], g: InnerProduct,
-                  tol: float) -> Tuple[KForm, List[Scalar]]:
-    """g-orthogonal projection of target onto span(basis)."""
-    gram = [[form_inner(a, b, g) for b in basis] for a in basis]
+                  tol: float) -> Tuple[KForm, Sequence[Scalar]]:
+    """g-orthogonal projection of target onto span(basis).
+
+    The Gram matrix is symmetric: its upper triangle is computed and
+    mirrored."""
+    gram: List[List[Scalar]] = []
+    for i, a in enumerate(basis):
+        gram.append([gram[j][i] if j < i else form_inner(a, b, g)
+                     for j, b in enumerate(basis)])
     rhs = [form_inner(a, target, g) for a in basis]
-    float_ring = any(isinstance(x, float) for row in gram for x in row) or \
-        any(isinstance(x, float) for x in rhs)
-    if float_ring:
-        import numpy as np
-        a = np.array([[scalars.as_float(x) for x in row] for row in gram])
-        b = np.array([scalars.as_float(x) for x in rhs])
-        x, _ = linalg.lstsq(a, b)
-        coeffs: List[Scalar] = [float(c) for c in x]
-    else:
-        sol = linalg.solve(linalg.mat(gram), rhs)
-        if sol is None:
-            raise TorsionInconsistencyError("projection system is singular")
-        coeffs = list(sol)
+    coeffs = linalg.solve(linalg.mat(gram), rhs, tol)
+    if coeffs is None:
+        raise TorsionInconsistencyError("projection system is singular")
     out = KForm.zero(target.dim, target.degree)
     for c, f in zip(coeffs, basis):
         out = out + c * f
@@ -172,10 +163,10 @@ def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 2:
         raise ValueError("expected a 2-form")
     basis7 = [contract_basis(i, s.phi) for i in range(1, 8)]
-    use_tol = tol if s.is_float_ring() else 0.0
+    use_tol = _scaled(tol, a, s.phi, s.star_phi)
     p7, _ = _gram_project(a, basis7, s.metric, use_tol)
     p14 = a - p7
-    if not wedge(p14, s.star_phi).is_zero(max(use_tol, tol if s.is_float_ring() else 0.0)):
+    if not wedge(p14, s.star_phi).is_zero(_scaled(use_tol, p14)):
         raise TorsionInconsistencyError("14-part failed its defining relation")
     return {"7": p7, "14": p14}
 
@@ -186,14 +177,15 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 3:
         raise ValueError("expected a 3-form")
     g = s.metric
-    use_tol = tol if s.is_float_ring() else 0.0
+    use_tol = _scaled(tol, a, s.phi, s.star_phi)
     phi_norm = form_inner(s.phi, s.phi, g)
     p1 = (form_inner(a, s.phi, g) / phi_norm) * s.phi
     basis7 = [contract_basis(i, s.star_phi) for i in range(1, 8)]
     p7, _ = _gram_project(a, basis7, g, use_tol)
     p27 = a - p1 - p7
-    if not wedge(p27, s.phi).is_zero(use_tol) or \
-            not wedge(p27, s.star_phi).is_zero(use_tol):
+    type_tol = _scaled(use_tol, p27)
+    if not wedge(p27, s.phi).is_zero(type_tol) or \
+            not wedge(p27, s.star_phi).is_zero(type_tol):
         raise TorsionInconsistencyError("27-part failed its defining relations")
     return {"1": p1, "7": p7, "27": p27}
 
@@ -217,13 +209,7 @@ def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
             w = wedge(KForm(7, 2, {i2: Fraction(1)}), s.star_phi)
             row.append(w.coeffs.get(i6, Fraction(0)))
         rows.append(row)
-    float_ring = s.is_float_ring()
-    if float_ring:
-        import numpy as np
-        a = np.array([[scalars.as_float(x) for x in row] for row in rows])
-        kernel = linalg.nullspace_float(a, tol=tol)
-        return [vec_to_form(7, 2, [float(x) for x in v], idx2) for v in kernel]
-    kernel = linalg.nullspace(linalg.mat(rows))
+    kernel = linalg.nullspace(linalg.mat(rows), tol)
     return [vec_to_form(7, 2, v, idx2) for v in kernel]
 
 
@@ -246,10 +232,9 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
         raise ValueError("torsion analysis lives on 7-dimensional algebras")
     s = structure if structure is not None else metric_from_phi(phi)
     g, orient, star_phi = s.metric, s.volume, s.star_phi
-    float_ring = s.is_float_ring() or algebra.is_float_ring()
     dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
-    use_tol = _scaled(tol if float_ring else 0.0, phi, star_phi, dphi, dstar)
+    use_tol = _scaled(tol, phi, star_phi, dphi, dstar)
 
     # --- 4-form equation ---------------------------------------------------
     tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
@@ -279,23 +264,12 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     cols = [form_to_vec(wedge(b, phi), idx5) for b in basis14]
     rows = [[cols[c][r] for c in range(len(basis14))] for r in range(len(idx5))]
     rhs = form_to_vec(rest, idx5)
-    if float_ring:
-        import numpy as np
-        a = np.array([[scalars.as_float(x) for x in row] for row in rows])
-        b_vec = np.array([scalars.as_float(x) for x in rhs])
-        x, res = linalg.lstsq(a, b_vec)
-        if res > use_tol:
-            raise TorsionInconsistencyError("tau2 system residual %.3g" % res)
-        tau2 = KForm.zero(7, 2)
-        for c, f in zip(x, basis14):
-            tau2 = tau2 + float(c) * f
-    else:
-        sol = linalg.solve(linalg.mat(rows), rhs)
-        if sol is None:
-            raise TorsionInconsistencyError("tau2 system is inconsistent")
-        tau2 = KForm.zero(7, 2)
-        for c, f in zip(sol, basis14):
-            tau2 = tau2 + c * f
+    sol = linalg.solve(linalg.mat(rows), rhs, use_tol)
+    if sol is None:
+        raise TorsionInconsistencyError("tau2 system is inconsistent")
+    tau2 = KForm.zero(7, 2)
+    for c, f in zip(sol, basis14):
+        tau2 = tau2 + c * f
 
     # --- exact reconstruction ------------------------------------------------
     recon4 = tau0 * star_phi + 3 * wedge(tau1, phi) + star_tau3
@@ -311,15 +285,14 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
 
 
 def _scaled(tol: float, *forms: KForm) -> float:
-    """tol times the largest coefficient of the forms, at least 1.
+    """tol times the largest float coefficient of the forms, at least 1.
 
     Float rounding grows with the size of the terms a residual sums, so
-    float-ring zero tests are relative to the forms they combine; with
-    tol = 0 (the exact ring) the coefficients are not read."""
-    if not tol:
-        return 0.0
+    float-ring zero tests are relative to the forms they combine; exact
+    zero tests ignore tol."""
     return tol * max([1.0] + [abs(c) for f in forms
-                              for c in f.coeffs.values()])
+                              for c in f.coeffs.values()
+                              if isinstance(c, float)])
 
 
 def _classify(tau0, tau1, tau2, tau3, tol) -> str:
@@ -369,9 +342,7 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
     when the caller has it.
     """
     s = structure if structure is not None else metric_from_phi(phi)
-    float_ring = s.is_float_ring() or m.algebra.is_float_ring()
-    use_tol = tol if float_ring else 0.0
-    if not all(scalars.eq(a, b, use_tol)
+    if not all(scalars.eq(a, b, tol)
                for ra, rb in zip(s.metric.matrix, m.metric.matrix)
                for a, b in zip(ra, rb)):
         raise MetricMismatchError("phi does not induce the supplied metric")
@@ -414,9 +385,9 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
         for j in range(n):
             if not is_zero(ginv[i][j]):
                 trace = trace + ginv[i][j] * matrix[i][j]
-    symmetric = linalg.is_symmetric(matrix, use_tol)
+    symmetric = linalg.is_symmetric(matrix, tol)
     star_einstein = all(
-        is_zero(matrix[i][j] - trace / n * g[i][j], use_tol)
+        is_zero(matrix[i][j] - trace / n * g[i][j], tol)
         for i in range(n) for j in range(n))
     return StarRicci(matrix=matrix, trace=trace, star_einstein=star_einstein,
                      symmetric=symmetric)

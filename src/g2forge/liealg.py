@@ -52,7 +52,7 @@ class LieAlgebra:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_constants", None)
         if check:
-            bad = self.jacobi_defect(tol=tol if self.is_float_ring() else 0.0)
+            bad = self.jacobi_defect(tol=tol)
             if bad is not None:
                 k, defect = bad
                 raise JacobiError(
@@ -130,9 +130,6 @@ class LieAlgebra:
                     total = total + c[k][i][j] * xi * yj
             comps.append(total)
         return Vector(n, tuple(comps))
-
-    def rename(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(self.dim, self.d_coframe, name=name, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -215,11 +212,6 @@ class _FormParser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise StructureParseError("expected %r, found %r" % (op, val), pos)
 
     def parse_number(self):
         kind, val, pos = self.next()
@@ -383,7 +375,6 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
     if algebra.is_polynomial_ring():
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")
-    use_tol = tol if algebra.is_float_ring() else 0.0
     n = algebra.dim
     current = [Vector.basis(n, i).components for i in range(1, n + 1)]
     step = 0
@@ -395,9 +386,9 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
             ei = Vector.basis(n, i)
             for v in current:
                 w = algebra.bracket(ei, Vector(n, v))
-                if any(not is_zero(c, use_tol) for c in w.components):
+                if any(not is_zero(c, tol) for c in w.components):
                     nxt.append(w.components)
-        basis = _span_rank(nxt, use_tol)
+        basis = _span_rank(nxt, tol)
         if not basis:
             return True, step
         if len(basis) >= prev_dim:
@@ -409,15 +400,13 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
 def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
     matrix = linalg.mat(matrix)
     n = algebra.dim
-    use_tol = tol if algebra.is_float_ring() or any(
-        isinstance(x, float) for row in matrix for x in row) else 0.0
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lhs = _apply(matrix, algebra.bracket_basis(i, j))
             rhs1 = algebra.bracket(_col_vector(matrix, i), Vector.basis(n, j))
             rhs2 = algebra.bracket(Vector.basis(n, i), _col_vector(matrix, j))
             for a, b, c in zip(lhs.components, rhs1.components, rhs2.components):
-                if not is_zero(a - b - c, use_tol):
+                if not is_zero(a - b - c, tol):
                     return False
     return True
 
@@ -435,12 +424,11 @@ def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Mat
     """Basis of the space of derivations, as n x n matrices.
 
     Solves D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] as a linear system in the
-    n^2 entries of D; exact over the rational ring, SVD over floats.
+    n^2 entries of D, with ``linalg.nullspace``.
     """
     n = algebra.dim
     c = algebra.structure_constants
     rows = []
-    float_ring = algebra.is_float_ring()
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
@@ -453,21 +441,8 @@ def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Mat
                 for q in range(n):
                     row[q * n + j] -= c[k][i][q]          # -c^k_iq D[q][j]
                 rows.append(row)
-    if float_ring:
-        import numpy as np
-        a = np.array([[scalars.as_float(x) for x in row] for row in rows])
-        kernel = linalg.nullspace_float(a, tol=tol)
-        out = []
-        for v in kernel:
-            out.append(tuple(tuple(float(v[p * n + q]) for q in range(n))
-                             for p in range(n)))
-        return out
-    kernel = linalg.nullspace(linalg.mat(rows))
-    out = []
-    for v in kernel:
-        out.append(tuple(tuple(v[p * n + q] for q in range(n))
-                         for p in range(n)))
-    return out
+    return [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
+            for v in linalg.nullspace(linalg.mat(rows), tol)]
 
 
 def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,

@@ -1,7 +1,9 @@
 """Small dense linear algebra over exact and float scalars.
 
-Matrices are tuples of tuples.  Exact paths use Fraction pivots and work
-with polynomial right-hand sides; float paths defer to numpy.
+Matrices are tuples of tuples.  The scalars pick the method: a float entry
+anywhere sends ``solve`` and ``nullspace`` to numpy, otherwise they
+eliminate exactly with Fraction pivots and allow polynomial right-hand
+sides.
 """
 from __future__ import annotations
 
@@ -25,24 +27,8 @@ def identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, s: Scalar) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -138,35 +124,57 @@ def rref(rows: List[List[Scalar]], ncols: Optional[int] = None,
     return rows, pivots
 
 
+def _has_float(rows) -> bool:
+    return any(isinstance(x, float) for row in rows for x in row)
+
+
 def solve(a: Matrix, b: Sequence[Scalar],
           tol: float = 0.0) -> Optional[VectorS]:
-    """One solution of a x = b with free variables set to zero.
+    """One solution of a x = b, or None when the system is inconsistent.
 
-    Returns None when the system is inconsistent.  The coefficient matrix
-    must have invertible entries; b may be polynomial.
+    With a float in a or b: least squares, a tuple of floats, and None when
+    the residual norm exceeds ``tol``.  Otherwise exact elimination with
+    free variables set to zero; the coefficients must be invertible
+    scalars, b may be polynomial.
     """
+    if _has_float(a) or _has_float([b]):
+        an, bn = to_numpy(a), to_numpy([b])[0]
+        x, *_ = np.linalg.lstsq(an, bn, rcond=None)
+        if np.linalg.norm(an @ x - bn) > tol:
+            return None
+        return tuple(float(v) for v in x)
     nr, nc = len(a), len(a[0]) if a else 0
     aug = [list(a[i]) + [coerce(b[i])] for i in range(nr)]
-    red, pivots = rref(aug, ncols=nc, tol=tol)
+    red, pivots = rref(aug, ncols=nc)
     x: List[Scalar] = [Fraction(0)] * nc
     for r, c in enumerate(pivots):
         x[c] = red[r][nc]
     # consistency: rows with zero coefficients must have zero rhs
     for r in range(len(pivots), nr):
-        if not is_zero(red[r][nc], tol if tol else 0.0):
+        if not is_zero(red[r][nc]):
             return None
     # residual check for polynomial rhs safety
     for i in range(nr):
         res = sum((a[i][j] * x[j] for j in range(nc)), Fraction(0)) - b[i]
-        if not is_zero(res, tol):
+        if not is_zero(res):
             return None
     return tuple(x)
 
 
 def nullspace(a: Matrix, tol: float = 0.0) -> List[VectorS]:
-    """Basis of the kernel, from the rref free-variable construction."""
+    """Basis of the kernel.
+
+    With a float entry: the right singular vectors past the rank, where a
+    singular value counts when it exceeds tol * max(shape) * the largest
+    one.  Otherwise the rref free-variable construction.
+    """
+    if _has_float(a):
+        an = to_numpy(a)
+        _, s, vt = np.linalg.svd(an)
+        rank = int((s > tol * max(an.shape) * s[0]).sum())
+        return [tuple(float(x) for x in v) for v in vt[rank:]]
     nr, nc = len(a), len(a[0]) if a else 0
-    red, pivots = rref([list(r) for r in a], ncols=nc, tol=tol)
+    red, pivots = rref([list(r) for r in a], ncols=nc)
     free = [c for c in range(nc) if c not in pivots]
     basis: List[VectorS] = []
     for f in free:
@@ -198,7 +206,7 @@ def is_positive_definite(m: Matrix, tol: float = 0.0) -> bool:
     n = len(m)
     if not is_symmetric(m, tol):
         return False
-    if any(isinstance(x, float) for row in m for x in row):
+    if _has_float(m):
         eigs = np.linalg.eigvalsh(to_numpy(m))
         return bool(eigs.min() > tol)
     for k in range(1, n + 1):
@@ -211,18 +219,3 @@ def is_positive_definite(m: Matrix, tol: float = 0.0) -> bool:
         if d <= 0:
             return False
     return True
-
-
-def lstsq(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    res = float(np.linalg.norm(a @ x - b))
-    return x, res
-
-
-def nullspace_float(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rows span the kernel; computed from the SVD."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    _, s, vt = np.linalg.svd(a)
-    rank = int((s > tol * max(a.shape) * (s[0] if len(s) else 1.0)).sum())
-    return vt[rank:]

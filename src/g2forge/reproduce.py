@@ -1,8 +1,9 @@
 """Recomputes every archived value: the survey table, both coupled pairs,
 the two rank-one extensions and the obstruction sampling summaries.
 
-Payloads are plain JSON data.  Exact runs render scalars as p/q strings;
-float runs emit floats, and the golden diff coerces both sides
+Payloads are plain JSON data, built by :func:`payload`, which also
+serializes the command-line reports.  Exact runs render scalars as p/q
+strings; float runs emit floats, and the golden diff coerces both sides
 numerically, so the two rings must produce identical verdicts.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Any, Dict, Optional
 
 from . import catalog, scalars
 from .curvature import curvature_tensors, einstein_constant, nilsoliton_check
-from .exterior import InnerProduct, KForm, wedge
+from .exterior import InnerProduct, KForm, render_form, wedge
 from .g2 import metric_from_phi, scalar_curvature_from_torsion, star_ricci, \
     torsion_forms
 from .liealg import MetricLieAlgebra, render_structure_equations, \
@@ -23,23 +24,30 @@ from .survey import build_table, n4_obstruction_sample, \
     n9_nilsoliton_obstruction_sample, sign_partition
 
 
-def _scalar_payload(x) -> Any:
-    if isinstance(x, float):
+def payload(x: Any) -> Any:
+    """Canonical JSON data: rationals as p/q and polynomials as text, floats
+    as they are, forms rendered, metrics and matrices as nested lists and
+    dict keys as sorted strings."""
+    if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    if isinstance(x, Polynomial):
-        return str(x)
-    return scalars.render_scalar(x)
+    if isinstance(x, (Fraction, Polynomial)):
+        return scalars.render_scalar(x)
+    if isinstance(x, KForm):
+        return render_form(x)
+    if isinstance(x, InnerProduct):
+        return payload(x.matrix)
+    if isinstance(x, dict):
+        return {str(k): payload(v)
+                for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(x, (list, tuple)):
+        return [payload(v) for v in x]
+    return str(x)
 
 
 def form_payload(form: KForm) -> Dict[str, Any]:
-    return {"e" + "".join(str(i) for i in idx): _scalar_payload(c)
+    """A form as {"e12": coefficient}, the layout of the golden files."""
+    return {"e" + "".join(str(i) for i in idx): payload(c)
             for idx, c in form.items()}
-
-
-def matrix_payload(m) -> list:
-    if isinstance(m, InnerProduct):
-        m = m.matrix
-    return [[_scalar_payload(x) for x in row] for row in m]
 
 
 def suite_table1() -> Dict[str, Any]:
@@ -67,15 +75,15 @@ def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]
     return {
         "omega": form_payload(omega),
         "sigma": form_payload(sigma),
-        "lambda": _scalar_payload(pair.lambda_value),
-        "coupled_c": _scalar_payload(verdict.coupled_c),
+        "lambda": payload(pair.lambda_value),
+        "coupled_c": payload(verdict.coupled_c),
         "half_flat": verdict.half_flat,
         "normalized": pair.normalized,
         "positive": pair.positive,
-        "metric": matrix_payload(pair.metric),
-        "ricci": matrix_payload(tensors.ricci),
-        "nilsoliton_c": _scalar_payload(witness.constant),
-        "nilsoliton_derivation": matrix_payload(witness.derivation),
+        "metric": payload(pair.metric),
+        "ricci": payload(tensors.ricci),
+        "nilsoliton_c": payload(witness.constant),
+        "nilsoliton_derivation": payload(witness.derivation),
     }
 
 
@@ -92,8 +100,8 @@ def suite_coupled_n9(tol: float = 1e-10) -> Dict[str, Any]:
         "coupled_c": float(verdict.coupled_c),
         "normalized": pair.normalized,
         "positive": pair.positive,
-        "j_matrix": matrix_payload(pair.J),
-        "metric": matrix_payload(pair.metric),
+        "j_matrix": payload(pair.J),
+        "metric": payload(pair.metric),
         "soliton_frame_has_witness": witness is not None,
     }
 
@@ -111,25 +119,24 @@ def suite_einstein_extension(ring: str = "exact",
     s = metric_from_phi(phi)
     t = torsion_forms(algebra, phi, s, tol=tol)
     tensors = curvature_tensors(ext)
-    e7 = KForm(7, 1, {(7,): 1.0 if ring == "float" else Fraction(1)})
-    dphi_relation = (algebra.d(phi) - (-1) * wedge(e7, phi)).is_zero(
-        tol if ring == "float" else 0.0)
+    e7 = KForm(7, 1, {(7,): Fraction(1)})
+    dphi_relation = (algebra.d(phi) + wedge(e7, phi)).is_zero(tol)
     sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
     return {
         "structure": render_structure_equations(catalog.algebra("n28_ext")),
-        "ricci": matrix_payload(tensors.ricci),
-        "scal": _scalar_payload(tensors.scal),
-        "einstein_constant": _scalar_payload(einstein_constant(ext, tensors,
+        "ricci": payload(tensors.ricci),
+        "scal": payload(tensors.scal),
+        "einstein_constant": payload(einstein_constant(ext, tensors,
                                                                tol=tol)),
-        "tau0": _scalar_payload(t.tau0),
+        "tau0": payload(t.tau0),
         "tau1": form_payload(t.tau1),
         "tau2": form_payload(t.tau2),
         "tau3": form_payload(t.tau3),
         "class": t.class_label,
-        "scal_from_torsion": _scalar_payload(
+        "scal_from_torsion": payload(
             scalar_curvature_from_torsion(t, s, algebra)),
         "dphi_is_minus_e7_wedge_phi": dphi_relation,
-        "star_ricci": matrix_payload(sr.matrix),
+        "star_ricci": payload(sr.matrix),
         "star_einstein": sr.star_einstein,
     }
 
@@ -144,17 +151,17 @@ def suite_lcp_extension(tol: float = 1e-10) -> Dict[str, Any]:
     sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
     return {
         "structure": render_structure_equations(algebra),
-        "einstein_constant": _scalar_payload(einstein_constant(ext, tensors,
+        "einstein_constant": payload(einstein_constant(ext, tensors,
                                                                tol=tol)),
-        "scal": _scalar_payload(tensors.scal),
-        "tau0": _scalar_payload(t.tau0),
+        "scal": payload(tensors.scal),
+        "tau0": payload(t.tau0),
         "tau1": form_payload(t.tau1),
         "tau2": form_payload(t.tau2),
         "tau3": form_payload(t.tau3),
         "class": t.class_label,
-        "scal_from_torsion": _scalar_payload(
+        "scal_from_torsion": payload(
             scalar_curvature_from_torsion(t, s, algebra)),
-        "star_ricci": matrix_payload(sr.matrix),
+        "star_ricci": payload(sr.matrix),
         "star_einstein": sr.star_einstein,
     }
 

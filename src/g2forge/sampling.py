@@ -24,11 +24,10 @@ TRIPLES: List[Tuple[int, int, int]] = list(combinations(range(1, 7), 3))
 QUADS: List[Tuple[int, ...]] = list(combinations(range(1, 7), 4))
 FIVES: List[Tuple[int, ...]] = list(combinations(range(1, 7), 5))
 
-_PAIR_POS = {p: i for i, p in enumerate(PAIRS)}
 _TRIP_POS = {t: i for i, t in enumerate(TRIPLES)}
 
 
-def two_form_from_b(b, ring_exact: bool = False) -> KForm:
+def two_form_from_b(b) -> KForm:
     """b_1 e^12 + b_2 e^13 + ... + b_15 e^56."""
     coeffs = {}
     for val, pair in zip(b, PAIRS):

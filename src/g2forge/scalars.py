@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -114,19 +114,6 @@ class Polynomial:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
         return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        deg = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var:
-                    deg = max(deg, e)
-        return deg
 
     # -- ring operations ---------------------------------------------------
     def _coerce(self, other):
@@ -259,21 +246,6 @@ class Polynomial:
             total += term
         return total
 
-    def substitute(self, assignment: Mapping[str, Union[int, Fraction]]) -> "Polynomial":
-        """Partial substitution of some variables by rationals."""
-        out = Polynomial.zero()
-        for m, c in self.terms.items():
-            coeff = c
-            rest = []
-            for v, e in m:
-                if v in assignment:
-                    coeff *= Fraction(assignment[v]) ** e
-                else:
-                    rest.append((v, e))
-            if coeff:
-                out = out + Polynomial({tuple(rest): coeff})
-        return out
-
     # -- ordering helpers (graded lex over the natural variable order) -----
     def _grlex_key(self, m: Monomial, var_order: tuple):
         exps = dict(m)
@@ -321,11 +293,6 @@ class Polynomial:
 
 Scalar = Union[Fraction, Polynomial, float]
 
-RING_RATIONAL = "rational"
-RING_POLY = "polynomial"
-RING_FLOAT = "float"
-
-
 def coerce(x) -> Scalar:
     """Normalize a raw coefficient into one of the three rings."""
     if isinstance(x, bool):
@@ -337,16 +304,6 @@ def coerce(x) -> Scalar:
     # numpy floats and the like
     if hasattr(x, "item"):
         return coerce(x.item())
-    raise TypeError("not a scalar: %r" % (x,))
-
-
-def ring_of(x: Scalar) -> str:
-    if isinstance(x, (int, Fraction)):
-        return RING_RATIONAL
-    if isinstance(x, Polynomial):
-        return RING_POLY
-    if isinstance(x, float):
-        return RING_FLOAT
     raise TypeError("not a scalar: %r" % (x,))
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import linalg, scalars
 from .exterior import (InnerProduct, KForm, Orientation, Vector, contract_basis,
                        wedge)
 from .liealg import LieAlgebra
-from .scalars import ExactnessError, Polynomial, Scalar, is_zero
+from .scalars import Polynomial, Scalar, is_zero
 
 
 class NotStableError(ValueError):
@@ -44,10 +44,6 @@ class StablePair:
     positive: bool
 
 
-def _volume_coefficient(orient: Orientation) -> Scalar:
-    return orient.coefficient
-
-
 def k_endomorphism(sigma: KForm, orient: Optional[Orientation] = None
                    ) -> linalg.Matrix:
     """Matrix of w -> A((i_w sigma) ^ sigma) in units of the reference volume.
@@ -60,7 +56,7 @@ def k_endomorphism(sigma: KForm, orient: Optional[Orientation] = None
         raise ValueError("stable-form machinery lives in dimension 6")
     if orient is None:
         orient = Orientation.standard(6)
-    v0 = _volume_coefficient(orient)
+    v0 = orient.coefficient
     cols: List[List[Scalar]] = []
     full = tuple(range(1, 7))
     for j in range(1, 7):
@@ -160,10 +156,7 @@ def metric_from_pair(omega: KForm, sigma: KForm,
     """
     if omega.dim != 6 or sigma.dim != 6:
         raise ValueError("pairs live in dimension 6")
-    float_ring = any(isinstance(c, float) for c in omega.coeffs.values()) or \
-        any(isinstance(c, float) for c in sigma.coeffs.values())
-    use_tol = tol if float_ring else 0.0
-    if not wedge(omega, sigma).is_zero(use_tol):
+    if not wedge(omega, sigma).is_zero(tol):
         raise IncompatiblePairError("omega ^ sigma != 0")
     sign = orientation_sign(omega)
     if orient is None:
@@ -193,16 +186,15 @@ def metric_from_pair(omega: KForm, sigma: KForm,
             row.append(total)
         h_rows.append(row)
     h_matrix = linalg.mat(h_rows)
-    if not linalg.is_symmetric(h_matrix, use_tol if float_ring else 0.0):
+    if not linalg.is_symmetric(h_matrix, tol):
         raise IncompatiblePairError("induced bilinear form is not symmetric; "
                                     "the 2-form is not of type (1,1) for J")
     jsigma = pullback_three_form(sigma, j)
     lhs = wedge(jsigma, sigma)
     rhs = omega_cubed(omega)
-    normalized = (lhs - Fraction(2, 3) * rhs).is_zero(
-        use_tol * 10 if float_ring else 0.0)
+    normalized = (lhs - Fraction(2, 3) * rhs).is_zero(tol * 10)
     metric = InnerProduct(h_matrix)
-    positive = metric.is_positive_definite(use_tol if float_ring else 0.0)
+    positive = metric.is_positive_definite(tol)
     return StablePair(omega=omega, sigma=sigma, J=j, metric=metric,
                       lambda_value=lam, normalized=normalized,
                       positive=positive)
@@ -223,23 +215,15 @@ def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                       tol: float = 1e-10) -> Optional[Scalar]:
     """The unique nonzero c with d(omega) = c * sigma, if it exists."""
     domega = algebra.d(omega)
-    float_ring = algebra.is_float_ring() or any(
-        isinstance(c, float) for c in sigma.coeffs.values())
-    use_tol = tol if float_ring else 0.0
-    if domega.is_zero(use_tol) or sigma.is_zero(use_tol):
+    if domega.is_zero(tol) or sigma.is_zero(tol):
         return None
-    # take the largest sigma coefficient as the pivot
-    pivot_idx, pivot = None, None
-    for idx, c in sigma.coeffs.items():
-        if pivot is None or (float_ring and abs(scalars.as_float(c))
-                             > abs(scalars.as_float(pivot))):
-            pivot_idx, pivot = idx, c
-            if not float_ring:
-                break
-    c_val = domega.coeffs.get(pivot_idx, Fraction(0)) / pivot
-    if is_zero(c_val, use_tol):
+    # pivot on the largest float coefficient of sigma, or on any exact one
+    pivot_idx = max(sigma.coeffs, key=lambda idx: abs(sigma.coeffs[idx])
+                    if isinstance(sigma.coeffs[idx], float) else 0.0)
+    c_val = domega.coeffs.get(pivot_idx, Fraction(0)) / sigma.coeffs[pivot_idx]
+    if is_zero(c_val, tol):
         return None
-    if (domega - c_val * sigma).is_zero(use_tol):
+    if (domega - c_val * sigma).is_zero(tol):
         return c_val
     return None
 
@@ -247,24 +231,20 @@ def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
 def su3_predicates(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                    tol: float = 1e-10) -> SU3Verdict:
     """Coupled / half-flat analysis of a pair on a six-dimensional algebra."""
-    float_ring = algebra.is_float_ring() or any(
-        isinstance(c, float) for c in omega.coeffs.values()) or any(
-        isinstance(c, float) for c in sigma.coeffs.values())
-    use_tol = tol if float_ring else 0.0
-    compatible = wedge(omega, sigma).is_zero(use_tol)
+    compatible = wedge(omega, sigma).is_zero(tol)
     lam = lambda_invariant(sigma)
     stable = False
     normalized = False
     positive = False
     if not isinstance(lam, Polynomial) and lam < 0 and compatible \
-            and not omega_cubed(omega).is_zero(use_tol):
+            and not omega_cubed(omega).is_zero(tol):
         stable = True
         pair = metric_from_pair(omega, sigma, tol=tol)
         normalized = pair.normalized
         positive = pair.positive
     c_val = coupling_constant(algebra, omega, sigma, tol=tol)
-    half_flat = algebra.d(wedge(omega, omega)).is_zero(use_tol) and \
-        algebra.d(sigma).is_zero(use_tol)
+    half_flat = algebra.d(wedge(omega, omega)).is_zero(tol) and \
+        algebra.d(sigma).is_zero(tol)
     if c_val is not None and not half_flat:
         raise RuntimeError("coupled structure failed to be half-flat; "
                            "differential conventions are inconsistent")

@@ -34,6 +34,21 @@ def test_algebra_show_parses_raw_equations(capsys):
     assert json.loads(out)["results"]["nilpotent"] is True
 
 
+def test_algebra_show_float_ring(capsys):
+    code, out = run_cli(capsys, "--ring", "float", "algebra", "show", "n28",
+                        "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["ring"] == "float"
+    assert results["nilpotent"] is True
+    assert results["nilpotency_step"] == 2
+
+
+def test_algebra_show_without_name_is_bad_input(capsys):
+    assert main(["algebra", "show"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_su3_check_json_roundtrip(capsys):
     code, out = run_cli(capsys, "su3", "check", "n28",
                         "--omega", "e12+e34-e56",

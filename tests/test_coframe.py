@@ -15,9 +15,11 @@ import pytest
 
 from g2forge import catalog, linalg
 from g2forge.curvature import curvature_tensors
-from g2forge.exterior import InnerProduct, KForm, form_inner, wedge
+from g2forge import g2
+from g2forge.exterior import (InnerProduct, KForm, contract_basis, form_inner,
+                              wedge)
 from g2forge.g2 import (TorsionInconsistencyError, metric_from_phi,
-                        star_ricci, torsion_forms)
+                        star_ricci, torsion_forms, type_project)
 from g2forge.liealg import (LieAlgebra, MetricLieAlgebra, specialize,
                             to_float_algebra)
 
@@ -143,6 +145,23 @@ def test_dense_twist_reads_each_minor_once(monkeypatch):
     assert minors == [(tuple(range(k)), tuple(range(k))) for k in range(1, 8)]
 
 
+def test_dense_twist_computes_each_gram_entry_once(monkeypatch):
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    algebra, phi = c.algebra(algebra), c.form(phi)
+    calls = []
+
+    def counted_form_inner(a, b, g):
+        calls.append(1)
+        return form_inner(a, b, g)
+
+    monkeypatch.setattr(g2, "form_inner", counted_form_inner)
+    torsion_forms(algebra, phi)
+    # tau0, then per projection the 28 entries of the upper triangle of a
+    # 7x7 Gram matrix and the 7 entries of its right-hand side
+    assert len(calls) == 2 + 2 * (28 + 7)
+
+
 def test_float_ring_on_dense_twist_matches_exact(reference):
     algebra, phi = CASES["n28_ext"]
     c = Coframe(P_DENSE)
@@ -157,3 +176,23 @@ def test_float_ring_on_dense_twist_matches_exact(reference):
         s, star_phi=s.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
     with pytest.raises(TorsionInconsistencyError):
         torsion_forms(algebra, phi, bent, tol=1e-10)
+
+
+def test_float_type_projection_on_dense_twist_matches_exact():
+    _, phi = CASES["n28_ext"]
+    phi = Coframe(P_DENSE).form(phi)
+    s_exact, s_float = metric_from_phi(phi), metric_from_phi(phi.to_float())
+    exact = type_project(contract_basis(1, contract_basis(2, s_exact.star_phi)),
+                         s_exact)
+    approx = type_project(
+        contract_basis(1, contract_basis(2, s_float.star_phi)), s_float)
+    assert not exact["14"].is_zero() and not exact["7"].is_zero()
+    for part in ("7", "14"):
+        diff = approx[part] - exact[part].to_float()
+        assert diff.is_zero(1e-8)
+    # negative control: a 14-part that is off by 1e-6 must not pass
+    bent = dataclasses.replace(
+        s_float, star_phi=s_float.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
+    with pytest.raises(TorsionInconsistencyError, match="14-part"):
+        type_project(contract_basis(1, contract_basis(2, s_float.star_phi)),
+                     bent)

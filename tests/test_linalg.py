@@ -1,0 +1,78 @@
+"""linalg.solve and linalg.nullspace are the only solvers: a float anywhere
+in the system sends them to numpy, otherwise they eliminate exactly."""
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from g2forge import catalog, linalg
+from g2forge.cli import main
+from g2forge.liealg import derivation_space, to_float_algebra
+
+A = linalg.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+B = [Fraction(3), Fraction(5), Fraction(5)]      # A (1, 1, 1)
+SINGULAR = linalg.mat([[1, 2, 3], [2, 4, 6]])
+
+
+def to_float(m):
+    return tuple(tuple(float(x) for x in row) for row in m)
+
+
+def test_solve_exact():
+    x = linalg.solve(A, B)
+    assert x == (1, 1, 1)
+    assert all(isinstance(v, Fraction) for v in x)
+
+
+@pytest.mark.parametrize("a, b", [(to_float(A), [float(v) for v in B]),
+                                  (A, [float(v) for v in B])],
+                         ids=["float", "exact_matrix_float_rhs"])
+def test_solve_float(a, b):
+    x = linalg.solve(a, b, 1e-12)
+    assert all(type(v) is float for v in x)
+    assert max(abs(v - 1.0) for v in x) <= 1e-12
+
+
+@pytest.mark.parametrize("ring", [lambda v: Fraction(v), float],
+                         ids=["exact", "float"])
+def test_inconsistent_system_has_no_solution(ring):
+    a = linalg.mat([[ring(1), ring(1)], [ring(1), ring(1)]])
+    assert linalg.solve(a, [ring(1), ring(2)], 1e-10) is None
+
+
+def test_nullspace_exact():
+    assert linalg.nullspace(SINGULAR) == [(-2, 1, 0), (-3, 0, 1)]
+
+
+def test_nullspace_float():
+    kernel = linalg.nullspace(to_float(SINGULAR), 1e-10)
+    assert len(kernel) == 2
+    assert all(type(x) is float for v in kernel for x in v)
+    k = np.array(kernel)
+    assert np.abs(np.array(to_float(SINGULAR)) @ k.T).max() <= 1e-12
+    assert np.allclose(k @ k.T, np.eye(2))
+
+
+@pytest.mark.parametrize("name", sorted(catalog.NILPOTENT6))
+def test_derivation_space_dimension_agrees_across_rings(name):
+    algebra = catalog.algebra(name)
+    assert len(derivation_space(algebra)) == \
+        len(derivation_space(to_float_algebra(algebra)))
+
+
+@pytest.mark.parametrize("name", sorted(catalog.NILPOTENT6))
+def test_metric_analyze_verdicts_agree_across_rings(capsys, name):
+    results = {}
+    for ring in ("exact", "float"):
+        assert main(["--ring", ring, "metric", "analyze", name,
+                     "--format", "json"]) == 0
+        results[ring] = json.loads(capsys.readouterr().out)["results"]
+    exact, approx = results["exact"], results["float"]
+    assert (exact["einstein"] is None) == (approx["einstein"] is None)
+    if exact["einstein"] is not None:
+        assert abs(Fraction(exact["einstein"]) - approx["einstein"]) <= 1e-8
+    assert (exact["nilsoliton"] is None) == (approx["nilsoliton"] is None)
+    if exact["nilsoliton"] is not None:
+        assert abs(Fraction(exact["nilsoliton"]["c"])
+                   - approx["nilsoliton"]["c"]) <= 1e-8
