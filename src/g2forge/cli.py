@@ -18,12 +18,13 @@ from typing import Any, Dict, List, Optional, Sequence
 from . import catalog
 from .curvature import (curvature_tensors, einstein_constant, nilsoliton_check)
 from .exterior import InnerProduct, KForm
-from .g2 import metric_from_phi, scalar_curvature_from_torsion, star_ricci, \
-    torsion_forms
-from .liealg import (LieAlgebra, MetricLieAlgebra, StructureParseError,
-                     is_nilpotent, parse_form, parse_structure_equations,
-                     render_structure_equations, to_float_algebra)
+from .g2 import NotPositiveError, metric_from_phi, \
+    scalar_curvature_from_torsion, star_ricci, torsion_forms
+from .liealg import (LieAlgebra, MetricLieAlgebra, is_nilpotent, parse_form,
+                     parse_structure_equations, render_structure_equations,
+                     to_float_algebra)
 from .reproduce import compute_suites, payload
+from .scalars import ExactnessError, RingMismatchError
 from .stable_forms import su3_predicates
 from .survey import (build_table, n4_obstruction_sample,
                      n9_nilsoliton_obstruction_sample, sign_partition)
@@ -120,6 +121,20 @@ def _load_algebra(name_or_eqns: str, ring: str) -> LieAlgebra:
     return algebra
 
 
+def _load_form(args, name: str, algebra: LieAlgebra, degree: int) -> KForm:
+    """Parse the form ``args.<name>`` on ``algebra`` into the ring of args."""
+    text = getattr(args, name)
+    if text is None:
+        raise ValueError("%s is missing" % name)
+    form = parse_form(text, algebra.dim, degree=degree)
+    return form.to_float() if args.ring == "float" else form
+
+
+def _curvature(algebra: LieAlgebra, metric: InnerProduct):
+    m = MetricLieAlgebra(algebra, metric)
+    return m, curvature_tensors(m)
+
+
 def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
     if text is None or text.strip() == "identity":
         return InnerProduct.euclidean(dim)
@@ -129,8 +144,10 @@ def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
         for cell in row_text.split(","):
             cell = cell.strip()
             if "/" in cell:
-                num, den = cell.split("/")
-                row.append(Fraction(int(num), int(den)))
+                num, den = (int(x) for x in cell.split("/"))
+                if den == 0:
+                    raise ValueError("metric entry %s divides by zero" % cell)
+                row.append(Fraction(num, den))
             elif "." in cell or "e" in cell.lower():
                 row.append(float(cell))
             else:
@@ -172,10 +189,8 @@ def cmd_algebra(args) -> Report:
 
 def cmd_su3(args) -> Report:
     algebra = _load_algebra(args.algebra, args.ring)
-    omega = parse_form(args.omega, algebra.dim, degree=2)
-    sigma = parse_form(args.sigma, algebra.dim, degree=3)
-    if args.ring == "float":
-        omega, sigma = omega.to_float(), sigma.to_float()
+    omega = _load_form(args, "omega", algebra, 2)
+    sigma = _load_form(args, "sigma", algebra, 3)
     verdict = su3_predicates(algebra, omega, sigma, tol=args.tol)
     rep = Report(command="su3 check")
     rep.inputs = {"algebra": render_structure_equations(algebra),
@@ -198,8 +213,7 @@ def cmd_metric(args) -> Report:
     metric = _parse_metric(args.metric, algebra.dim)
     if args.ring == "float":
         metric = metric.to_float()
-    m = MetricLieAlgebra(algebra, metric)
-    tensors = curvature_tensors(m)
+    m, tensors = _curvature(algebra, metric)
     rep = Report(command="metric analyze")
     rep.inputs = {"algebra": render_structure_equations(algebra),
                   "metric": metric}
@@ -209,28 +223,27 @@ def cmd_metric(args) -> Report:
     rep.results["einstein"] = einstein_constant(m, tensors, tol=args.tol)
     if not algebra.is_polynomial_ring():
         nilp, _ = is_nilpotent(algebra)
-        if nilp:
-            witness = nilsoliton_check(m, tol=args.tol, tensors=tensors)
-            rep.results["nilsoliton"] = None if witness is None else {
-                "c": witness.constant, "derivation": witness.derivation}
-        else:
-            rep.results["nilsoliton"] = None
+        witness = (nilsoliton_check(m, tol=args.tol, tensors=tensors)
+                   if nilp else None)
+        rep.results["nilsoliton"] = None if witness is None else {
+            "c": witness.constant, "derivation": witness.derivation}
     return rep
 
 
 def cmd_g2(args) -> Report:
     algebra = _load_algebra(args.algebra, args.ring)
-    phi = parse_form(args.phi, algebra.dim, degree=3)
-    if args.ring == "float":
-        phi = phi.to_float()
+    phi = _load_form(args, "phi", algebra, 3)
     rep = Report(command="g2 analyze")
     rep.inputs = {"algebra": render_structure_equations(algebra), "phi": phi}
     rep.provenance = {"ring": args.ring, "tol": args.tol}
     try:
         s = metric_from_phi(phi)
-    except Exception as exc:
-        rep.results["positive"] = False
-        rep.results["error"] = str(exc)
+    except NotPositiveError as exc:
+        rep.results.update(positive=False, error=str(exc))
+        return rep
+    except ExactnessError as exc:
+        # metric_from_phi decides positivity before it takes the 9th root
+        rep.results.update(positive=True, needs_float_ring=str(exc))
         return rep
     rep.results["positive"] = True
     rep.results["metric"] = s.metric
@@ -241,8 +254,7 @@ def cmd_g2(args) -> Report:
     if t.class_label != "generic":
         rep.results["scal_torsion"] = scalar_curvature_from_torsion(
             t, s, algebra)
-    m = MetricLieAlgebra(algebra, s.metric)
-    tensors = curvature_tensors(m)
+    m, tensors = _curvature(algebra, s.metric)
     rep.results["scal_ricci"] = tensors.scal
     sr = star_ricci(m, phi, s, tol=args.tol, tensors=tensors)
     rep.results["star_ricci"] = sr.matrix
@@ -273,6 +285,8 @@ def _render_table1_md(rep: Report) -> str:
 
 
 def cmd_obstruction(args) -> Report:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     rep = Report(command="obstruction %s" % args.which)
     rep.provenance = {"seed": args.seed, "trials": args.trials}
     if args.which == "n4":
@@ -393,8 +407,8 @@ def cmd_reproduce(args) -> Report:
 
 @dataclass
 class Scenario:
-    algebra: LieAlgebra
-    metric_text: Optional[str]
+    algebra: str
+    metric: Optional[str]
     forms: Dict[str, str]
     analyses: List[str]
 
@@ -407,6 +421,7 @@ def parse_scenario(text: str) -> Scenario:
     forms: Dict[str, str] = {}
     analyses: List[str] = []
     known = {"algebra", "metric", "forms", "analyses"}
+    known_analyses = ("su3", "g2", "ricci", "einstein", "nilsoliton")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -431,83 +446,47 @@ def parse_scenario(text: str) -> Scenario:
                                  "'omega = e12+e34'" % lineno)
             key, _, value = line.partition("=")
             forms[key.strip()] = value.strip()
-        else:
+        elif line in known_analyses:
             analyses.append(line)
+        else:
+            raise ValueError("line %d: unknown analysis %r (known: %s)"
+                             % (lineno, line, ", ".join(known_analyses)))
     if algebra_text is None:
         raise ValueError("scenario is missing the [algebra] section")
-    try:
-        algebra = catalog.algebra(algebra_text)
-    except KeyError:
-        try:
-            algebra = parse_structure_equations(algebra_text)
-        except StructureParseError as exc:
-            raise ValueError("algebra: %s" % exc) from None
     metric_text = ";".join(metric_lines) if metric_lines else None
-    return Scenario(algebra=algebra, metric_text=metric_text, forms=forms,
+    return Scenario(algebra=algebra_text, metric=metric_text, forms=forms,
                     analyses=analyses)
 
 
 def run_scenario(scenario: Scenario, ring: str = "exact",
                  tol: float = 1e-10) -> Report:
-    algebra = scenario.algebra
-    if ring == "float" and not algebra.is_polynomial_ring():
-        algebra = to_float_algebra(algebra)
+    """Run each analysis through its subcommand on the scenario's inputs."""
+    algebra = _load_algebra(scenario.algebra, ring)
     rep = Report(command="check")
     rep.inputs["algebra"] = render_structure_equations(algebra)
     rep.inputs["analyses"] = list(scenario.analyses)
     rep.provenance = {"ring": ring, "tol": tol}
-    metric = _parse_metric(scenario.metric_text, algebra.dim)
-    parsed_forms: Dict[str, KForm] = {}
-    degree_by_name = {"omega": 2, "sigma": 3, "phi": 3}
-    for key, value in scenario.forms.items():
-        deg = degree_by_name.get(key)
-        form = parse_form(value, algebra.dim, degree=deg)
-        if ring == "float":
-            form = form.to_float()
-        parsed_forms[key] = form
-        rep.inputs[key] = form
-    unknown = [a for a in scenario.analyses
-               if a not in ("su3", "nilsoliton", "einstein", "ricci", "g2")]
-    if unknown:
-        raise ValueError("unknown analyses: %s" % ", ".join(unknown))
-    m = MetricLieAlgebra(algebra, metric)
-    tensors = None
+    args = argparse.Namespace(
+        algebra=scenario.algebra, metric=scenario.metric, ring=ring, tol=tol,
+        omega=scenario.forms.get("omega"), sigma=scenario.forms.get("sigma"),
+        phi=scenario.forms.get("phi"))
+    metric: Optional[Report] = None   # one metric analyze for all three
     for analysis in scenario.analyses:
-        if tensors is None and analysis in ("ricci", "einstein", "nilsoliton"):
-            tensors = curvature_tensors(m)
-        if analysis == "su3":
-            verdict = su3_predicates(algebra, parsed_forms["omega"],
-                                     parsed_forms["sigma"], tol=tol)
-            rep.results["su3"] = {
-                "stable": verdict.stable, "compatible": verdict.compatible,
-                "normalized": verdict.normalized, "positive": verdict.positive,
-                "lambda": verdict.lambda_value,
-                "coupled_c": verdict.coupled_c,
-                "half_flat": verdict.half_flat}
-        elif analysis == "ricci":
-            rep.results["ricci"] = {"matrix": tensors.ricci,
-                                    "scal": tensors.scal}
-        elif analysis == "einstein":
-            rep.results["einstein"] = einstein_constant(m, tensors, tol=tol)
-        elif analysis == "nilsoliton":
-            witness = nilsoliton_check(m, tol=tol, tensors=tensors)
-            rep.results["nilsoliton"] = None if witness is None else {
-                "c": witness.constant, "derivation": witness.derivation}
-        elif analysis == "g2":
-            phi = parsed_forms["phi"]
-            s = metric_from_phi(phi)
-            t = torsion_forms(algebra, phi, s, tol=tol)
-            rep.results["g2"] = {
-                "metric": s.metric,
-                "class": t.class_label,
-                "tau0": t.tau0, "tau1": t.tau1, "tau2": t.tau2, "tau3": t.tau3}
+        if analysis in ("su3", "g2"):
+            sub = (cmd_su3 if analysis == "su3" else cmd_g2)(args)
+            rep.results[analysis] = sub.results
+        else:
+            sub = metric = metric or cmd_metric(args)
+            rep.results[analysis] = (
+                {"matrix": sub.results["ricci"], "scal": sub.results["scal"]}
+                if analysis == "ricci" else sub.results.get(analysis))
+        rep.inputs.update(sub.inputs)
     return rep
 
 
 def cmd_check(args) -> Report:
     with open(args.file, "r") as fh:
-        text = fh.read()
-    scenario = parse_scenario(text)
+        scenario = parse_scenario(fh.read())
     return run_scenario(scenario, ring=args.ring, tol=args.tol)
 
 
@@ -593,17 +572,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and print its report.  Exit status:
+
+    0 every check passed; 1 a check failed; 2 bad input (``ValueError``,
+    ``RingMismatchError``, an unreadable file, or argparse's own usage
+    error); 3 not decidable in this ring (``ExactnessError``: rerun with
+    ``--ring float``) or internally inconsistent (``RuntimeError``, as
+    ``TorsionInconsistencyError``).  2 and 3 print ``error: ...`` only.
+    """
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except (StructureParseError, ValueError) as exc:
+    except (ValueError, RingMismatchError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (ExactnessError, RuntimeError) as exc:
+        hint = ("; rerun with --ring float"
+                if isinstance(exc, ExactnessError) else "")
+        print("error: %s%s" % (exc, hint), file=sys.stderr)
+        return 3
     if args.command == "table1" and args.fmt == "md":
-        print(_render_table1_md(report))
+        text = _render_table1_md(report)
     else:
-        print(render_report(report, args.fmt, color=_use_color(args)))
+        text = render_report(report, args.fmt, color=_use_color(args))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); silence the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

@@ -108,15 +108,17 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
         det_b = det_b.constant_value()
     if is_zero(det_b, tol):
         raise NotPositiveError("degenerate 3-form: det B = 0")
-    # det B = v^9 with v of either sign: the form picks its own orientation
+    # det B = v^9 with v of either sign: the form picks its own orientation.
+    # 9 is odd, so sign(v) = sign(det B) and g = B/v > 0 iff sign * B > 0:
+    # positivity is decided before an irrational v can raise ExactnessError.
+    sign = 1 if det_b > 0 else -1
+    if not linalg.is_positive_definite([[sign * x for x in row] for row in b],
+                                       tol):
+        raise NotPositiveError("B form is not positive definite")
     v = scalars.snth_root(det_b, 9)
-    sign = 1 if (v > 0 if not isinstance(v, float) else v > 0.0) else -1
     g_rows = tuple(tuple(x / v for x in row) for row in b)
     metric = InnerProduct(g_rows)
-    if not metric.is_positive_definite(tol):
-        raise NotPositiveError("B form is not positive definite")
-    abs_v = v if sign > 0 else -v
-    volume = Orientation(KForm(7, 7, {tuple(range(1, 8)): abs_v}))
+    volume = Orientation(KForm(7, 7, {tuple(range(1, 8)): abs(v)}))
     # defining relation, checked on all 49 basis pairs: g * v == B with the
     # signed volume coefficient
     for i in range(7):

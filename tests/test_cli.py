@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,7 +174,7 @@ g2
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["g2"]["class"] == "locally_conformal_parallel"
-    assert payload["results"]["g2"]["tau1"] == "-a*e7"
+    assert payload["results"]["g2"]["torsion"]["tau1"] == "-a*e7"
 
 
 def test_scenario_empty_analyses(tmp_path, capsys):
@@ -291,3 +295,106 @@ def test_scenario_computes_curvature_once(tmp_path, capsys, curvature_calls):
     assert code == 0
     assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"
     assert len(curvature_calls) == 1
+
+
+PHI = "e127+e347-e567+e136-e145-e235-e246"
+TWICE_PHI = "2*e127+2*e347-2*e567+2*e136-2*e145-2*e235-2*e246"
+LAMBDA_MINUS_8 = ["su3", "check", "n28", "--omega", "e12+e34-e56",
+                  "--sigma", "e136+e145+e235-2*e246"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["g2", "analyze", "n28", "--phi", "e123"], 2),
+    (["--ring", "float", "g2", "analyze",
+      "(a*e17,a*e27,a*e37,a*e47,a*e57,a*e67,0)",
+      "--phi=-e125-e136-e147+e237-e246+e345-e567"], 2),
+    (["metric", "analyze", "n28", "--metric", "1/0"], 2),
+    (["check", "/nonexistent"], 2),
+    (["obstruction", "n4", "--trials", "-1"], 2),
+    (LAMBDA_MINUS_8, 3),
+])
+def test_failures_map_to_exit_codes(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert ("rerun with --ring float" in err) == (code == 3)
+
+
+def test_scenario_missing_form_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "no_forms.txt"
+    path.write_text("[algebra]\nn28\n[analyses]\nsu3\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: omega is missing\n"
+
+
+def test_scenario_unknown_analysis_reports_line():
+    with pytest.raises(ValueError) as err:
+        parse_scenario("[algebra]\nn28\n[analyses]\nricci\nbogus\n")
+    assert "line 5" in str(err.value) and "bogus" in str(err.value)
+
+
+def test_closed_pipe_leaves_stderr_empty():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "g2forge.cli", "table1", "--format", "md"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()             # the reader leaves before any output
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+def test_twice_phi_is_positive_in_both_rings(capsys):
+    argv = ["--format", "json", "g2", "analyze", "n28_ext", "--phi", TWICE_PHI]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    exact = json.loads(out)["results"]
+    assert exact["positive"] is True
+    assert "9-th root" in exact["needs_float_ring"]
+    code, out = run_cli(capsys, "--ring", "float", *argv)
+    assert code == 0
+    floating = json.loads(out)["results"]
+    assert floating["positive"] is True
+    assert floating["class"] == "locally_conformal_calibrated"
+
+
+def test_irrational_lambda_is_decided_in_the_float_ring(capsys):
+    code, out = run_cli(capsys, "--ring", "float", "--format", "json",
+                        *LAMBDA_MINUS_8)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["stable"] is True
+    assert abs(results["lambda"] + 8) < 1e-9
+
+
+def test_float_scenario_ricci_holds_floats(tmp_path, capsys):
+    path = tmp_path / "ricci.txt"
+    path.write_text("[algebra]\nn28\n[metric]\nidentity\n[analyses]\nricci\n")
+    code, out = run_cli(capsys, "--ring", "float", "check", str(path),
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    ricci = payload["results"]["ricci"]
+    assert isinstance(ricci["scal"], float) and abs(ricci["scal"] + 2) < 1e-9
+    # entries the curvature sum never reaches keep their exact zero
+    assert all(isinstance(x, float) for row in ricci["matrix"] for x in row
+               if x != "0")
+    assert all(isinstance(x, float) for row in payload["inputs"]["metric"]
+               for x in row)
+
+
+def test_scenario_g2_is_g2_analyze(tmp_path, capsys):
+    path = tmp_path / "g2.txt"
+    path.write_text("[algebra]\nn28_ext\n[forms]\nphi = %s\n"
+                    "[analyses]\ng2\n" % PHI)
+    code, out = run_cli(capsys, "check", str(path), "--format", "json")
+    assert code == 0
+    scenario = json.loads(out)
+    code, out = run_cli(capsys, "g2", "analyze", "n28_ext", "--phi", PHI,
+                        "--format", "json")
+    assert code == 0
+    analyze = json.loads(out)
+    assert scenario["results"]["g2"] == analyze["results"]
+    assert scenario["inputs"]["phi"] == analyze["inputs"]["phi"]
