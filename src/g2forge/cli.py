@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .liealg import (LieAlgebra, MetricLieAlgebra, is_nilpotent, parse_form,
 from .reproduce import compute_suites, payload
 from .scalars import ExactnessError, RingMismatchError
 from .stable_forms import su3_predicates
-from .survey import (build_table, n4_obstruction_sample,
+from .survey import (ObstructionFailure, build_table, n4_obstruction_sample,
                      n9_nilsoliton_obstruction_sample, sign_partition)
 
 GOLDEN_PACKAGE = "g2forge.golden"
@@ -284,13 +285,31 @@ def _render_table1_md(rep: Report) -> str:
     return "\n".join(lines)
 
 
+def _finite(x: float) -> Optional[float]:
+    """JSON has no inf or nan: a minimum over no point is null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_obstruction(args) -> Report:
+    """A trial that contradicts the no-go claim (``ObstructionFailure``)
+    is a failed check of the report, not an error."""
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     rep = Report(command="obstruction %s" % args.which)
     rep.provenance = {"seed": args.seed, "trials": args.trials}
+    try:
+        if args.which == "n4":
+            report = n4_obstruction_sample(args.trials, args.seed)
+        else:
+            report = n9_nilsoliton_obstruction_sample(
+                args.trials, args.seed, frame=args.frame)
+    except ObstructionFailure as exc:
+        rep.checks.append(Check(
+            name="no sampled trial contradicts the no-go claim",
+            passed=False, expected="no contradicting trial",
+            computed=str(exc)))
+        return rep
     if args.which == "n4":
-        report = n4_obstruction_sample(args.trials, args.seed)
         rep.results = {
             "trials": report.trials,
             "confirmed": report.confirmed,
@@ -302,21 +321,25 @@ def cmd_obstruction(args) -> Report:
             name="every trial admits the predicted null vector",
             passed=report.all_confirmed,
             expected=report.trials, computed=report.confirmed))
-    else:
-        report = n9_nilsoliton_obstruction_sample(
-            args.trials, args.seed, frame=args.frame)
-        rep.results = {
-            "starts": report.starts,
-            "frame": args.frame,
-            "feasible_found": report.feasible_found,
-            "best_residual": report.best_residual,
-            "best_lambda": report.best_lambda,
-        }
-        if report.claimed:
-            rep.checks.append(Check(
-                name="no isotropic-metric coupled point below the lambda cut",
-                passed=not report.feasible_found,
-                expected=False, computed=report.feasible_found))
+        return rep
+    rep.results = {
+        "starts": report.starts,
+        "frame": args.frame,
+        "feasible_found": report.feasible_found,
+        "best_residual": _finite(report.best_residual),
+        "best_lambda": _finite(report.best_lambda),
+        "best_objective": _finite(report.best_objective),
+        "best_objective_lambda": _finite(report.best_objective_lambda),
+        "starts_detail": [
+            {"nit": d.nit, "nfev": d.nfev, "lambda": d.lambda_value,
+             "residual": _finite(d.residual)}
+            for d in report.starts_detail],
+    }
+    if report.claimed:
+        rep.checks.append(Check(
+            name="no isotropic-metric coupled point below the lambda cut",
+            passed=not report.feasible_found,
+            expected=False, computed=report.feasible_found))
     return rep
 
 

@@ -131,12 +131,16 @@ def curvature_tensors(m: MetricLieAlgebra,
                             val = val + ca * g.matrix[a][l]
                     if not is_zero(val):
                         riemann[(i + 1, j + 1, k + 1, l + 1)] = val
-    # Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k)
+    # Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k); the sums start from a
+    # zero of the inputs' ring, so an entry no term reaches is 0.0 in floats
+    float_ring = algebra.is_float_ring() or any(
+        isinstance(x, float) for row in g.matrix for x in row)
+    zero: Scalar = 0.0 if float_ring else Fraction(0)
     ricci_rows = []
     for j in range(n):
         row = []
         for k in range(n):
-            total: Scalar = Fraction(0)
+            total = zero
             for i in range(n):
                 if i == j:
                     continue
@@ -145,7 +149,7 @@ def curvature_tensors(m: MetricLieAlgebra,
         ricci_rows.append(row)
     ricci = linalg.mat(ricci_rows)
     ginv = g.inverse
-    scal: Scalar = Fraction(0)
+    scal = zero
     for j in range(n):
         for k in range(n):
             if not is_zero(ricci[j][k]):

@@ -26,6 +26,17 @@ FIVES: List[Tuple[int, ...]] = list(combinations(range(1, 7), 5))
 
 _TRIP_POS = {t: i for i, t in enumerate(TRIPLES)}
 
+# 0-based row and column of each pair, so that omega_b[PAIR_ROW, PAIR_COL] = b
+PAIR_ROW = np.array([p - 1 for p, _ in PAIRS])
+PAIR_COL = np.array([q - 1 for _, q in PAIRS])
+# the 15 perfect matchings of {1..6} as triples of pair positions, with the
+# sign of the permutation (p1 q1 p2 q2 p3 q3): Pf(omega_b) = sum sign b b b
+_MATCHINGS = [(x, y, z) for x, y, z in combinations(range(len(PAIRS)), 3)
+              if len(set(PAIRS[x] + PAIRS[y] + PAIRS[z])) == 6]
+_PF_INDEX = np.array(_MATCHINGS)
+_PF_SIGN = np.array([float(sort_index(PAIRS[x] + PAIRS[y] + PAIRS[z])[0])
+                     for x, y, z in _MATCHINGS])
+
 
 def two_form_from_b(b) -> KForm:
     """b_1 e^12 + b_2 e^13 + ... + b_15 e^56."""
@@ -45,7 +56,14 @@ class StableFormSampler:
         self.algebra = algebra
         self.d_matrix = self._build_d_matrix()
         self.k_tensor = self._build_k_tensor()
-        self.compat_tensor = self._build_compat_tensor()
+        # K and omega ^ sigma for c = 1 written directly on b, summed with
+        # their transposes so that one contraction with b gives the
+        # Jacobian: dK/db = k_b_tensor @ b and K = (dK/db) b / 2
+        self.k_b_tensor = _symmetrize(np.einsum(
+            "mjab,ap,bq->mjpq", self.k_tensor, self.d_matrix, self.d_matrix,
+            optimize=True))
+        self.compat_b_tensor = _symmetrize(np.einsum(
+            "mpa,aq->mpq", self._build_compat_tensor(), self.d_matrix))
 
     # -- structure tensors ---------------------------------------------------
     def _build_d_matrix(self) -> np.ndarray:
@@ -115,42 +133,36 @@ class StableFormSampler:
 
     def omega_matrix(self, b: np.ndarray) -> np.ndarray:
         om = np.zeros((6, 6))
-        for val, (i, j) in zip(b, PAIRS):
-            om[i - 1, j - 1] = val
-            om[j - 1, i - 1] = -val
+        om[PAIR_ROW, PAIR_COL] = b
+        om[PAIR_COL, PAIR_ROW] = -b
         return om
 
     def orientation_sign(self, b: np.ndarray) -> float:
         # pfaffian of the omega matrix; sign of omega^3 against e^{1..6}
-        om = self.omega_matrix(b)
-        pf = (om[0, 1] * (om[2, 3] * om[4, 5] - om[2, 4] * om[3, 5]
-                          + om[2, 5] * om[3, 4])
-              - om[0, 2] * (om[1, 3] * om[4, 5] - om[1, 4] * om[3, 5]
-                            + om[1, 5] * om[3, 4])
-              + om[0, 3] * (om[1, 2] * om[4, 5] - om[1, 4] * om[2, 5]
-                            + om[1, 5] * om[2, 4])
-              - om[0, 4] * (om[1, 2] * om[3, 5] - om[1, 3] * om[2, 5]
-                            + om[1, 5] * om[2, 3])
-              + om[0, 5] * (om[1, 2] * om[3, 4] - om[1, 3] * om[2, 4]
-                            + om[1, 4] * om[2, 3]))
+        pf = float(_PF_SIGN @ np.prod(np.asarray(b)[_PF_INDEX], axis=1))
         return 1.0 if pf >= 0 else -1.0
 
     def metric_of(self, b: np.ndarray, j: np.ndarray) -> np.ndarray:
         """h(x,y) = omega(Jx, y) as a (not yet symmetrized) matrix."""
         return j.T @ self.omega_matrix(b)
 
-    def compat_residual(self, b: np.ndarray, s: np.ndarray) -> float:
-        v = np.einsum("mpa,p,a->m", self.compat_tensor, b, s)
-        return float(np.linalg.norm(v))
+    def compat(self, b: np.ndarray, c: float = 1.0
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """omega_b ^ sigma on the 5-form basis, for sigma = c d(omega_b),
+        and its 6 x 15 Jacobian in b."""
+        jac = c * (self.compat_b_tensor @ b)
+        return 0.5 * (jac @ b), jac
 
     def pullback_matrix(self, j: np.ndarray) -> np.ndarray:
-        """15 x 15 matrix of omega -> omega(J., J.) on pair coefficients."""
-        m = np.zeros((15, 15))
-        for row, (p, q) in enumerate(PAIRS):
-            for col, (k, l) in enumerate(PAIRS):
-                m[row, col] = (j[k - 1, p - 1] * j[l - 1, q - 1]
-                               - j[k - 1, q - 1] * j[l - 1, p - 1])
-        return m
+        """15 x 15 matrix of omega -> omega(J., J.) on pair coefficients:
+        entry (pq, kl) is J[k,p] J[l,q] - J[k,q] J[l,p]."""
+        p, q = PAIR_ROW[:, None], PAIR_COL[:, None]
+        k, l = PAIR_ROW[None, :], PAIR_COL[None, :]
+        return j[k, p] * j[l, q] - j[k, q] * j[l, p]
+
+
+def _symmetrize(t: np.ndarray) -> np.ndarray:
+    return t + np.swapaxes(t, -1, -2)
 
 
 def _merge(a: Tuple[int, ...], b: Tuple[int, ...]):

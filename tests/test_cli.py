@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
@@ -114,6 +115,49 @@ def test_obstruction_n4(capsys):
     payload = json.loads(out)
     assert payload["results"]["confirmed"] == 5
     assert payload["passed"] is True
+
+
+def test_obstruction_n9_json_reports_each_start(capsys):
+    code, out = run_cli(capsys, "obstruction", "n9", "--trials", "6",
+                        "--seed", "1", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["feasible_found"] is False
+    detail = results["starts_detail"]
+    assert len(detail) == results["starts"] == 6
+    assert all(set(d) == {"nit", "nfev", "lambda", "residual"}
+               for d in detail)
+    below = [d["residual"] for d in detail if d["lambda"] <= -1e-6]
+    assert results["best_residual"] == (min(below) if below else None)
+    assert results["best_objective"] is not None
+
+
+def _planted_infeasibility(sampler, target=None):
+    # every point is feasible: lambda = -1 and a zero residual
+    return lambda b: (0.0, np.zeros(15), -1.0, 0.0)
+
+
+def _drawn_lambda_positive(self, b, c=1.0):
+    return 1.0
+
+
+@pytest.mark.parametrize("which, target, stub", [
+    ("n9", "g2forge.survey._isotropy_terms", _planted_infeasibility),
+    ("n4", "g2forge.sampling.StableFormSampler.lambda_of",
+     _drawn_lambda_positive)])
+def test_obstruction_failure_is_a_failed_check(capsys, monkeypatch, which,
+                                               target, stub):
+    monkeypatch.setattr(target, stub)
+    for fmt in ("text", "json"):
+        code = main(["obstruction", which, "--trials", "2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "Traceback" not in captured.out
+        assert "escalate, do not suppress" in captured.out
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    assert [c["passed"] for c in report["checks"]] == [False]
 
 
 def test_parse_error_exit_code(capsys):
@@ -369,6 +413,20 @@ def test_irrational_lambda_is_decided_in_the_float_ring(capsys):
     assert abs(results["lambda"] + 8) < 1e-9
 
 
+@pytest.mark.parametrize("ring, kind", [("float", float), ("exact", str)])
+def test_metric_analyze_ricci_is_in_one_ring(capsys, ring, kind):
+    # float Ricci entries that no curvature term reaches are 0.0, not the
+    # exact "0"; exact entries stay rationals rendered as text
+    from g2forge import catalog
+    for name in catalog.NILPOTENT6:
+        code, out = run_cli(capsys, "--ring", ring, "metric", "analyze", name,
+                            "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert all(type(x) is kind for row in results["ricci"] for x in row)
+        assert type(results["scal"]) is kind
+
+
 def test_float_scenario_ricci_holds_floats(tmp_path, capsys):
     path = tmp_path / "ricci.txt"
     path.write_text("[algebra]\nn28\n[metric]\nidentity\n[analyses]\nricci\n")
@@ -378,9 +436,7 @@ def test_float_scenario_ricci_holds_floats(tmp_path, capsys):
     payload = json.loads(out)
     ricci = payload["results"]["ricci"]
     assert isinstance(ricci["scal"], float) and abs(ricci["scal"] + 2) < 1e-9
-    # entries the curvature sum never reaches keep their exact zero
-    assert all(isinstance(x, float) for row in ricci["matrix"] for x in row
-               if x != "0")
+    assert all(isinstance(x, float) for row in ricci["matrix"] for x in row)
     assert all(isinstance(x, float) for row in payload["inputs"]["metric"]
                for x in row)
 

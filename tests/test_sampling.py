@@ -2,12 +2,15 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
 from g2forge.sampling import PAIRS, StableFormSampler, two_form_from_b
-from g2forge.stable_forms import lambda_invariant, metric_from_pair
-from g2forge.survey import (draw_admissible_coefficients,
+from g2forge.stable_forms import (NotStableError, lambda_invariant,
+                                  metric_from_pair, orientation_sign)
+from g2forge.survey import (_isotropy_search, _isotropy_terms,
+                            draw_admissible_coefficients,
                             n4_obstruction_sample,
                             n9_nilsoliton_obstruction_sample)
 
@@ -86,3 +89,145 @@ def test_n9_control_frame_reports_only():
                                               frame="standard")
     assert report.claimed is False
     assert report.starts == 3
+
+
+def test_n9_best_residual_is_over_admissible_end_points():
+    report = n9_nilsoliton_obstruction_sample(starts=20, seed=1)
+    assert len(report.starts_detail) == report.starts == 20
+    below = [d for d in report.starts_detail if d.lambda_value <= -1e-6]
+    assert below
+    assert report.best_residual == min(d.residual for d in below)
+    assert report.best_lambda <= -1e-6
+    assert report.best_objective <= report.best_residual \
+        + (report.best_lambda + 1.0) ** 2
+    for d in report.starts_detail:
+        assert d.nfev >= 1 and d.nit >= 0
+        assert math.isinf(d.residual) == (d.lambda_value >= -1e-14)
+
+
+def loop_pullback_matrix(j):
+    """The reference: one entry of omega -> omega(J., J.) at a time."""
+    m = np.zeros((15, 15))
+    for row, (p, q) in enumerate(PAIRS):
+        for col, (k, l) in enumerate(PAIRS):
+            m[row, col] = (j[k - 1, p - 1] * j[l - 1, q - 1]
+                           - j[k - 1, q - 1] * j[l - 1, p - 1])
+    return m
+
+
+def test_pullback_matrix_is_the_loop_bit_for_bit():
+    sampler = StableFormSampler(catalog.algebra("n4"))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        j = rng.standard_normal((6, 6))
+        assert np.array_equal(sampler.pullback_matrix(j),
+                              loop_pullback_matrix(j))
+
+
+@given(st.lists(rationals, min_size=15, max_size=15))
+@settings(max_examples=40, deadline=None)
+def test_orientation_sign_agrees_with_exact(b_frac):
+    # the sign of the Pfaffian from the matchings vs omega^3 in exact forms
+    try:
+        exact = orientation_sign(two_form_from_b(b_frac))
+    except NotStableError:
+        return
+    sampler = StableFormSampler(catalog.algebra("n4"))
+    b = np.array([float(x) for x in b_frac])
+    assert sampler.orientation_sign(b) == exact
+    om = sampler.omega_matrix(b)
+    assert np.array_equal(om, -om.T)
+    assert [om[p - 1, q - 1] for p, q in PAIRS] == list(b)
+
+
+# -- the exact gradient of the n9 search objective ------------------------------
+
+GRADIENT_TOL = 1e-6   # central differences with step 1e-6 reach ~1e-7
+FRAMES = {"nilsoliton": catalog.n9_nilsoliton_frame,
+          "standard": lambda: catalog.algebra("n9")}
+
+
+def gradient_error(terms, b, step=1e-6):
+    """Relative distance of the returned gradient from central differences."""
+    _, grad, _, _ = terms(b)
+    fd = np.array([(terms(b + step * e)[0] - terms(b - step * e)[0])
+                   / (2 * step) for e in np.eye(15)])
+    return float(np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad)))
+
+
+def points(sampler, branch, count=8, seed=6):
+    """Random b with lambda < 0 (admissible) or lambda > 0 (not)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        b = rng.uniform(-1.5, 1.5, 15)
+        if (sampler.lambda_of(b) < -1e-3) == (branch == "admissible"):
+            out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("frame", sorted(FRAMES))
+@pytest.mark.parametrize("branch", ["admissible", "degenerate"])
+def test_isotropy_gradient_matches_central_differences(frame, branch):
+    sampler = StableFormSampler(FRAMES[frame]())
+    terms = _isotropy_terms(sampler)
+    for b in points(sampler, branch):
+        lam = terms(b)[2]
+        assert (lam < -1e-14) == (branch == "admissible")
+        assert gradient_error(terms, b) <= GRADIENT_TOL
+
+
+def test_gradient_check_catches_a_dropped_term():
+    # negative control: the gradient without its |omega ^ sigma|^2 term
+    sampler = StableFormSampler(catalog.n9_nilsoliton_frame())
+    terms = _isotropy_terms(sampler)
+
+    def dropped(b):
+        value, grad, lam, resid = terms(b)
+        v, dv = sampler.compat(b)
+        return value, grad - 2.0 * (v @ dv), lam, resid
+
+    errors = [gradient_error(dropped, b)
+              for b in points(sampler, "admissible")]
+    assert min(errors) > GRADIENT_TOL
+
+
+def n9_pair_at_unit_lambda():
+    """The catalog n9 pair's omega coefficients scaled to lambda(d omega)
+    = -1, and the metric the pair induces."""
+    omega, sigma = catalog.n9_coupled_pair()
+    sampler = StableFormSampler(catalog.algebra("n9"))
+    b = np.array([float(omega.coeffs.get(p, 0.0)) for p in PAIRS])
+    b = b * (-sampler.lambda_of(b)) ** -0.25
+    metric = metric_from_pair(omega, sigma).metric
+    h = np.array([[float(x) for x in row] for row in metric.matrix])
+    return sampler, b, h
+
+
+def test_isotropy_search_finds_a_planted_feasible_point():
+    # positive control: with the target t I replaced by the metric of the
+    # catalog pair, the same search started near the pair must succeed
+    sampler, b, h = n9_pair_at_unit_lambda()
+    terms = _isotropy_terms(sampler, target=h)
+    value, _, lam, resid = terms(b)
+    assert abs(lam + 1.0) < 1e-12 and resid < 1e-20
+    rng = np.random.default_rng(8)
+    starts = [b + 0.2 * rng.standard_normal(15) for _ in range(5)]
+    report = _isotropy_search(terms, starts, seed=8, claimed=False,
+                              residual_tol=1e-9, lambda_cut=-1e-6)
+    assert report.feasible_found
+    assert report.best_residual <= 1e-9
+    # the identity target from the same starts finds nothing
+    report = _isotropy_search(_isotropy_terms(sampler), starts, seed=8,
+                              claimed=False, residual_tol=1e-9,
+                              lambda_cut=-1e-6)
+    assert not report.feasible_found
+
+
+def test_claimed_search_raises_on_a_feasible_point():
+    from g2forge.survey import ObstructionFailure
+    sampler, b, h = n9_pair_at_unit_lambda()
+    with pytest.raises(ObstructionFailure) as err:
+        _isotropy_search(_isotropy_terms(sampler, target=h), [b], seed=0,
+                         claimed=True, residual_tol=1e-9, lambda_cut=-1e-6)
+    assert "escalate, do not suppress" in str(err.value)
