@@ -1,9 +1,12 @@
 """Curvature of left-invariant metrics on Lie algebras.
 
 The Levi-Civita connection comes from the Koszul formula on invariant
-fields; curvature uses R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-- nabla_[X,Y] Z and Ric(Y,Z) = trace of X -> R(X,Y)Z.  These choices are
-anchored to the worked nilsoliton example (see the test suite).
+fields, as n matrices: N_i is the matrix of nabla_{e_i}, whose column j is
+nabla_{e_i} e_j.  Curvature is then
+R(e_i, e_j) = [N_i, N_j] - N_[e_i,e_j], the matrix of
+Z -> nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, and
+Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k).  These choices are anchored to
+the worked nilsoliton example (see the test suite).
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg
-from .exterior import Vector
 from .liealg import MetricLieAlgebra, is_derivation, is_nilpotent, \
     derivation_space
 from .scalars import Scalar, is_zero
@@ -20,9 +22,15 @@ from .scalars import Scalar, is_zero
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """gamma[i][j][k]: coefficient of e_k in nabla_{e_i} e_j (0-based)."""
+    """matrices[i] is N_i, the matrix of nabla_{e_i} (0-based): column j
+    holds nabla_{e_i} e_j."""
 
-    gamma: Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
+    matrices: Tuple[linalg.Matrix, ...]
+
+    @property
+    def gamma(self) -> Tuple[linalg.Matrix, ...]:
+        """gamma[i][j][k]: coefficient of e_k in nabla_{e_i} e_j."""
+        return tuple(linalg.transpose(nm) for nm in self.matrices)
 
 
 @dataclass(frozen=True)
@@ -39,48 +47,16 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     n = algebra.dim
     if not g.is_positive_definite(1e-12):
         raise ValueError("metric must be positive definite")
-    ginv = g.inverse
-    brackets = [[algebra.bracket_basis(i + 1, j + 1) for j in range(n)]
-                for i in range(n)]
-
-    def pair(v: Vector, idx: int) -> Scalar:
-        # g(v, e_idx), 0-based idx
-        total: Scalar = Fraction(0)
-        for a, va in enumerate(v.components):
-            if not is_zero(va):
-                total = total + va * g.matrix[a][idx]
-        return total
-
-    gamma = []
-    for i in range(n):
-        gi = []
-        for j in range(n):
-            w = []
-            for k in range(n):
-                val = (pair(brackets[i][j], k)
-                       - pair(brackets[j][k], i)
-                       + pair(brackets[k][i], j))
-                w.append(val / 2)
-            # raise the index with the inverse metric
-            gi.append(tuple(
-                sum((ginv[kk][m_] * w[m_] for m_ in range(n)), Fraction(0))
-                for kk in range(n)))
-        gamma.append(tuple(gi))
-    return ConnectionCoeffs(tuple(gamma))
-
-
-def _nabla(coeffs: ConnectionCoeffs, i: int, v: Vector) -> Vector:
-    """nabla_{e_i} v for constant-coefficient v (0-based i)."""
-    n = v.dim
-    out = [Fraction(0)] * n
-    for j, vj in enumerate(v.components):
-        if is_zero(vj):
-            continue
-        for k in range(n):
-            gk = coeffs.gamma[i][j][k]
-            if not is_zero(gk):
-                out[k] = out[k] + vj * gk
-    return Vector(n, tuple(out))
+    c = algebra.structure_constants
+    # low[k][a*n + b] = g([e_a, e_b], e_k): every bracket in one product
+    low = linalg.mat_mul(g.matrix, [[x for row in c[k] for x in row]
+                                    for k in range(n)])
+    koszul = [[(low[k][i * n + j] - low[i][j * n + k] + low[j][k * n + i]) / 2
+               for i in range(n) for j in range(n)] for k in range(n)]
+    # raising k: flat[k][i*n + j] = N_i[k][j]
+    flat = linalg.mat_mul(g.inverse, koszul)
+    return ConnectionCoeffs(tuple(tuple(row[i * n:(i + 1) * n] for row in flat)
+                                  for i in range(n)))
 
 
 def curvature_tensors(m: MetricLieAlgebra,
@@ -90,70 +66,36 @@ def curvature_tensors(m: MetricLieAlgebra,
     n = algebra.dim
     if coeffs is None:
         coeffs = levi_civita(m)
-    basis = [Vector.basis(n, i) for i in range(1, n + 1)]
-    # R(e_i, e_j) e_k as vectors, for i < j
-    rvec = {}
+    nab, c = coeffs.matrices, algebra.structure_constants
+    # sums start from a zero of the inputs' ring, so an entry no term
+    # reaches is 0.0 in floats
+    zero = linalg.ring_zero(g.matrix, *nab)
+    riemann = {}
+    ricci = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            bij = algebra.bracket_basis(i + 1, j + 1)
+            # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m
+            r = [[x - y for x, y in zip(rx, ry)] for rx, ry in
+                 zip(linalg.mat_mul(nab[i], nab[j]),
+                     linalg.mat_mul(nab[j], nab[i]))]
+            for mm in range(n):
+                cm = c[mm][i][j]
+                if not is_zero(cm):
+                    r = [[x - cm * y for x, y in zip(rx, ry)]
+                         for rx, ry in zip(r, nab[mm])]
+            low = linalg.mat_mul(g.matrix, r)
             for k in range(n):
-                term1 = _nabla(coeffs, i, _nabla(coeffs, j, basis[k]))
-                term2 = _nabla(coeffs, j, _nabla(coeffs, i, basis[k]))
-                term3 = [Fraction(0)] * n
-                for mm, cm in enumerate(bij.components):
-                    if is_zero(cm):
-                        continue
-                    nb = _nabla(coeffs, mm, basis[k])
-                    for t in range(n):
-                        term3[t] = term3[t] + cm * nb.components[t]
-                comps = tuple(a - b - c for a, b, c in
-                              zip(term1.components, term2.components, term3))
-                rvec[(i, j, k)] = comps
-
-    def rcomp(i, j, k):
-        if i == j:
-            return None
-        if i < j:
-            return rvec[(i, j, k)]
-        return tuple(-x for x in rvec[(j, i, k)])
-
-    riemann = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(n):
-                comps = rcomp(i, j, k)
                 for l in range(n):
-                    val: Scalar = Fraction(0)
-                    for a, ca in enumerate(comps):
-                        if not is_zero(ca):
-                            val = val + ca * g.matrix[a][l]
-                    if not is_zero(val):
-                        riemann[(i + 1, j + 1, k + 1, l + 1)] = val
-    # Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k); the sums start from a
-    # zero of the inputs' ring, so an entry no term reaches is 0.0 in floats
-    float_ring = algebra.is_float_ring() or any(
-        isinstance(x, float) for row in g.matrix for x in row)
-    zero: Scalar = 0.0 if float_ring else Fraction(0)
-    ricci_rows = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            total = zero
-            for i in range(n):
-                if i == j:
-                    continue
-                total = total + rcomp(i, j, k)[i]
-            row.append(total)
-        ricci_rows.append(row)
-    ricci = linalg.mat(ricci_rows)
+                    if not is_zero(low[l][k]):
+                        riemann[(i + 1, j + 1, k + 1, l + 1)] = low[l][k]
+                        riemann[(j + 1, i + 1, k + 1, l + 1)] = -low[l][k]
+                # Ric(e_j, e_k) += e^i(R(e_i, e_j) e_k), and R(e_j, e_i) = -R
+                ricci[j][k] = ricci[j][k] + r[i][k]
+                ricci[i][k] = ricci[i][k] - r[j][k]
+    ricci = tuple(map(tuple, ricci))
     ginv = g.inverse
-    scal = zero
-    for j in range(n):
-        for k in range(n):
-            if not is_zero(ricci[j][k]):
-                scal = scal + ginv[j][k] * ricci[j][k]
+    scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
+                if not is_zero(ricci[j][k])), zero)
     return CurvatureTensors(riemann=riemann, ricci=ricci, scal=scal)
 
 
@@ -228,31 +170,17 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
 def connection_satisfies_invariants(m: MetricLieAlgebra,
                                     coeffs: Optional[ConnectionCoeffs] = None,
                                     tol: float = 0.0) -> bool:
-    """Metric compatibility and torsion-freeness of the Koszul connection."""
+    """Metric compatibility (g N_i is antisymmetric) and torsion-freeness
+    (nabla_i e_j - nabla_j e_i = [e_i, e_j]) of the Koszul connection."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     if coeffs is None:
         coeffs = levi_civita(m)
-    basis = [Vector.basis(n, i) for i in range(1, n + 1)]
-    for i in range(n):
-        for j in range(n):
-            nij = _nabla(coeffs, i, basis[j])
-            for k in range(n):
-                nik = _nabla(coeffs, i, basis[k])
-                # g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) = 0
-                val: Scalar = Fraction(0)
-                for a in range(n):
-                    val = val + nij.components[a] * g.matrix[a][k]
-                    val = val + nik.components[a] * g.matrix[a][j]
-                if not is_zero(val, tol):
-                    return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            nij = _nabla(coeffs, i, basis[j])
-            nji = _nabla(coeffs, j, basis[i])
-            br = algebra.bracket_basis(i + 1, j + 1)
-            for a in range(n):
-                if not is_zero(nij.components[a] - nji.components[a]
-                               - br.components[a], tol):
-                    return False
-    return True
+    nab, c = coeffs.matrices, algebra.structure_constants
+    for nm in nab:
+        low = linalg.mat_mul(g.matrix, nm)
+        if not all(is_zero(low[j][k] + low[k][j], tol)
+                   for j in range(n) for k in range(j, n)):
+            return False
+    return all(is_zero(nab[i][k][j] - nab[j][k][i] - c[k][i][j], tol)
+               for i in range(n) for j in range(i + 1, n) for k in range(n))

@@ -106,14 +106,20 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
         if not det_b.is_constant():
             raise NotPositiveError("symbolic 3-forms are not supported here")
         det_b = det_b.constant_value()
-    if is_zero(det_b, tol):
+    # float zero tests are relative to the size of B: phi -> c^3 phi scales
+    # B by c^9 and det B by c^63.  det B only has to be told from 0 here (a
+    # dense B may have |det B| far below max|B|^7); the eigenvalues in the
+    # positivity test decide near-degenerate forms.  Exact tests ignore tol.
+    size = max([abs(x) for row in b for x in row if isinstance(x, float)],
+               default=0.0)
+    if is_zero(det_b, (tol * size) ** 7):
         raise NotPositiveError("degenerate 3-form: det B = 0")
     # det B = v^9 with v of either sign: the form picks its own orientation.
     # 9 is odd, so sign(v) = sign(det B) and g = B/v > 0 iff sign * B > 0:
     # positivity is decided before an irrational v can raise ExactnessError.
     sign = 1 if det_b > 0 else -1
     if not linalg.is_positive_definite([[sign * x for x in row] for row in b],
-                                       tol):
+                                       tol * size):
         raise NotPositiveError("B form is not positive definite")
     v = scalars.snth_root(det_b, 9)
     g_rows = tuple(tuple(x / v for x in row) for row in b)
@@ -123,7 +129,7 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # signed volume coefficient
     for i in range(7):
         for j in range(7):
-            if not is_zero(g_rows[i][j] * v - b[i][j], tol):
+            if not is_zero(g_rows[i][j] * v - b[i][j], tol * size):
                 raise TorsionInconsistencyError("metric extraction failed "
                                                 "the defining relation")
     star = hodge_star(phi, metric, volume)

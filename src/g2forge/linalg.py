@@ -31,10 +31,21 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
+def ring_zero(*matrices) -> Scalar:
+    """0.0 when any of the matrices holds a float, else Fraction(0)."""
+    return 0.0 if any(_has_float(m) for m in matrices) else Fraction(0)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(ra, cb)), Fraction(0))
-                       for cb in bt) for ra in a)
+    """a b over sparse factors: zero factors are skipped, and each entry
+    starts from a zero of the inputs' ring, so a float product holds no
+    exact 0."""
+    zero = ring_zero(a, b)
+    rows = [{k: x for k, x in enumerate(row) if not is_zero(x)} for row in a]
+    cols = [[(k, y) for k, y in enumerate(col) if not is_zero(y)]
+            for col in zip(*b)]
+    return tuple(tuple(sum((r[k] * y for k, y in col if k in r), zero)
+                       for col in cols) for r in rows)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> VectorS:

@@ -27,6 +27,7 @@ from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
                             SIGN_ZERO, n4_obstruction_sample,
                             n9_nilsoliton_obstruction_sample, sign_partition)
 
+from test_curvature import twisted
 from test_survey import N8_REGENERATED, table_polynomials
 
 
@@ -269,7 +270,7 @@ def test_criterion_11a_d_squared_zero():
 
 
 def test_criterion_11b_riemann_symmetries(n28, einstein_ext):
-    for m in (MetricLieAlgebra.euclidean(n28), einstein_ext):
+    for m in [MetricLieAlgebra.euclidean(n28), einstein_ext] + twisted():
         tensors = curvature_tensors(m)
         r = tensors.riemann
         n = m.algebra.dim
@@ -284,7 +285,8 @@ def test_criterion_11b_riemann_symmetries(n28, einstein_ext):
                     for l in range(1, n + 1):
                         assert get(i, j, k, l) + get(j, k, i, l) + \
                             get(k, i, j, l) == 0
-    report(11, "Riemann symmetries and first Bianchi, exact")
+    report(11, "Riemann symmetries and first Bianchi, exact, on diagonal "
+           "and dense metrics")
 
 
 def test_criterion_11c_double_hodge_sign():

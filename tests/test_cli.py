@@ -141,15 +141,23 @@ def _drawn_lambda_positive(self, b, c=1.0):
     return 1.0
 
 
+CONTRADICTED = {"n9": ["obstruction", "n9", "--trials", "2"],
+                "n4": ["obstruction", "n4", "--trials", "2"],
+                "reproduce-paper": ["reproduce-paper", "--only",
+                                    "obstructions"]}
+
+
 @pytest.mark.parametrize("which, target, stub", [
     ("n9", "g2forge.survey._isotropy_terms", _planted_infeasibility),
     ("n4", "g2forge.sampling.StableFormSampler.lambda_of",
-     _drawn_lambda_positive)])
+     _drawn_lambda_positive),
+    ("reproduce-paper", "g2forge.survey._isotropy_terms",
+     _planted_infeasibility)])
 def test_obstruction_failure_is_a_failed_check(capsys, monkeypatch, which,
                                                target, stub):
     monkeypatch.setattr(target, stub)
     for fmt in ("text", "json"):
-        code = main(["obstruction", which, "--trials", "2", "--format", fmt])
+        code = main(CONTRADICTED[which] + ["--format", fmt])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == ""

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import catalog, linalg
+from g2forge import catalog, linalg, scalars
 from g2forge.curvature import curvature_tensors
 from g2forge import g2
 from g2forge.exterior import (InnerProduct, KForm, contract_basis, form_inner,
@@ -196,3 +196,34 @@ def test_float_type_projection_on_dense_twist_matches_exact():
     with pytest.raises(TorsionInconsistencyError, match="14-part"):
         type_project(contract_basis(1, contract_basis(2, s_float.star_phi)),
                      bent)
+
+
+def scaled_analysis(name, c, ring):
+    """metric_from_phi, torsion_forms and Scal of c^3 phi."""
+    algebra, phi = CASES[name]
+    phi = phi * c ** 3
+    if ring == "float":
+        algebra, phi = to_float_algebra(algebra), phi.to_float()
+    s = metric_from_phi(phi)
+    t = torsion_forms(algebra, phi, s)
+    return s, t, curvature_tensors(MetricLieAlgebra(algebra, s.metric)).scal
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("c", [Fraction(1, 10), Fraction(1, 2), Fraction(2),
+                               Fraction(10)], ids=str)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scale_covariance(name, c, ring):
+    """phi -> c^3 phi keeps positivity and the class, and gives g -> c^2 g,
+    tau0 -> tau0/c and Scal -> Scal/c^2, in either ring."""
+    s1, t1, scal1 = scaled_analysis(name, Fraction(1), ring)
+    sc, tc, scalc = scaled_analysis(name, c, ring)
+
+    def close(a, b):
+        return scalars.eq(a, b, 1e-9 * max(1, abs(b)))
+
+    assert tc.class_label == t1.class_label
+    assert all(close(x, c ** 2 * y) for rx, ry in
+               zip(sc.metric.matrix, s1.metric.matrix) for x, y in zip(rx, ry))
+    assert close(tc.tau0, t1.tau0 / c)
+    assert close(scalc, scal1 / c ** 2)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,87 @@ from g2forge import catalog
 from g2forge.curvature import (connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check)
+from g2forge.g2 import metric_from_phi
 from g2forge.liealg import MetricLieAlgebra
 from g2forge.scalars import Polynomial
+from test_coframe import CASES, P_DENSE, P_SHEAR, Coframe
 
 
 def euclidean(name):
     return MetricLieAlgebra.euclidean(catalog.algebra(name))
+
+
+@functools.lru_cache(maxsize=None)
+def induced(name, p=None):
+    """A CASES structure with the metric of its phi, after the change of
+    coframe p if one is given: a dense metric for P_DENSE."""
+    algebra, phi = CASES[name]
+    if p is not None:
+        c = Coframe(p)
+        algebra, phi = c.algebra(algebra), c.form(phi)
+    return MetricLieAlgebra(algebra, metric_from_phi(phi).metric)
+
+
+def twisted():
+    """The non-diagonal inputs: the P_DENSE twists of both CASES."""
+    return [induced(name, P_DENSE) for name in sorted(CASES)]
+
+
+def besse_ricci(m, quarter=Fraction(1, 4)):
+    """Ric of a left-invariant metric in closed form (Besse, Einstein
+    Manifolds, 7.38; Milnor, Curvatures of left invariant metrics on Lie
+    groups, 1976), polarized and written with g^-1, so that it needs no
+    orthonormal basis and stays rational:
+
+        Ric(X,Y) = -1/2 sum g^ab g([X,e_a],[Y,e_b]) - 1/2 B(X,Y)
+                   + 1/4 sum g^ac g^bd g([e_a,e_b],X) g([e_c,e_d],Y)
+                   - 1/2 (g([H,X],Y) + g([H,Y],X)),
+
+    with B the Killing form and g(H,X) = tr ad_X.  ``quarter`` replaces the
+    1/4, for the negative control.  Independent of the library's
+    connection: only the structure constants and g enter.
+    """
+    g, ginv = m.metric.matrix, m.metric.inverse
+    c = m.algebra.structure_constants      # [e_i, e_j] = sum_k c[k][i][j] e_k
+    r = range(m.algebra.dim)
+    # low[a][b][x] = g([e_a, e_b], e_x); up raises a and b
+    low = [[[sum(c[k][a][b] * g[k][x] for k in r) for x in r] for b in r]
+           for a in r]
+    half = [[[sum(ginv[b][q] * low[p][q][x] for q in r) for x in r]
+             for b in r] for p in r]
+    up = [[[sum(ginv[a][p] * half[p][b][x] for p in r) for x in r]
+           for b in r] for a in r]
+    # adup[y][a][l] = e^l([e_y, g^ab e_b])
+    adup = [[[sum(ginv[a][b] * c[l][y][b] for b in r) for l in r] for a in r]
+            for y in r]
+    h = [sum(ginv[a][b] * sum(c[k][b][k] for k in r) for b in r) for a in r]
+    # hx[x][y] = g([H, e_x], e_y)
+    hx = [[sum(h[a] * low[a][x][y] for a in r) for y in r] for x in r]
+
+    def ric(x, y):
+        brackets = sum(low[x][a][l] * adup[y][a][l] for a in r for l in r)
+        killing = sum(c[k][x][j] * c[j][y][k] for j in r for k in r)
+        squares = sum(low[a][b][x] * up[a][b][y] for a in r for b in r)
+        return (-brackets / 2 - killing / 2 + quarter * squares
+                - (hx[x][y] + hx[y][x]) / 2)
+
+    return tuple(tuple(ric(x, y) for y in r) for x in r)
+
+
+COFRAMES = {"identity": None, "dense": P_DENSE, "shear": P_SHEAR}
+# the 24 euclidean NILPOTENT6 algebras, the n28 Einstein extension and both
+# CASES with their induced metrics in three coframes: 31 inputs
+BESSE_INPUTS = sorted(catalog.NILPOTENT6) + ["n28_einstein_extension"] + [
+    "%s-%s" % (name, label) for name in sorted(CASES) for label in COFRAMES]
+
+
+def besse_input(key):
+    if key in catalog.NILPOTENT6:
+        return euclidean(key)
+    if key == "n28_einstein_extension":
+        return catalog.n28_einstein_extension()
+    name, label = key.split("-")
+    return induced(name, COFRAMES[label])
 
 
 def test_levi_civita_examples(n28):
@@ -34,6 +110,9 @@ def test_connection_invariants(n28, einstein_ext):
     assert connection_satisfies_invariants(MetricLieAlgebra.euclidean(n28))
     assert connection_satisfies_invariants(einstein_ext)
     assert connection_satisfies_invariants(catalog.abelian_scaling_extension())
+    for m in twisted():
+        assert not m.metric.is_diagonal()
+        assert connection_satisfies_invariants(m)
 
 
 def test_ricci_n28(n28):
@@ -73,7 +152,7 @@ def test_einstein_negative_case(n28):
 
 
 def test_riemann_symmetries(n28, einstein_ext):
-    for m in (MetricLieAlgebra.euclidean(n28), einstein_ext):
+    for m in [MetricLieAlgebra.euclidean(n28), einstein_ext] + twisted():
         t = curvature_tensors(m)
         r = t.riemann
         n = m.algebra.dim
@@ -138,3 +217,15 @@ def test_nilsoliton_standard_n9_frame_has_no_witness():
 def test_nilsoliton_requires_nilpotent(einstein_ext):
     with pytest.raises(ValueError):
         nilsoliton_check(einstein_ext)
+
+
+@pytest.mark.parametrize("key", BESSE_INPUTS)
+def test_ricci_matches_besse_formula(key):
+    m = besse_input(key)
+    ricci = curvature_tensors(m).ricci
+    assert besse_ricci(m) == ricci
+    # negative control: the 1/4 term with its sign flipped must not match
+    # unless the algebra is abelian, where every term vanishes
+    abelian = not any(x for plane in m.algebra.structure_constants
+                      for row in plane for x in row)
+    assert (besse_ricci(m, Fraction(-1, 4)) == ricci) == abelian

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog, linalg
 from g2forge.cli import main
 from g2forge.liealg import derivation_space, to_float_algebra
+from g2forge.scalars import Polynomial
 
 A = linalg.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 B = [Fraction(3), Fraction(5), Fraction(5)]      # A (1, 1, 1)
@@ -39,6 +41,50 @@ def test_solve_float(a, b):
 def test_inconsistent_system_has_no_solution(ring):
     a = linalg.mat([[ring(1), ring(1)], [ring(1), ring(1)]])
     assert linalg.solve(a, [ring(1), ring(2)], 1e-10) is None
+
+
+RING_ENTRIES = {
+    "exact": st.fractions(-5, 5, max_denominator=4),
+    "float": st.floats(-5, 5),
+    "polynomial": st.tuples(st.fractions(-3, 3, max_denominator=3),
+                            st.integers(-2, 2)).map(
+        lambda t: t[0] * Polynomial.variable("a") + t[1]),
+}
+
+
+def dense_product(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))),
+                           Fraction(0)) for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+@st.composite
+def factor_pairs(draw):
+    ring = draw(st.sampled_from(sorted(RING_ENTRIES)))
+    # exact zeros are drawn often, since mat_mul skips them
+    entry = st.one_of(st.just(Fraction(0)), RING_ENTRIES[ring])
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    def matrix(rows, cols):
+        return tuple(tuple(draw(entry) for _ in range(cols))
+                     for _ in range(rows))
+    return matrix(n, m), matrix(m, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs())
+def test_mat_mul_matches_dense_product(factors):
+    a, b = factors
+    product = linalg.mat_mul(a, b)
+    assert product == dense_product(a, b)
+    if any(type(x) is float for m in factors for row in m for x in row):
+        assert all(type(x) is float for row in product for x in row)
+
+
+def test_float_product_with_a_zero_row_holds_floats():
+    a = linalg.mat([[0, 0], [1, 2]])
+    b = ((0.5, 0.0), (1.5, -2.0))
+    assert linalg.mat_mul(a, b) == ((0.0, 0.0), (3.5, -4.0))
+    assert all(type(x) is float for x in linalg.mat_mul(a, b)[0])
 
 
 def test_nullspace_exact():
