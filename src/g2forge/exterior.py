@@ -2,8 +2,9 @@
 
 Forms are stored sparsely as maps from strictly increasing multi-indices
 (1-based) to scalars.  Everything here is a pure function of immutable
-values: wedge, contraction, induced inner products, Hodge star and the
-codifferential relative to a supplied differential operator.
+values: wedge, contraction, pullback by a matrix, induced inner products,
+Hodge star and the codifferential relative to a supplied differential
+operator.
 """
 from __future__ import annotations
 
@@ -220,10 +221,10 @@ class Vector:
 class InnerProduct:
     """Symmetric positive-definite bilinear form on vectors.
 
-    The inverse, the compound rows of the inverse and sqrt(det g) are
+    The inverse, the compound cache of the inverse and sqrt(det g) are
     computed on first use and kept with the metric."""
 
-    __slots__ = ("matrix", "_inverse", "_compound", "_sqrt_det")
+    __slots__ = ("matrix", "_inverse", "_minors", "_sqrt_det")
 
     def __init__(self, matrix):
         self.matrix = linalg.mat(matrix)
@@ -236,7 +237,7 @@ class InnerProduct:
         if not linalg.is_symmetric(self.matrix, tol=tol):
             raise ValueError("metric matrix must be symmetric")
         self._inverse = None
-        self._compound = {(): {(): Fraction(1)}}
+        self._minors = None
         self._sqrt_det = None
 
     @property
@@ -260,47 +261,26 @@ class InnerProduct:
         return self._inverse
 
     @property
+    def minors(self) -> linalg.Compound:
+        """Minors of g^-1: ``minors.row(I)[J]`` is the Gram entry
+        <e^I, e^J> of the induced inner product on forms.  The float g^-1
+        from ``linalg.inverse`` is not exactly symmetric, so the cache
+        reads it mirrored from its upper triangle, and every Gram matrix
+        built from it is exactly symmetric."""
+        if self._minors is None:
+            inv = self.inverse
+            n = len(inv)
+            self._minors = linalg.Compound(tuple(
+                tuple(inv[min(i, j)][max(i, j)] for j in range(n))
+                for i in range(n)))
+        return self._minors
+
+    @property
     def sqrt_det(self) -> Scalar:
         """sqrt(det g); exact when det g is a rational square."""
         if self._sqrt_det is None:
             self._sqrt_det = scalars.ssqrt(linalg.det(self.matrix))
         return self._sqrt_det
-
-    def compound_row(self, idx: Index) -> Dict[Index, Scalar]:
-        """Nonzero Gram entries <e^idx, e^J> = det(g^-1[idx, J]), keyed by J.
-
-        Built once per row, by Laplace expansion along idx[0] from the row
-        of idx[1:]; a diagonal metric costs one product per row.  A new row
-        takes the entries it shares with rows of its degree built before
-        it, so the compound stays exactly symmetric under float rounding
-        and Gram matrices built from it can be mirrored.  The dict returned
-        is the cached row itself: read it, do not change it."""
-        row = self._compound.get(idx)
-        if row is None:
-            row = self._expand_row(idx)
-            for j, other in self._compound.items():
-                if len(j) == len(idx):
-                    if idx in other:
-                        row[j] = other[idx]
-                    else:
-                        row.pop(j, None)
-            self._compound[idx] = row
-        return row
-
-    def _expand_row(self, idx: Index) -> Dict[Index, Scalar]:
-        if len(idx) == 1:
-            return {(j,): x for j, x in enumerate(self.inverse[idx[0] - 1],
-                                                  start=1) if not is_zero(x)}
-        acc: Dict[Index, Scalar] = {}
-        first = self.compound_row(idx[:1]).items()
-        for rest, minor in self.compound_row(idx[1:]).items():
-            for j, x in first:
-                sign, col = merge_sign(j, rest)
-                if sign:
-                    term = x * minor
-                    acc[col] = acc.get(col, Fraction(0)) + (
-                        term if sign > 0 else -term)
-        return {j: c for j, c in acc.items() if not is_zero(c)}
 
     def is_diagonal(self) -> bool:
         n = self.dim
@@ -431,7 +411,8 @@ def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
     """Inner product on k-forms induced by g.
 
     Monomials of an orthonormal coframe are orthonormal; in general the
-    Gram entries are minors of the inverse metric (``g.compound_row``).
+    Gram entries are minors of the inverse metric (``g.minors``).  Only
+    the entries where b is nonzero are multiplied.
     """
     if a.dim != b.dim or a.dim != g.dim:
         raise DimensionMismatchError("dimension mismatch in form_inner")
@@ -439,7 +420,7 @@ def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
         raise DegreeError("inner product needs equal degrees")
     total: Scalar = Fraction(0)
     for ia, ca in a.coeffs.items():
-        for ib, gram in g.compound_row(ia).items():
+        for ib, gram in g.minors.row(ia).items():
             cb = b.coeffs.get(ib)
             if cb is not None:
                 total = total + ca * cb * gram
@@ -453,23 +434,30 @@ def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
     return sign, comp
 
 
+def pullback(a: KForm, minors: linalg.Compound) -> KForm:
+    """a(M., ..., M.) for the matrix M of ``minors``: the coefficient of e^J
+    is the sum of a_I det M[I, J] over I, so C_k(M) acts on k-forms.  With
+    the minors of g^-1 it raises every index of a."""
+    if len(minors.matrix) != a.dim:
+        raise DimensionMismatchError("dimension mismatch in pullback")
+    acc: Dict[Index, Scalar] = {}
+    for src, c in a.coeffs.items():
+        for tgt, minor in minors.row(src).items():
+            acc[tgt] = acc.get(tgt, Fraction(0)) + c * minor
+    return KForm(a.dim, a.degree, acc)
+
+
 def hodge_star(a: KForm, g: InnerProduct, orient: Orientation) -> KForm:
     """Hodge dual fixed by a ^ *b = <a,b> dV for the oriented g-volume dV,
     +-sqrt(det g) e^(1..n) (exact when det g is a rational square).
 
-    *e^J sums <e^J, e^L> dV over L onto the complements of L."""
+    *a is the complement of a with its indices raised by g^-1, times dV."""
     n = a.dim
     if g.dim != n or orient.dim != n:
         raise DimensionMismatchError("dimension mismatch in hodge_star")
     vol_coeff = g.sqrt_det if orient.sign > 0 else -g.sqrt_det
-    inner: Dict[Index, Scalar] = {}
-    for idx_j, c in a.coeffs.items():
-        for idx_l, gram in g.compound_row(idx_j).items():
-            inner[idx_l] = inner.get(idx_l, Fraction(0)) + c * gram
     acc: Dict[Index, Scalar] = {}
-    for idx_l, total in inner.items():
-        if is_zero(total):
-            continue
+    for idx_l, total in pullback(a, g.minors).coeffs.items():
         sign, comp = complement_sign(idx_l, n)
         acc[comp] = (total * vol_coeff) * sign
     return KForm(n, n - a.degree, acc)

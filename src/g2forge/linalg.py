@@ -4,9 +4,15 @@ Matrices are tuples of tuples.  The scalars pick the method: a float entry
 anywhere sends ``solve`` and ``nullspace`` to numpy, otherwise they
 eliminate exactly with Fraction pivots and allow polynomial right-hand
 sides.
+
+Every minor comes from one place, the compound cache ``Compound``: the
+rows of the compound matrices C_k(m), built by Laplace expansion.  ``det``
+is its full-degree entry, exact positivity reads its nested principal
+minors, and ``exterior`` reads the pullback and the Hodge star from it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,40 +64,64 @@ def is_symmetric(m: Matrix, tol: float = 0.0) -> bool:
                for i in range(n) for j in range(i + 1, n))
 
 
+class Compound:
+    """The minors of one square matrix m, one row of C_k(m) at a time.
+
+    ``row(idx)`` maps each column set J to det(m[idx, J]), nonzero entries
+    only; index sets are 1-based increasing tuples, as forms use them.  A
+    row is built once, by Laplace expansion along idx[0] from the row of
+    idx[1:]: division-free, so polynomial entries work, and a diagonal m
+    costs one product per row.  When m is exactly symmetric, a new row
+    takes the entries it shares with rows of its degree built before it,
+    so C_k(m) is exactly symmetric under float rounding too.  The dict
+    returned is the cached row itself: read it, do not change it."""
+
+    __slots__ = ("matrix", "_symmetric", "_rows")
+
+    def __init__(self, m: Sequence[Sequence[Scalar]]):
+        self.matrix = m
+        self._symmetric = is_symmetric(m)
+        self._rows: dict = {(): {(): Fraction(1)}}
+
+    def row(self, idx: Tuple[int, ...]) -> dict:
+        row = self._rows.get(idx)
+        if row is None:
+            row = self._expand(idx)
+            if self._symmetric:
+                for j, other in self._rows.items():
+                    if len(j) == len(idx):
+                        if idx in other:
+                            row[j] = other[idx]
+                        else:
+                            row.pop(j, None)
+            self._rows[idx] = row
+        return row
+
+    def _expand(self, idx: Tuple[int, ...]) -> dict:
+        first = [(j, x) for j, x in enumerate(self.matrix[idx[0] - 1], start=1)
+                 if not is_zero(x)]
+        acc: dict = {}
+        for rest, minor in self.row(idx[1:]).items():
+            for j, x in first:
+                # column j moves to position pos of the merged column set
+                pos = bisect_left(rest, j)
+                if pos < len(rest) and rest[pos] == j:
+                    continue
+                col = rest[:pos] + (j,) + rest[pos:]
+                term = x * minor
+                acc[col] = acc.get(col, Fraction(0)) + (
+                    -term if pos % 2 else term)
+        return {j: c for j, c in acc.items() if not is_zero(c)}
+
+
 def det(m: Matrix) -> Scalar:
-    """Determinant by cofactor expansion with memoization.
-
-    Division-free, so it works for polynomial entries; fine for n <= 8.
-    """
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    cols = tuple(range(n))
-    cache: dict = {}
-
-    # the row index is implied by len(cols_left), so key on cols_left alone
-    def minor2(cols_left: tuple) -> Scalar:
-        if not cols_left:
-            return Fraction(1)
-        if cols_left in cache:
-            return cache[cols_left]
-        i = n - len(cols_left)
-        total: Scalar = Fraction(0)
-        for pos, j in enumerate(cols_left):
-            a = m[i][j]
-            if is_zero(a):
-                continue
-            term = a * minor2(cols_left[:pos] + cols_left[pos + 1:])
-            total = total + term if pos % 2 == 0 else total - term
-        cache[cols_left] = total
-        return total
-
-    return minor2(cols)
+    """The full-degree entry of the compound cache; fine for n <= 8."""
+    full = tuple(range(1, len(m) + 1))
+    return Compound(m).row(full).get(full, ring_zero(m))
 
 
 def submatrix_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Scalar:
-    sub = tuple(tuple(m[i][j] for j in cols) for i in rows)
-    return det(sub)
+    return det(tuple(tuple(m[i][j] for j in cols) for i in rows))
 
 
 def rref(rows: List[List[Scalar]], ncols: Optional[int] = None,
@@ -213,15 +243,19 @@ def to_numpy(a: Matrix) -> np.ndarray:
 
 
 def is_positive_definite(m: Matrix, tol: float = 0.0) -> bool:
-    """Sylvester criterion for exact matrices; eigenvalues for floats."""
+    """Eigenvalues for floats.  Exact matrices: Sylvester's criterion on the
+    trailing principal minors det m[k:, k:], the nested rows of one
+    compound cache (any nested chain of principal minors decides it)."""
     n = len(m)
     if not is_symmetric(m, tol):
         return False
     if _has_float(m):
         eigs = np.linalg.eigvalsh(to_numpy(m))
         return bool(eigs.min() > tol)
-    for k in range(1, n + 1):
-        d = submatrix_det(m, range(k), range(k))
+    minors = Compound(m)
+    for k in range(n, 0, -1):
+        idx = tuple(range(k, n + 1))
+        d = minors.row(idx).get(idx, Fraction(0))
         if isinstance(d, Polynomial):
             if not d.is_constant():
                 raise ValueError("positive definiteness of a symbolic matrix "

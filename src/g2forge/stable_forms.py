@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import linalg, scalars
 from .exterior import (InnerProduct, KForm, Orientation, Vector, contract_basis,
-                       wedge)
+                       pullback, wedge)
 from .liealg import LieAlgebra
 from .scalars import Polynomial, Scalar, is_zero
 
@@ -94,37 +94,6 @@ def almost_complex(sigma: KForm, orient: Optional[Orientation] = None
     return tuple(tuple(x / root for x in row) for row in k)
 
 
-def pullback_two_form(omega: KForm, j: linalg.Matrix) -> KForm:
-    """omega(J., J.) as a 2-form."""
-    acc = {}
-    for (p, q) in [(a, b) for a in range(1, 7) for b in range(a + 1, 7)]:
-        total: Scalar = Fraction(0)
-        for (r, s), c in omega.coeffs.items():
-            # sum over J[r][p]J[s][q] - J[r][q]J[s][p]
-            total = total + c * (j[r - 1][p - 1] * j[s - 1][q - 1]
-                                 - j[r - 1][q - 1] * j[s - 1][p - 1])
-        if not is_zero(total):
-            acc[(p, q)] = total
-    return KForm(6, 2, acc)
-
-
-def pullback_three_form(sigma: KForm, j: linalg.Matrix) -> KForm:
-    """sigma(J., J., J.) as a 3-form, via 3x3 minors of J."""
-    acc = {}
-    idx3 = [(a, b, c) for a in range(1, 7) for b in range(a + 1, 7)
-            for c in range(b + 1, 7)]
-    for tgt in idx3:
-        total: Scalar = Fraction(0)
-        for src, coeff in sigma.coeffs.items():
-            det3 = linalg.submatrix_det(j, [i - 1 for i in src],
-                                        [i - 1 for i in tgt])
-            if not is_zero(det3):
-                total = total + coeff * det3
-        if not is_zero(total):
-            acc[tgt] = total
-    return KForm(6, 3, acc)
-
-
 def omega_cubed(omega: KForm) -> KForm:
     return wedge(wedge(omega, omega), omega)
 
@@ -189,7 +158,7 @@ def metric_from_pair(omega: KForm, sigma: KForm,
     if not linalg.is_symmetric(h_matrix, tol):
         raise IncompatiblePairError("induced bilinear form is not symmetric; "
                                     "the 2-form is not of type (1,1) for J")
-    jsigma = pullback_three_form(sigma, j)
+    jsigma = pullback(sigma, linalg.Compound(j))
     lhs = wedge(jsigma, sigma)
     rhs = omega_cubed(omega)
     normalized = (lhs - Fraction(2, 3) * rhs).is_zero(tol * 10)

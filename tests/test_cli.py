@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from g2forge import catalog
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
+from g2forge.exterior import render_form
+from g2forge.liealg import render_structure_equations
+from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
 
 
 def run_cli(capsys, *argv):
@@ -462,3 +467,75 @@ def test_scenario_g2_is_g2_analyze(tmp_path, capsys):
     analyze = json.loads(out)
     assert scenario["results"]["g2"] == analyze["results"]
     assert scenario["inputs"]["phi"] == analyze["inputs"]["phi"]
+
+
+def su3_case(name, twist):
+    """(algebra argument, omega, sigma) of a catalog pair, or of its
+    rewriting on the coframe P6_DENSE e."""
+    omega, sigma = (catalog.n28_coupled_pair() if name == "n28"
+                    else catalog.n9_coupled_pair())
+    if not twist:
+        return name, omega, sigma
+    c = Coframe(P6_DENSE)
+    # the n9 sigma is an irrational multiple of an integral form: rewrite
+    # that form exactly, so the twisted text holds no rounding residues
+    unit = min(abs(x) for x in sigma.coeffs.values())
+    integral = sigma.map_coeffs(lambda x: Fraction(round(x / unit)))
+    return (render_structure_equations(c.algebra(catalog.algebra(name))),
+            c.form(omega.map_coeffs(Fraction)), unit * c.form(integral))
+
+
+def g2_case(name, twist):
+    """(algebra argument, phi) of n28_ext or abelian_ext at a = 2/3, or of
+    its rewriting on the coframe P_DENSE e."""
+    algebra, phi = CASES[name]
+    if not twist:
+        return render_structure_equations(algebra), phi
+    c = Coframe(P_DENSE)
+    return render_structure_equations(c.algebra(algebra)), c.form(phi)
+
+
+def results_in_both_rings(capsys, argv):
+    out = {}
+    for ring in ("exact", "float"):
+        code, text = run_cli(capsys, "--ring", ring, "--format", "json", *argv)
+        assert code == 0
+        out[ring] = json.loads(text)["results"]
+    return out["exact"], out["float"]
+
+
+def assert_close(exact, approx, tol=1e-10):
+    """An exact constant (p/q text, or a float when the input held floats)
+    and its float-ring value agree within tol, relative above 1."""
+    exact = Fraction(exact) if isinstance(exact, str) else exact
+    assert abs(exact - approx) <= tol * max(1, abs(approx))
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["catalog", "dense"])
+@pytest.mark.parametrize("name", ["n28", "n9"])
+def test_su3_check_verdicts_agree_across_rings(capsys, name, twist):
+    algebra, omega, sigma = su3_case(name, twist)
+    exact, approx = results_in_both_rings(capsys, [
+        "su3", "check", algebra, "--omega=" + render_form(omega),
+        "--sigma=" + render_form(sigma)])
+    for key in ("stable", "compatible", "normalized", "positive",
+                "half_flat"):
+        assert exact[key] is approx[key] is True
+    for key in ("lambda", "coupled_c"):
+        assert_close(exact[key], approx[key])
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["catalog", "dense"])
+@pytest.mark.parametrize("name", ["n28_ext", "abelian_ext"])
+def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
+    algebra, phi = g2_case(name, twist)
+    exact, approx = results_in_both_rings(capsys, [
+        "g2", "analyze", algebra, "--phi=" + render_form(phi)])
+    assert exact["positive"] is approx["positive"] is True
+    for key in ("class", "star_einstein"):
+        assert exact[key] == approx[key]
+    for key in ("scal_ricci", "scal_torsion"):
+        assert (key in exact) == (key in approx)
+        if key in exact:
+            assert_close(exact[key], approx[key])
+    assert_close(exact["torsion"]["tau0"], approx["torsion"]["tau0"])

@@ -16,12 +16,13 @@ import pytest
 from g2forge import catalog, linalg, scalars
 from g2forge.curvature import curvature_tensors
 from g2forge import g2
-from g2forge.exterior import (InnerProduct, KForm, contract_basis, form_inner,
-                              wedge)
+from g2forge.exterior import (KForm, basis_indices, contract_basis, form_inner,
+                              pullback, wedge)
 from g2forge.g2 import (TorsionInconsistencyError, metric_from_phi,
                         star_ricci, torsion_forms, type_project)
 from g2forge.liealg import (LieAlgebra, MetricLieAlgebra, specialize,
                             to_float_algebra)
+from g2forge.stable_forms import metric_from_pair
 
 # dense: every entry of P^-1 is nonzero
 P_DENSE = ((1, 0, -1, 0, 1, 0, -1),
@@ -31,6 +32,13 @@ P_DENSE = ((1, 0, -1, 0, 1, 0, -1),
            (1, 1, -2, -1, 1, -1, 0),
            (0, 0, -1, 1, 1, 2, 1),
            (-1, 1, 1, 1, -1, 1, 2))
+# dense in dimension six: every entry of P^-1 is nonzero
+P6_DENSE = ((1, -1, -1, 0, 0, -1),
+            (1, 0, -2, -1, 1, -2),
+            (0, 0, 1, 1, 0, 0),
+            (-1, 1, 2, 2, 1, 1),
+            (1, -2, -1, -1, -1, 1),
+            (0, 0, 1, 1, 1, 2))
 # a few shears
 P_SHEAR = ((1, 1, 0, 0, 0, 0, 0),
            (0, 1, 0, 0, 0, 0, -1),
@@ -74,6 +82,13 @@ class Coframe:
                 de = de + self.p[i][j] * alg.d_coframe[j]
             forms.append(self.form(de))
         return LieAlgebra(n, forms)
+
+
+def twisted_n28_pair():
+    """The n28 algebra and its coupled pair on the coframe P6_DENSE e."""
+    c = Coframe(P6_DENSE)
+    omega, sigma = catalog.n28_coupled_pair()
+    return c.algebra(catalog.algebra("n28")), c.form(omega), c.form(sigma)
 
 
 def abelian_ext_at(a: Fraction) -> LieAlgebra:
@@ -120,29 +135,33 @@ def test_g2_invariants_under_change_of_coframe(reference, name, p):
 
 
 def test_dense_twist_reads_each_minor_once(monkeypatch):
-    algebra, phi = CASES["n28_ext"]
-    c = Coframe(P_DENSE)
-    algebra, phi = c.algebra(algebra), c.form(phi)
+    """Every minor comes from a compound cache that builds each row once."""
     rows = Counter()
-    minors = []
-    expand = InnerProduct._expand_row
+    caches = []     # kept alive, so that an id names one matrix
+    outside = []
+    expand = linalg.Compound._expand
     submatrix_det = linalg.submatrix_det
 
     def counted_expand(self, idx):
+        caches.append(self)
         rows[id(self), idx] += 1
         return expand(self, idx)
 
     def counted_submatrix_det(m, r, c):
-        minors.append((tuple(r), tuple(c)))
+        outside.append((tuple(r), tuple(c)))
         return submatrix_det(m, r, c)
 
-    monkeypatch.setattr(InnerProduct, "_expand_row", counted_expand)
+    monkeypatch.setattr(linalg.Compound, "_expand", counted_expand)
     monkeypatch.setattr(linalg, "submatrix_det", counted_submatrix_det)
-    t = torsion_forms(algebra, phi)
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    t = torsion_forms(c.algebra(algebra), c.form(phi))
     assert t.class_label == "locally_conformal_calibrated"
+    _, omega, sigma = twisted_n28_pair()
+    pair = metric_from_pair(omega, sigma)
+    assert pair.normalized and pair.positive
     assert rows and max(rows.values()) == 1
-    # only Sylvester's leading minors, from the positive-definiteness check
-    assert minors == [(tuple(range(k)), tuple(range(k))) for k in range(1, 8)]
+    assert outside == []
 
 
 def test_dense_twist_computes_each_gram_entry_once(monkeypatch):
@@ -160,6 +179,19 @@ def test_dense_twist_computes_each_gram_entry_once(monkeypatch):
     # tau0, then per projection the 28 entries of the upper triangle of a
     # 7x7 Gram matrix and the 7 entries of its right-hand side
     assert len(calls) == 2 + 2 * (28 + 7)
+
+
+def test_pullback_by_q_is_the_change_of_coframe():
+    """Coframe.form substitutes e^j = sum_i Q[j][i] f^i, which is the
+    pullback by Q = P^-1, in every degree."""
+    c = Coframe(P_DENSE)
+    minors = linalg.Compound(c.q)
+    for _, phi in CASES.values():
+        assert pullback(phi, minors) == c.form(phi)
+    for k in range(8):
+        a = KForm(7, k, {idx: Fraction(i + 1, 2) for i, idx in
+                         enumerate(basis_indices(7, k)) if i % 3 != 1})
+        assert pullback(a, minors) == c.form(a)
 
 
 def test_float_ring_on_dense_twist_matches_exact(reference):

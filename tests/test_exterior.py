@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from g2forge import catalog, linalg
 from g2forge.exterior import (InnerProduct, KForm, Orientation, Vector,
                               basis_indices, codifferential, contract,
-                              contract_basis, form_inner, hodge_star,
+                              contract_basis, form_inner, hodge_star, pullback,
                               render_form, wedge)
+from g2forge.g2 import metric_from_phi
+from g2forge.stable_forms import metric_from_pair
+from test_coframe import CASES, P_DENSE, Coframe, twisted_n28_pair
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -130,19 +134,89 @@ def dense_metric(dim):
     return InnerProduct(linalg.inverse(linalg.mat_mul(linalg.transpose(m), m)))
 
 
+def leibniz_det(m, rows, cols):
+    """det m[rows, cols] as a sum over permutations: no cache, no recursion."""
+    total = Fraction(0)
+    for perm in permutations(range(len(cols))):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = Fraction(-1) ** inversions
+        for r, p in zip(rows, perm):
+            term = term * m[r - 1][cols[p] - 1]
+        total = total + term
+    return total
+
+
+def assert_rows_are_minors(minors, m):
+    n = len(m)
+    for k in range(n + 1):
+        for ia in basis_indices(n, k):
+            row = minors.row(ia)
+            for ib in basis_indices(n, k):
+                assert row.get(ib, 0) == leibniz_det(m, ia, ib)
+
+
 def test_compound_rows_are_minors_of_the_inverse():
     g = dense_metric(5)
     ginv = g.inverse
     assert all(x != 0 for row in ginv for x in row)
-    for k in range(6):
-        for ia in basis_indices(5, k):
-            row = g.compound_row(ia)
-            for ib in basis_indices(5, k):
-                minor = linalg.submatrix_det(ginv, [i - 1 for i in ia],
-                                             [j - 1 for j in ib])
-                assert row.get(ib, 0) == minor
+    assert_rows_are_minors(g.minors, ginv)
     diag = InnerProduct.diagonal([Fraction(2), Fraction(3), Fraction(5)])
-    assert diag.compound_row((1, 3)) == {(1, 3): Fraction(1, 10)}
+    assert diag.minors.row((1, 3)) == {(1, 3): Fraction(1, 10)}
+
+
+def test_compound_rows_of_a_complex_structure_are_its_minors():
+    """J of the twisted n28 pair is not symmetric: a row mirrored from
+    another would not be its minors."""
+    _, omega, sigma = twisted_n28_pair()
+    j = metric_from_pair(omega, sigma).J
+    assert not linalg.is_symmetric(j)
+    assert_rows_are_minors(linalg.Compound(j), j)
+    assert linalg.det(j) == leibniz_det(j, range(1, 7), range(1, 7)) == 1
+
+
+def test_float_minors_of_the_inverse_metric_are_mirrored():
+    """On the float dense twist of n28_ext, <e^I, e^J> and <e^J, e^I> are
+    the same float for every degree, though g^-1 from rref is not."""
+    _, phi = CASES["n28_ext"]
+    g = metric_from_phi(Coframe(P_DENSE).form(phi).to_float()).metric
+    assert not linalg.is_symmetric(linalg.inverse(g.matrix))
+    for k in range(1, 7):
+        idx = basis_indices(7, k)
+        for ia in idx:
+            for ib in idx:
+                assert g.minors.row(ia).get(ib) == g.minors.row(ib).get(ia)
+
+
+def square(n):
+    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(linalg.mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(square), st.data())
+def test_pullback_is_a_wedge_homomorphism(m, data):
+    n = len(m)
+    a = data.draw(form_strategy(n, data.draw(st.integers(0, n))))
+    b = data.draw(form_strategy(n, data.draw(st.integers(0, n - a.degree))))
+    minors = linalg.Compound(m)
+    assert pullback(wedge(a, b), minors) == \
+        wedge(pullback(a, minors), pullback(b, minors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_pullback_by_the_identity_is_the_identity(n, data):
+    a = data.draw(form_strategy(n, data.draw(st.integers(0, n))))
+    assert pullback(a, linalg.Compound(linalg.identity(n))) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_pullback_composes_by_cauchy_binet(n, data):
+    m1, m2 = data.draw(square(n)), data.draw(square(n))
+    a = data.draw(form_strategy(n, data.draw(st.integers(0, n))))
+    twice = pullback(pullback(a, linalg.Compound(m1)), linalg.Compound(m2))
+    assert twice == pullback(a, linalg.Compound(linalg.mat_mul(m1, m2)))
 
 
 @pytest.mark.parametrize("dim", [6, 7])

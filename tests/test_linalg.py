@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from g2forge import catalog, linalg
 from g2forge.cli import main
@@ -122,3 +122,56 @@ def test_metric_analyze_verdicts_agree_across_rings(capsys, name):
     if exact["nilsoliton"] is not None:
         assert abs(Fraction(exact["nilsoliton"]["c"])
                    - approx["nilsoliton"]["c"]) <= 1e-8
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(kind, m): m = A^T A + I is definite, A^T A with a zero row in A is
+    semidefinite, -(A^T A + I) is negative definite, A + A^T is mostly
+    indefinite."""
+    n = draw(st.integers(1, 7))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    a = linalg.mat([[draw(entry) for _ in range(n)] for _ in range(n)])
+    gram = linalg.mat_mul(linalg.transpose(a), a)
+    kind = draw(st.sampled_from(["definite", "semidefinite", "negative",
+                                 "symmetric"]))
+    if kind == "definite":
+        m = linalg.mat([[x + (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(gram)])
+    elif kind == "semidefinite":
+        drop = draw(st.integers(0, n - 1))
+        a = tuple(row if i != drop else (Fraction(0),) * n
+                  for i, row in enumerate(a))
+        m = linalg.mat_mul(linalg.transpose(a), a)
+    elif kind == "negative":
+        m = linalg.mat([[-x - (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(gram)])
+    else:
+        m = linalg.mat([[a[i][j] + a[j][i] for j in range(n)]
+                        for i in range(n)])
+    return kind, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definite_verdict_agrees_across_rings(case):
+    kind, m = case
+    exact = linalg.is_positive_definite(m)
+    if kind in ("definite", "semidefinite", "negative"):
+        assert exact == (kind == "definite")
+    # away from the boundary: a singular m, or a smallest eigenvalue far
+    # from 0, which a float tolerance of 1e-10 cannot move across it
+    smallest = np.abs(np.linalg.eigvalsh(linalg.to_numpy(m))).min()
+    assume(linalg.det(m) == 0 or smallest > 1e-6)
+    assert linalg.is_positive_definite(to_float(m), 1e-10) == exact
+
+
+def test_positive_definite_polynomial_matrix():
+    a = Polynomial.variable("a")
+    constant = linalg.mat([[Polynomial.constant(2), 1],
+                           [1, Polynomial.constant(1)]])
+    assert linalg.is_positive_definite(constant)
+    assert not linalg.is_positive_definite(
+        linalg.mat([[Polynomial.constant(1), 2], [2, 1]]))
+    with pytest.raises(ValueError, match="symbolic"):
+        linalg.is_positive_definite(linalg.mat([[a, 0], [0, 1]]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forge import catalog
-from g2forge.exterior import KForm, basis_indices
+from g2forge import catalog, linalg
+from g2forge.exterior import KForm, basis_indices, pullback
 from g2forge.stable_forms import (IncompatiblePairError, NotStableError,
                                   almost_complex, coupling_constant,
                                   k_endomorphism, lambda_invariant,
@@ -150,10 +150,9 @@ def test_coupled_implies_half_flat_randomized():
 
 def test_pullback_fixes_compatible_omega(n28_pair):
     # the 2-form of an induced pair is of type (1,1): omega(J., J.) = omega
-    from g2forge.stable_forms import pullback_two_form
     omega, sigma = n28_pair
     pair = metric_from_pair(omega, sigma)
-    assert pullback_two_form(omega, pair.J) == omega
+    assert pullback(omega, linalg.Compound(pair.J)) == omega
     om9, sg9 = catalog.n9_coupled_pair()
     pair9 = metric_from_pair(om9, sg9)
-    assert pullback_two_form(om9, pair9.J).approx_eq(om9, 1e-10)
+    assert pullback(om9, linalg.Compound(pair9.J)).approx_eq(om9, 1e-10)
