@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import linalg
-from .liealg import MetricLieAlgebra, is_derivation, is_nilpotent, \
-    derivation_space
+from .exterior import scaled
+from .liealg import MetricLieAlgebra, derivation_map, is_nilpotent
 from .scalars import Scalar, is_zero
 
 
@@ -135,10 +135,11 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
                      ) -> Optional[NilsolitonWitness]:
     """Solve Ric = c I + D with D a derivation of the nilpotent algebra.
 
-    Linear feasibility in (c, coordinates of D in the derivation space),
-    solved by ``linalg.solve``: exact over rationals, least squares with a
-    residual threshold over floats.  ``tensors`` reuses the curvature of m
-    when the caller has it.
+    Ric - cI is a derivation exactly when L(Ric) = c L(I), for the map L of
+    ``liealg.derivation_map``: one column, solved by ``linalg.solve``,
+    exact over rationals, least squares over floats with a residual bound
+    of ``scaled(tol, Ric)``.  D = Ric - cI is then the witness.
+    ``tensors`` reuses the curvature of m when the caller has it.
     """
     algebra = m.algebra
     nilp, _ = is_nilpotent(algebra)
@@ -146,24 +147,17 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
         raise ValueError("nilsoliton criterion needs a nilpotent algebra")
     n = algebra.dim
     ric_op = ricci_operator(m, tensors)
-    basis = derivation_space(algebra)
-    rows = []
-    rhs = []
-    for p in range(n):
-        for q in range(n):
-            row = [Fraction(1) if p == q else Fraction(0)]
-            for b in basis:
-                row.append(b[p][q])
-            rows.append(row)
-            rhs.append(ric_op[p][q])
-    sol = linalg.solve(linalg.mat(rows), rhs, tol)
+    # columns L(Ric) and L(I) from one product
+    images = linalg.mat_mul(derivation_map(algebra), [
+        (ric_op[p][q], Fraction(1 if p == q else 0))
+        for p in range(n) for q in range(n)])
+    sol = linalg.solve(tuple((li,) for _, li in images),
+                       [lr for lr, _ in images], scaled(tol, ric_op))
     if sol is None:
         return None
-    c_val = sol[0]
+    (c_val,) = sol
     d = tuple(tuple(ric_op[p][q] - c_val if p == q else ric_op[p][q]
                     for q in range(n)) for p in range(n))
-    if not is_derivation(algebra, d, tol=max(tol, 1e-8)):
-        return None
     return NilsolitonWitness(constant=c_val, derivation=d)
 
 

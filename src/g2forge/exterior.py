@@ -218,6 +218,23 @@ class Vector:
                               for j in range(1, dim + 1)))
 
 
+def magnitude(*parts) -> float:
+    """Largest |c| over the numeric coefficients of forms and the entries
+    of matrices; 0.0 when there are none."""
+    return max((abs(x) for p in parts
+                for x in (p.coeffs.values() if isinstance(p, KForm)
+                          else (y for row in p for y in row))
+                if isinstance(x, (float, Fraction))), default=0.0)
+
+
+def scaled(tol: float, *parts) -> float:
+    """tol times the magnitude of the parts, at least tol: float rounding
+    grows with the size of the terms a residual sums, so float zero tests
+    are relative to them (exact ones ignore tol).  Zero tests of products
+    scale by the factors' magnitudes instead, with no floor of 1."""
+    return tol * max(1.0, magnitude(*parts))
+
+
 class InnerProduct:
     """Symmetric positive-definite bilinear form on vectors.
 
@@ -231,10 +248,7 @@ class InnerProduct:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("metric matrix must be square")
-        # float rounding grows with the size of the entries
-        tol = 1e-12 * max([1.0] + [abs(x) for row in self.matrix
-                                    for x in row if isinstance(x, float)])
-        if not linalg.is_symmetric(self.matrix, tol=tol):
+        if not linalg.is_symmetric(self.matrix, scaled(1e-12, self.matrix)):
             raise ValueError("metric matrix must be symmetric")
         self._inverse = None
         self._minors = None
@@ -294,17 +308,6 @@ class InnerProduct:
 
     def is_positive_definite(self, tol: float = 0.0) -> bool:
         return linalg.is_positive_definite(self.matrix, tol)
-
-    def pair(self, x: Vector, y: Vector) -> Scalar:
-        total: Scalar = Fraction(0)
-        for i, xi in enumerate(x.components):
-            if is_zero(xi):
-                continue
-            for j, yj in enumerate(y.components):
-                if is_zero(yj):
-                    continue
-                total = total + xi * self.matrix[i][j] * yj
-        return total
 
     def to_float(self) -> "InnerProduct":
         return InnerProduct([[scalars.as_float(x) for x in row]

@@ -16,7 +16,7 @@ from . import linalg, scalars
 from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, basis_indices,
                        codifferential, contract_basis, form_inner, form_to_vec,
-                       hodge_star, pullback, vec_to_form, wedge)
+                       hodge_star, pullback, scaled, vec_to_form, wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -171,10 +171,10 @@ def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 2:
         raise ValueError("expected a 2-form")
     basis7 = [contract_basis(i, s.phi) for i in range(1, 8)]
-    use_tol = _scaled(tol, a, s.phi, s.star_phi)
+    use_tol = scaled(tol, a, s.phi, s.star_phi)
     p7, _ = _gram_project(a, basis7, s.metric, use_tol)
     p14 = a - p7
-    if not wedge(p14, s.star_phi).is_zero(_scaled(use_tol, p14)):
+    if not wedge(p14, s.star_phi).is_zero(scaled(use_tol, p14)):
         raise TorsionInconsistencyError("14-part failed its defining relation")
     return {"7": p7, "14": p14}
 
@@ -185,13 +185,13 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 3:
         raise ValueError("expected a 3-form")
     g = s.metric
-    use_tol = _scaled(tol, a, s.phi, s.star_phi)
+    use_tol = scaled(tol, a, s.phi, s.star_phi)
     phi_norm = form_inner(s.phi, s.phi, g)
     p1 = (form_inner(a, s.phi, g) / phi_norm) * s.phi
     basis7 = [contract_basis(i, s.star_phi) for i in range(1, 8)]
     p7, _ = _gram_project(a, basis7, g, use_tol)
     p27 = a - p1 - p7
-    type_tol = _scaled(use_tol, p27)
+    type_tol = scaled(use_tol, p27)
     if not wedge(p27, s.phi).is_zero(type_tol) or \
             not wedge(p27, s.star_phi).is_zero(type_tol):
         raise TorsionInconsistencyError("27-part failed its defining relations")
@@ -242,7 +242,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     g, orient, star_phi = s.metric, s.volume, s.star_phi
     dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
-    use_tol = _scaled(tol, phi, star_phi, dphi, dstar)
+    use_tol = scaled(tol, phi, star_phi, dphi, dstar)
 
     # --- 4-form equation ---------------------------------------------------
     tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
@@ -252,7 +252,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
                         if not is_zero(c)})
     star_tau3 = dphi - tau0 * star_phi - p47
     tau3 = hodge_star(star_tau3, g, orient)
-    type_tol = _scaled(use_tol, tau3)
+    type_tol = scaled(use_tol, tau3)
     if not wedge(tau3, phi).is_zero(type_tol) or \
             not wedge(tau3, star_phi).is_zero(type_tol):
         raise TorsionInconsistencyError("tau3 escaped the 27-dimensional type")
@@ -282,7 +282,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     # --- exact reconstruction ------------------------------------------------
     recon4 = tau0 * star_phi + 3 * wedge(tau1, phi) + star_tau3
     recon5 = 4 * wedge(tau1, star_phi) + wedge(tau2, phi)
-    recon_tol = _scaled(use_tol, tau1, tau2, tau3)
+    recon_tol = scaled(use_tol, tau1, tau2, tau3)
     if not (recon4 - dphi).is_zero(recon_tol) or \
             not (recon5 - dstar).is_zero(recon_tol):
         raise TorsionInconsistencyError("torsion reconstruction failed")
@@ -290,17 +290,6 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     label = _classify(tau0, tau1, tau2, tau3, use_tol)
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
                         class_label=label)
-
-
-def _scaled(tol: float, *forms: KForm) -> float:
-    """tol times the largest float coefficient of the forms, at least 1.
-
-    Float rounding grows with the size of the terms a residual sums, so
-    float-ring zero tests are relative to the forms they combine; exact
-    zero tests ignore tol."""
-    return tol * max([1.0] + [abs(c) for f in forms
-                              for c in f.coeffs.values()
-                              if isinstance(c, float)])
 
 
 def _classify(tau0, tau1, tau2, tau3, tol) -> str:
@@ -383,9 +372,7 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
         for j in range(n):
             if not is_zero(ginv[i][j]):
                 trace = trace + ginv[i][j] * matrix[i][j]
-    # float rounding grows with the entries of rho*; exact tests ignore tol
-    use_tol = tol * max([1.0] + [abs(x) for row in matrix for x in row
-                                 if isinstance(x, float)])
+    use_tol = scaled(tol, matrix)
     symmetric = linalg.is_symmetric(matrix, use_tol)
     star_einstein = all(
         is_zero(matrix[i][j] - trace / n * g[i][j], use_tol)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       Vector, render_form, sort_index)
+                       render_form, sort_index)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -93,7 +93,7 @@ class LieAlgebra:
                             signed * (cd * sign)
         return KForm(self.dim, a.degree + 1, acc)
 
-    # -- structure constants and brackets -----------------------------------
+    # -- structure constants --------------------------------------------------
     @property
     def structure_constants(self):
         """c[k][i][j] with [e_i, e_j] = sum_k c^k_ij e_k (0-based indices)."""
@@ -106,30 +106,6 @@ class LieAlgebra:
                     c[k][j - 1][i - 1] = coeff
             object.__setattr__(self, "_constants", c)
         return self._constants
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for 1-based basis indices."""
-        c = self.structure_constants
-        return Vector(self.dim,
-                      tuple(c[k][i - 1][j - 1] for k in range(self.dim)))
-
-    def bracket(self, x: Vector, y: Vector) -> Vector:
-        c = self.structure_constants
-        n = self.dim
-        comps = []
-        for k in range(n):
-            total: Scalar = Fraction(0)
-            for i in range(n):
-                xi = x.components[i]
-                if is_zero(xi):
-                    continue
-                for j in range(n):
-                    yj = y.components[j]
-                    if is_zero(yj) or is_zero(c[k][i][j]):
-                        continue
-                    total = total + c[k][i][j] * xi * yj
-            comps.append(total)
-        return Vector(n, tuple(comps))
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -371,61 +347,34 @@ def _span_rank(vectors: List[Tuple[Scalar, ...]], tol: float):
 
 
 def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
-    """(True, step) when the lower central series vanishes, else (False, None)."""
+    """(True, step) when the lower central series vanishes, else (False, None).
+
+    Spans are kept as rows; the row v ad_i, with (ad_i)_jk = c^k_ij, is
+    [e_i, v]."""
     if algebra.is_polynomial_ring():
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")
     n = algebra.dim
-    current = [Vector.basis(n, i).components for i in range(1, n + 1)]
+    c = algebra.structure_constants
+    ads = [tuple(tuple(c[k][i][j] for k in range(n)) for j in range(n))
+           for i in range(n)]
+    current = linalg.identity(n)
     step = 0
-    prev_dim = len(current)
     while True:
         step += 1
-        nxt = []
-        for i in range(1, n + 1):
-            ei = Vector.basis(n, i)
-            for v in current:
-                w = algebra.bracket(ei, Vector(n, v))
-                if any(not is_zero(c, tol) for c in w.components):
-                    nxt.append(w.components)
-        basis = _span_rank(nxt, tol)
+        basis = _span_rank([row for ad in ads
+                            for row in linalg.mat_mul(current, ad)], tol)
         if not basis:
             return True, step
-        if len(basis) >= prev_dim:
+        if len(basis) >= len(current):
             return False, None
-        prev_dim = len(basis)
         current = basis
 
 
-def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
-    matrix = linalg.mat(matrix)
-    n = algebra.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = _apply(matrix, algebra.bracket_basis(i, j))
-            rhs1 = algebra.bracket(_col_vector(matrix, i), Vector.basis(n, j))
-            rhs2 = algebra.bracket(Vector.basis(n, i), _col_vector(matrix, j))
-            for a, b, c in zip(lhs.components, rhs1.components, rhs2.components):
-                if not is_zero(a - b - c, tol):
-                    return False
-    return True
-
-
-def _apply(matrix: linalg.Matrix, v: Vector) -> Vector:
-    return Vector(v.dim, linalg.mat_vec(matrix, v.components))
-
-
-def _col_vector(matrix: linalg.Matrix, j: int) -> Vector:
-    n = len(matrix)
-    return Vector(n, tuple(matrix[i][j - 1] for i in range(n)))
-
-
-def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Matrix]:
-    """Basis of the space of derivations, as n x n matrices.
-
-    Solves D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] as a linear system in the
-    n^2 entries of D, with ``linalg.nullspace``.
-    """
+def derivation_map(algebra: LieAlgebra) -> linalg.Matrix:
+    """The derivation identity as one linear map L on the n^2 entries of D,
+    taken row by row: entry (i<j, k) of L vec(D) is the e_k-component of
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Derivations are its kernel."""
     n = algebra.dim
     c = algebra.structure_constants
     rows = []
@@ -435,14 +384,29 @@ def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Mat
                 # coefficient of D[p][q] in equation (i,j,k)
                 row = [Fraction(0)] * (n * n)
                 for m in range(n):
-                    row[k * n + m] += c[m][i][j]          # D[k][m] c^m_ij
-                for p in range(n):
-                    row[p * n + i] -= c[k][p][j]          # -c^k_pj D[p][i]
-                for q in range(n):
-                    row[q * n + j] -= c[k][i][q]          # -c^k_iq D[q][j]
-                rows.append(row)
+                    if not is_zero(c[m][i][j]):
+                        row[k * n + m] += c[m][i][j]      # D[k][m] c^m_ij
+                    if not is_zero(c[k][m][j]):
+                        row[m * n + i] -= c[k][m][j]      # -c^k_mj D[m][i]
+                    if not is_zero(c[k][i][m]):
+                        row[m * n + j] -= c[k][i][m]      # -c^k_im D[m][j]
+                rows.append(tuple(row))
+    return tuple(rows)
+
+
+def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
+    """L vec(D) = 0 within tol, entry by entry."""
+    column = [[x] for row in linalg.mat(matrix) for x in row]
+    return all(is_zero(x, tol) for (x,) in
+               linalg.mat_mul(derivation_map(algebra), column))
+
+
+def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Matrix]:
+    """Basis of the space of derivations, as n x n matrices: the kernel of
+    ``derivation_map``, from ``linalg.nullspace``."""
+    n = algebra.dim
     return [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
-            for v in linalg.nullspace(linalg.mat(rows), tol)]
+            for v in linalg.nullspace(derivation_map(algebra), tol)]
 
 
 def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,

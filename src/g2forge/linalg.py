@@ -54,10 +54,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                        for col in cols) for r in rows)
 
 
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> VectorS:
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a)
-
-
 def is_symmetric(m: Matrix, tol: float = 0.0) -> bool:
     n = len(m)
     return all(is_zero(m[i][j] - m[j][i], tol)

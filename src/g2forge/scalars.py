@@ -8,6 +8,7 @@ float raises :class:`RingMismatchError`.  All values are immutable.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -455,11 +456,15 @@ def poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
 
 
 def render_scalar(x: Scalar) -> str:
-    """Canonical text: rationals as p/q, floats via repr, polynomials via str."""
+    """Canonical text: rationals as p/q, polynomials via str, floats with
+    the digits of repr in positional notation, which parses back to them."""
     if isinstance(x, Polynomial):
         return str(x)
     if isinstance(x, float):
-        return repr(x)
+        if not math.isfinite(x):
+            return repr(x)
+        text = format(Decimal(repr(x)), "f")
+        return text if "." in text else text + ".0"
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)

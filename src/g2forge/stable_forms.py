@@ -12,13 +12,14 @@ the one for which positive pairs give positive-definite h.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
 from . import linalg, scalars
-from .exterior import (InnerProduct, KForm, Orientation, Vector, contract_basis,
-                       pullback, wedge)
+from .exterior import (InnerProduct, KForm, Orientation, contract_basis,
+                       magnitude, pullback, wedge)
 from .liealg import LieAlgebra
 from .scalars import Polynomial, Scalar, is_zero
 
@@ -70,21 +71,14 @@ def k_endomorphism(sigma: KForm, orient: Optional[Orientation] = None
     return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
 
 
-def lambda_invariant(sigma: KForm, orient: Optional[Orientation] = None) -> Scalar:
-    """tr(K^2)/6; quartic in the coefficients, negative on definite forms."""
-    k = k_endomorphism(sigma, orient)
-    total: Scalar = Fraction(0)
-    for i in range(6):
-        for j in range(6):
-            total = total + k[i][j] * k[j][i]
-    return total / 6 if not isinstance(total, Polynomial) else total / Fraction(6)
+def _quartic(k: linalg.Matrix) -> Scalar:
+    """tr(K^2)/6."""
+    return sum((k[i][j] * k[j][i] for i in range(6) for j in range(6)),
+               Fraction(0)) / 6
 
 
-def almost_complex(sigma: KForm, orient: Optional[Orientation] = None
-                   ) -> linalg.Matrix:
+def _complex_structure(k: linalg.Matrix, lam: Scalar) -> linalg.Matrix:
     """J = K / sqrt(-lambda); requires lambda < 0 in a numeric ring."""
-    k = k_endomorphism(sigma, orient)
-    lam = lambda_invariant(sigma, orient)
     if isinstance(lam, Polynomial):
         raise NotStableError("almost complex structure of a symbolic form "
                              "is not computed; evaluate lambda instead")
@@ -92,6 +86,18 @@ def almost_complex(sigma: KForm, orient: Optional[Orientation] = None
         raise NotStableError("lambda = %s is not negative" % (lam,))
     root = scalars.ssqrt(-lam)
     return tuple(tuple(x / root for x in row) for row in k)
+
+
+def lambda_invariant(sigma: KForm, orient: Optional[Orientation] = None) -> Scalar:
+    """tr(K^2)/6; quartic in the coefficients, negative on definite forms."""
+    return _quartic(k_endomorphism(sigma, orient))
+
+
+def almost_complex(sigma: KForm, orient: Optional[Orientation] = None
+                   ) -> linalg.Matrix:
+    """J = K / sqrt(-lambda); requires lambda < 0 in a numeric ring."""
+    k = k_endomorphism(sigma, orient)
+    return _complex_structure(k, _quartic(k))
 
 
 def omega_cubed(omega: KForm) -> KForm:
@@ -114,6 +120,13 @@ def orientation_sign(omega: KForm) -> int:
     return 1 if top > 0 else -1
 
 
+def _relative_tol(tol: float, *factors) -> float:
+    """tol times the product of the factors' magnitudes, with no floor of 1:
+    a float zero test of a product of forms, or of d of a form, then does
+    not change with the scale of the forms."""
+    return tol * math.prod(magnitude(f) for f in factors)
+
+
 def metric_from_pair(omega: KForm, sigma: KForm,
                      orient: Optional[Orientation] = None,
                      tol: float = 1e-10) -> StablePair:
@@ -125,45 +138,32 @@ def metric_from_pair(omega: KForm, sigma: KForm,
     """
     if omega.dim != 6 or sigma.dim != 6:
         raise ValueError("pairs live in dimension 6")
-    if not wedge(omega, sigma).is_zero(tol):
+    if not wedge(omega, sigma).is_zero(_relative_tol(tol, omega, sigma)):
         raise IncompatiblePairError("omega ^ sigma != 0")
-    sign = orientation_sign(omega)
-    if orient is None:
-        orient = Orientation.standard(6)
-    eff_orient = orient if sign > 0 else \
-        Orientation(Fraction(-1) * orient.volume)
-    lam = lambda_invariant(sigma, eff_orient)
-    if isinstance(lam, Polynomial):
-        raise NotStableError("symbolic pairs only get lambda computed")
-    if not lam < 0:
-        raise NotStableError("lambda = %s is not negative" % (lam,))
-    j = almost_complex(sigma, eff_orient)
-    # h(x, y) = omega(Jx, y)
-    h_rows = []
-    for i in range(1, 7):
-        row = []
-        jei = Vector(6, tuple(j[r][i - 1] for r in range(6)))
-        for m in range(1, 7):
-            total: Scalar = Fraction(0)
-            for (p, q), c in omega.coeffs.items():
-                xp = jei.components[p - 1]
-                xq = jei.components[q - 1]
-                if m == q and not is_zero(xp):
-                    total = total + c * xp
-                if m == p and not is_zero(xq):
-                    total = total - c * xq
-            row.append(total)
-        h_rows.append(row)
-    h_matrix = linalg.mat(h_rows)
-    if not linalg.is_symmetric(h_matrix, tol):
+    k = k_endomorphism(sigma, orient)
+    return _pair_structure(omega, sigma, k, _quartic(k), tol)
+
+
+def _pair_structure(omega: KForm, sigma: KForm, k: linalg.Matrix,
+                    lam: Scalar, tol: float) -> StablePair:
+    """metric_from_pair from K and lambda of sigma: J and h = omega(J., .)
+    in the orientation that makes omega^3 positive, where K changes sign."""
+    if orientation_sign(omega) < 0:
+        k = tuple(tuple(-x for x in row) for row in k)
+    j = _complex_structure(k, lam)
+    # h(x, y) = omega(Jx, y): h = J^T Omega with Omega_pq = omega(e_p, e_q)
+    big_omega = [[omega[p, q] for q in range(1, 7)] for p in range(1, 7)]
+    h_matrix = linalg.mat_mul(linalg.transpose(j), big_omega)
+    h_tol = _relative_tol(tol, j, omega)
+    if not linalg.is_symmetric(h_matrix, h_tol):
         raise IncompatiblePairError("induced bilinear form is not symmetric; "
                                     "the 2-form is not of type (1,1) for J")
     jsigma = pullback(sigma, linalg.Compound(j))
-    lhs = wedge(jsigma, sigma)
-    rhs = omega_cubed(omega)
-    normalized = (lhs - Fraction(2, 3) * rhs).is_zero(tol * 10)
+    residual = wedge(jsigma, sigma) - Fraction(2, 3) * omega_cubed(omega)
+    normalized = residual.is_zero(10 * max(_relative_tol(tol, jsigma, sigma),
+                                           _relative_tol(tol, omega, omega, omega)))
     metric = InnerProduct(h_matrix)
-    positive = metric.is_positive_definite(tol)
+    positive = metric.is_positive_definite(h_tol)
     return StablePair(omega=omega, sigma=sigma, J=j, metric=metric,
                       lambda_value=lam, normalized=normalized,
                       positive=positive)
@@ -184,15 +184,13 @@ def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                       tol: float = 1e-10) -> Optional[Scalar]:
     """The unique nonzero c with d(omega) = c * sigma, if it exists."""
     domega = algebra.d(omega)
-    if domega.is_zero(tol) or sigma.is_zero(tol):
+    if domega.is_zero(_relative_tol(tol, omega)) or sigma.is_zero():
         return None
     # pivot on the largest float coefficient of sigma, or on any exact one
     pivot_idx = max(sigma.coeffs, key=lambda idx: abs(sigma.coeffs[idx])
                     if isinstance(sigma.coeffs[idx], float) else 0.0)
     c_val = domega.coeffs.get(pivot_idx, Fraction(0)) / sigma.coeffs[pivot_idx]
-    if is_zero(c_val, tol):
-        return None
-    if (domega - c_val * sigma).is_zero(tol):
+    if (domega - c_val * sigma).is_zero(_relative_tol(tol, domega)):
         return c_val
     return None
 
@@ -200,20 +198,21 @@ def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
 def su3_predicates(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                    tol: float = 1e-10) -> SU3Verdict:
     """Coupled / half-flat analysis of a pair on a six-dimensional algebra."""
-    compatible = wedge(omega, sigma).is_zero(tol)
-    lam = lambda_invariant(sigma)
-    stable = False
-    normalized = False
-    positive = False
+    compatible = wedge(omega, sigma).is_zero(_relative_tol(tol, omega, sigma))
+    k = k_endomorphism(sigma)
+    lam = _quartic(k)
+    stable = normalized = positive = False
     if not isinstance(lam, Polynomial) and lam < 0 and compatible \
-            and not omega_cubed(omega).is_zero(tol):
+            and not omega_cubed(omega).is_zero(
+                _relative_tol(tol, omega, omega, omega)):
         stable = True
-        pair = metric_from_pair(omega, sigma, tol=tol)
+        pair = _pair_structure(omega, sigma, k, lam, tol)
         normalized = pair.normalized
         positive = pair.positive
     c_val = coupling_constant(algebra, omega, sigma, tol=tol)
-    half_flat = algebra.d(wedge(omega, omega)).is_zero(tol) and \
-        algebra.d(sigma).is_zero(tol)
+    half_flat = algebra.d(wedge(omega, omega)).is_zero(
+        _relative_tol(tol, omega, omega)) and \
+        algebra.d(sigma).is_zero(_relative_tol(tol, sigma))
     if c_val is not None and not half_flat:
         raise RuntimeError("coupled structure failed to be half-flat; "
                            "differential conventions are inconsistent")

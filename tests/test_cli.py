@@ -73,6 +73,26 @@ def test_su3_check_json_roundtrip(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_float_su3_inputs_feed_back_to_su3_check(capsys):
+    # the n9 pair at scale 1/100 has coefficients near 1e-6, which repr
+    # writes with an exponent; the report's inputs must parse back
+    omega, sigma = catalog.n9_coupled_pair()
+    argv = ["--ring", "float", "--format", "json", "su3", "check", "n9"]
+    code, out = run_cli(capsys, *argv,
+                        "--omega=" + render_form(1e-4 * omega),
+                        "--sigma=" + render_form(1e-6 * sigma))
+    assert code == 0
+    first = json.loads(out)
+    code, out = run_cli(capsys, *argv,
+                        "--omega=" + first["inputs"]["omega"],
+                        "--sigma=" + first["inputs"]["sigma"])
+    assert code == 0
+    second = json.loads(out)
+    assert second["inputs"] == first["inputs"]
+    assert second["results"] == first["results"]
+    assert first["results"]["stable"] and first["results"]["normalized"]
+
+
 def test_su3_check_float_ring(capsys):
     code, out = run_cli(capsys, "--ring", "float", "su3", "check", "n28",
                         "--omega", "e12+e34-e56",

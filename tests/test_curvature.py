@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import catalog
+from g2forge import catalog, linalg
 from g2forge.curvature import (connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
-                               levi_civita, nilsoliton_check)
+                               levi_civita, nilsoliton_check, ricci_operator)
+from g2forge.exterior import InnerProduct, scaled
 from g2forge.g2 import metric_from_phi
-from g2forge.liealg import MetricLieAlgebra
+from g2forge.liealg import MetricLieAlgebra, derivation_space, to_float_algebra
 from g2forge.scalars import Polynomial
-from test_coframe import CASES, P_DENSE, P_SHEAR, Coframe
+from test_coframe import CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe
+from test_liealg import is_derivation_by_brackets
 
 
 def euclidean(name):
@@ -212,6 +214,78 @@ def test_nilsoliton_standard_n9_frame_has_no_witness():
     # the identity product in the plain frame is not a soliton
     m = euclidean("n9")
     assert nilsoliton_check(m) is None
+
+
+def nilsoliton_by_derivation_basis(m, tol):
+    """Reference: solve Ric = c I + sum_b x_b B_b over the derivation basis
+    B_b, then re-check Ric - cI with the bracket form of the identity.
+    Returns c, or None when there is no witness."""
+    n = m.algebra.dim
+    ric_op = ricci_operator(m)
+    basis = derivation_space(m.algebra)
+    rows = [[Fraction(int(p == q))] + [b[p][q] for b in basis]
+            for p in range(n) for q in range(n)]
+    rhs = [ric_op[p][q] for p in range(n) for q in range(n)]
+    sol = linalg.solve(linalg.mat(rows), rhs, tol)
+    if sol is None:
+        return None
+    d = [[ric_op[p][q] - (sol[0] if p == q else 0) for q in range(n)]
+         for p in range(n)]
+    if not is_derivation_by_brackets(m.algebra, d, tol=max(tol, 1e-8)):
+        return None
+    return sol[0]
+
+
+# the Gram matrix of the dense coframe P6_DENSE: a dense rational metric
+P6_GRAM = linalg.mat_mul(linalg.transpose(linalg.mat(P6_DENSE)),
+                         linalg.mat(P6_DENSE))
+
+
+@pytest.mark.parametrize("metric", ["identity", "dense"])
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_nilsoliton_matches_derivation_basis_solve(ring, metric):
+    found = 0
+    for name in sorted(catalog.NILPOTENT6):
+        algebra = catalog.algebra(name)
+        g = InnerProduct.euclidean(6) if metric == "identity" \
+            else InnerProduct(P6_GRAM)
+        if ring == "float":
+            algebra, g = to_float_algebra(algebra), g.to_float()
+        m = MetricLieAlgebra(algebra, g)
+        witness = nilsoliton_check(m)
+        expected = nilsoliton_by_derivation_basis(
+            m, scaled(1e-10, ricci_operator(m)))
+        assert (witness is None) == (expected is None), name
+        if witness is None:
+            continue
+        found += 1
+        if ring == "exact":
+            assert witness.constant == expected
+        else:
+            assert abs(witness.constant - expected) <= 1e-10 * max(
+                1, abs(expected))
+    # the identity metric is a nilsoliton on some algebras and not on others
+    assert found > 0
+    if metric == "identity":
+        assert found < len(catalog.NILPOTENT6)
+
+
+@pytest.mark.parametrize("metric", ["identity", "dense"])
+def test_nilsoliton_verdicts_agree_across_rings(metric):
+    # on the dense metric the float residual of n33 is 3.9e-10 against
+    # entries of Ric up to 1309: an absolute tol of 1e-10 misses a witness
+    # the exact ring finds (c = -2244)
+    for name in sorted(catalog.NILPOTENT6):
+        algebra = catalog.algebra(name)
+        g = InnerProduct.euclidean(6) if metric == "identity" \
+            else InnerProduct(P6_GRAM)
+        exact = nilsoliton_check(MetricLieAlgebra(algebra, g))
+        approx = nilsoliton_check(MetricLieAlgebra(to_float_algebra(algebra),
+                                                   g.to_float()))
+        assert (exact is None) == (approx is None), name
+        if exact is not None:
+            assert abs(exact.constant - approx.constant) <= 1e-10 * max(
+                1, abs(exact.constant))
 
 
 def test_nilsoliton_requires_nilpotent(einstein_ext):

@@ -148,6 +148,83 @@ def test_derivation_membership(n28):
         assert is_derivation(n28, b)
 
 
+def bracket(algebra, x, y):
+    """Reference: [x, y] = sum_k c^k_ij x_i y_j e_k, vector by vector."""
+    c = algebra.structure_constants
+    n = algebra.dim
+    pairs = [(i, j) for i in range(n) if x[i] for j in range(n) if y[j]]
+    return [sum((c[k][i][j] * x[i] * y[j] for i, j in pairs), Fraction(0))
+            for k in range(n)]
+
+
+def is_derivation_by_brackets(algebra, matrix, tol=1e-9):
+    """Reference: D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] for every i < j,
+    with the brackets taken one vector at a time."""
+    n = algebra.dim
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    col = [[matrix[p][q] for p in range(n)] for q in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = bracket(algebra, basis[i], basis[j])
+            lhs = [sum((matrix[k][m] * bij[m] for m in range(n)), Fraction(0))
+                   for k in range(n)]
+            rhs1 = bracket(algebra, col[i], basis[j])
+            rhs2 = bracket(algebra, basis[i], col[j])
+            if any(abs(a - b - c) > tol for a, b, c in zip(lhs, rhs1, rhs2)):
+                return False
+    return True
+
+
+def random_derivation(algebra, coeffs):
+    basis = derivation_space(algebra)
+    n = algebra.dim
+    return [[sum((c * b[i][j] for c, b in zip(coeffs, basis)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+@given(st.sampled_from(sorted(catalog.NILPOTENT6)),
+       st.lists(rationals, min_size=36, max_size=36),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_is_derivation_agrees_with_brackets(name, entries, inside):
+    # a rational matrix, or a rational combination of the derivation basis
+    algebra = catalog.algebra(name)
+    if inside:
+        matrix = random_derivation(algebra, entries)
+    else:
+        matrix = [entries[6 * i:6 * i + 6] for i in range(6)]
+    expected = is_derivation_by_brackets(algebra, matrix)
+    assert is_derivation(algebra, matrix) == expected
+    if inside:
+        assert expected
+
+
+@pytest.mark.parametrize("name", sorted(catalog.NILPOTENT6) + ["n9_frame"])
+def test_derivation_basis_passes_both_tests(name):
+    algebra = (catalog.n9_nilsoliton_frame() if name == "n9_frame"
+               else catalog.algebra(name))
+    n = algebra.dim
+    basis = derivation_space(algebra)
+    for b in basis:
+        assert is_derivation(algebra, b)
+        assert is_derivation_by_brackets(algebra, b)
+    float_algebra = to_float_algebra(algebra)
+    float_basis = derivation_space(float_algebra)
+    assert len(float_basis) == len(basis)
+    assert all(is_derivation(float_algebra, b) for b in float_basis)
+    # negative control: adding E_ii, for an e_i with [e_i, e_j] != 0, makes
+    # a basis element fail both tests
+    if name == "n34":
+        return
+    c = algebra.structure_constants
+    i = next(i for i in range(n) for j in range(n) for k in range(n)
+             if c[k][i][j] != 0)
+    bumped = [list(row) for row in basis[0]]
+    bumped[i][i] += 1
+    assert not is_derivation(algebra, bumped)
+    assert not is_derivation_by_brackets(algebra, bumped)
+
+
 def test_rank_one_extension_matches_reference(n28):
     ext = catalog.n28_einstein_extension()
     assert render_structure_equations(ext.algebra) == \

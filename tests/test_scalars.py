@@ -107,3 +107,26 @@ def test_render():
     assert render_scalar(Fraction(-5, 3)) == "-5/3"
     assert render_scalar(Fraction(7)) == "7"
     assert str(-4 * P("c") ** 4 * P("b15") ** 4) == "-4*b15^4*c^4"
+
+
+@pytest.mark.parametrize("x", [2.5e-05, 1e16, 1e-300, 0.1, 123.456, 3.0])
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_rendered_forms_parse_back(ring, x):
+    # floats render positionally: the form grammar reads "e" as a coframe
+    # name, so 2.5e-05*e12 or 1e+16*e12 would not parse
+    from g2forge.exterior import KForm, render_form
+    from g2forge.liealg import parse_form
+    c = x if ring == "float" else Fraction(x)
+    form = KForm(6, 2, {(1, 2): c, (3, 4): -c})
+    text = render_form(form)
+    assert "e+" not in text and "e-" not in text
+    back = parse_form(text, 6)
+    assert back == form
+    assert all(type(v) is type(c) for v in back.coeffs.values())
+
+
+def test_render_float_positional():
+    assert render_scalar(2.5e-05) == "0.000025"
+    assert render_scalar(1e16) == "10000000000000000.0"
+    assert render_scalar(-0.5) == "-0.5"
+    assert float(render_scalar(1e-300)) == 1e-300

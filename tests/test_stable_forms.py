@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog, linalg
 from g2forge.exterior import KForm, basis_indices, pullback
+from g2forge.liealg import to_float_algebra
 from g2forge.stable_forms import (IncompatiblePairError, NotStableError,
                                   almost_complex, coupling_constant,
                                   k_endomorphism, lambda_invariant,
@@ -156,3 +157,44 @@ def test_pullback_fixes_compatible_omega(n28_pair):
     om9, sg9 = catalog.n9_coupled_pair()
     pair9 = metric_from_pair(om9, sg9)
     assert pullback(om9, linalg.Compound(pair9.J)).approx_eq(om9, 1e-10)
+
+
+def scaled_pair(name, ring, t):
+    """The catalog pair of name under a scale change of the coframe,
+    (omega, sigma) -> (t^2 omega, t^3 sigma), with its algebra; the float
+    ring converts the algebra, the forms and t."""
+    algebra = catalog.algebra(name)
+    omega, sigma = (catalog.n28_coupled_pair() if name == "n28"
+                    else catalog.n9_coupled_pair())
+    if ring == "float":
+        algebra = to_float_algebra(algebra)
+        omega, sigma, t = omega.to_float(), sigma.to_float(), float(t)
+    return algebra, t ** 2 * omega, t ** 3 * sigma
+
+
+def close(a, b, tol=1e-9):
+    return a == b if not isinstance(a, float) and not isinstance(b, float) \
+        else abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10 ** 4), Fraction(1, 100),
+                               Fraction(1, 10), Fraction(10), Fraction(100),
+                               Fraction(10 ** 4)], ids=str)
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("name", ["n28", "n9"])
+def test_verdicts_do_not_change_with_scale(name, ring, t):
+    algebra, omega, sigma = scaled_pair(name, ring, 1)
+    base = su3_predicates(algebra, omega, sigma)
+    assert base.stable and base.compatible and base.normalized and \
+        base.positive and base.half_flat and base.coupled_c is not None
+    algebra, omega_t, sigma_t = scaled_pair(name, ring, t)
+    v = su3_predicates(algebra, omega_t, sigma_t)
+    for key in ("stable", "compatible", "normalized", "positive", "half_flat"):
+        assert getattr(v, key) == getattr(base, key), key
+    t = float(t) if ring == "float" else t
+    assert close(v.lambda_value, t ** 12 * base.lambda_value)
+    assert close(v.coupled_c, base.coupled_c / t)
+    h = metric_from_pair(omega, sigma).metric.matrix
+    h_t = metric_from_pair(omega_t, sigma_t).metric.matrix
+    assert all(close(x_t, t ** 2 * x) or abs(x_t - t ** 2 * x) <= 1e-12 * t ** 2
+               for r_t, r in zip(h_t, h) for x_t, x in zip(r_t, r))
