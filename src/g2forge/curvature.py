@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Optional, Tuple
 
 from . import linalg
@@ -51,8 +52,10 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     # low[k][a*n + b] = g([e_a, e_b], e_k): every bracket in one product
     low = linalg.mat_mul(g.matrix, [[x for row in c[k] for x in row]
                                     for k in range(n)])
-    koszul = [[(low[k][i * n + j] - low[i][j * n + k] + low[j][k * n + i]) / 2
-               for i in range(n) for j in range(n)] for k in range(n)]
+    # a term whose three parts are zero is skipped, left to mat_mul to skip
+    koszul = [[(x - y + z) / 2 if x or y or z else x for x, y, z in (
+        (low[k][i * n + j], low[i][j * n + k], low[j][k * n + i])
+        for i in range(n) for j in range(n))] for k in range(n)]
     # raising k: flat[k][i*n + j] = N_i[k][j]
     flat = linalg.mat_mul(g.inverse, koszul)
     return ConnectionCoeffs(tuple(tuple(row[i * n:(i + 1) * n] for row in flat)
@@ -70,32 +73,43 @@ def curvature_tensors(m: MetricLieAlgebra,
     # sums start from a zero of the inputs' ring, so an entry no term
     # reaches is 0.0 in floats
     zero = linalg.ring_zero(g.matrix, *nab)
-    riemann = {}
+    # prod[i*n + a][j*n + b] = (N_i N_j)[a][b]: the stacked N_i times the
+    # side-by-side N_j, every product in one mat_mul
+    prod = linalg.mat_mul([row for nm in nab for row in nm],
+                          [[x for nm in nab for x in nm[a]] for a in range(n)])
+    pairs = list(combinations(range(n), 2))
     ricci = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m
-            r = [[x - y for x, y in zip(rx, ry)] for rx, ry in
-                 zip(linalg.mat_mul(nab[i], nab[j]),
-                     linalg.mat_mul(nab[j], nab[i]))]
-            for mm in range(n):
-                cm = c[mm][i][j]
-                if not is_zero(cm):
-                    r = [[x - cm * y for x, y in zip(rx, ry)]
-                         for rx, ry in zip(r, nab[mm])]
-            low = linalg.mat_mul(g.matrix, r)
-            for k in range(n):
-                for l in range(n):
-                    if not is_zero(low[l][k]):
-                        riemann[(i + 1, j + 1, k + 1, l + 1)] = low[l][k]
-                        riemann[(j + 1, i + 1, k + 1, l + 1)] = -low[l][k]
-                # Ric(e_j, e_k) += e^i(R(e_i, e_j) e_k), and R(e_j, e_i) = -R
-                ricci[j][k] = ricci[j][k] + r[i][k]
-                ricci[i][k] = ricci[i][k] - r[j][k]
+    curv = []
+    for i, j in pairs:
+        # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m, subtracting
+        # at the nonzero entries of each term only
+        r = [list(row[j * n:(j + 1) * n]) for row in prod[i * n:(i + 1) * n]]
+        terms = [(a, b, y) for a, row in enumerate(prod[j * n:(j + 1) * n])
+                 for b, y in enumerate(row[i * n:(i + 1) * n]) if y]
+        terms += [(a, b, c[mm][i][j] * y) for mm, nm in enumerate(nab)
+                  if c[mm][i][j] for a, row in enumerate(nm)
+                  for b, y in enumerate(row) if y]
+        for a, b, y in terms:
+            r[a][b] = r[a][b] - y
+        for k in range(n):
+            # Ric(e_j, e_k) += e^i(R(e_i, e_j) e_k), and R(e_j, e_i) = -R
+            ricci[j][k] = ricci[j][k] + r[i][k]
+            ricci[i][k] = ricci[i][k] - r[j][k]
+        curv.append(r)
+    # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) for the p-th pair (i, j):
+    # every R(e_i, e_j) lowered in one product
+    low = linalg.mat_mul(g.matrix, [[x for r in curv for x in r[a]]
+                                    for a in range(n)])
+    riemann = {}
+    for p, (i, j) in enumerate(pairs):
+        for k, l in product(range(n), repeat=2):
+            if low[l][p * n + k]:
+                riemann[(i + 1, j + 1, k + 1, l + 1)] = low[l][p * n + k]
+                riemann[(j + 1, i + 1, k + 1, l + 1)] = -low[l][p * n + k]
     ricci = tuple(map(tuple, ricci))
     ginv = g.inverse
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
-                if not is_zero(ricci[j][k])), zero)
+                if ricci[j][k]), zero)
     return CurvatureTensors(riemann=riemann, ricci=ricci, scal=scal)
 
 

@@ -101,7 +101,8 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     g(X,Y) dV = (1/6) i_X phi ^ i_Y phi ^ phi is then verified exactly.
     """
     b = b_form(phi)
-    det_b = linalg.det(b)
+    minors = linalg.Compound(b)
+    det_b = minors.det()
     if isinstance(det_b, Polynomial):
         if not det_b.is_constant():
             raise NotPositiveError("symbolic 3-forms are not supported here")
@@ -118,8 +119,7 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # 9 is odd, so sign(v) = sign(det B) and g = B/v > 0 iff sign * B > 0:
     # positivity is decided before an irrational v can raise ExactnessError.
     sign = 1 if det_b > 0 else -1
-    if not linalg.is_positive_definite([[sign * x for x in row] for row in b],
-                                       tol * size):
+    if not linalg.is_positive_definite(b, tol * size, sign, minors):
         raise NotPositiveError("B form is not positive definite")
     v = scalars.snth_root(det_b, 9)
     g_rows = tuple(tuple(x / v for x in row) for row in b)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
@@ -34,7 +35,7 @@ class NotDerivationError(ValueError):
 class LieAlgebra:
     """dim + the coframe differentials; d extends as an anti-derivation."""
 
-    __slots__ = ("dim", "d_coframe", "name", "_constants")
+    __slots__ = ("dim", "d_coframe", "name", "_constants", "_nilpotency")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
                  name: Optional[str] = None, check: bool = True,
@@ -51,6 +52,7 @@ class LieAlgebra:
         object.__setattr__(self, "d_coframe", norm)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_constants", None)
+        object.__setattr__(self, "_nilpotency", {})   # tol -> is_nilpotent
         if check:
             bad = self.jacobi_defect(tol=tol)
             if bad is not None:
@@ -350,48 +352,51 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
     """(True, step) when the lower central series vanishes, else (False, None).
 
     Spans are kept as rows; the row v ad_i, with (ad_i)_jk = c^k_ij, is
-    [e_i, v]."""
+    [e_i, v], so one product by the side-by-side ad_i is one step.  The
+    verdict is kept on the algebra, per tol."""
     if algebra.is_polynomial_ring():
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")
     n = algebra.dim
     c = algebra.structure_constants
-    ads = [tuple(tuple(c[k][i][j] for k in range(n)) for j in range(n))
-           for i in range(n)]
-    current = linalg.identity(n)
-    step = 0
-    while True:
+    ads = [[c[k][i][j] for i in range(n) for k in range(n)] for j in range(n)]
+    current, step = linalg.identity(n), 0
+    while tol not in algebra._nilpotency:
         step += 1
-        basis = _span_rank([row for ad in ads
-                            for row in linalg.mat_mul(current, ad)], tol)
+        brackets = linalg.mat_mul(current, ads)
+        basis = _span_rank([row[i * n:(i + 1) * n] for i in range(n)
+                            for row in brackets], tol)
         if not basis:
-            return True, step
-        if len(basis) >= len(current):
-            return False, None
+            algebra._nilpotency[tol] = (True, step)
+        elif len(basis) >= len(current):
+            algebra._nilpotency[tol] = (False, None)
         current = basis
+    return algebra._nilpotency[tol]
 
 
 def derivation_map(algebra: LieAlgebra) -> linalg.Matrix:
     """The derivation identity as one linear map L on the n^2 entries of D,
     taken row by row: entry (i<j, k) of L vec(D) is the e_k-component of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Derivations are its kernel."""
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Derivations are its kernel.
+    Each nonzero c^k_ab is visited once; an entry of L sums at most two."""
     n = algebra.dim
+    # the equations (i, j, k) of the pair (i, j) start at row row_of[i, j]
+    row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
+    rows = [[Fraction(0)] * (n * n) for _ in range(len(row_of) * n)]
     c = algebra.structure_constants
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                # coefficient of D[p][q] in equation (i,j,k)
-                row = [Fraction(0)] * (n * n)
-                for m in range(n):
-                    if not is_zero(c[m][i][j]):
-                        row[k * n + m] += c[m][i][j]      # D[k][m] c^m_ij
-                    if not is_zero(c[k][m][j]):
-                        row[m * n + i] -= c[k][m][j]      # -c^k_mj D[m][i]
-                    if not is_zero(c[k][i][m]):
-                        row[m * n + j] -= c[k][i][m]      # -c^k_im D[m][j]
-                rows.append(tuple(row))
-    return tuple(rows)
+    for k, a, b in product(range(n), repeat=3):
+        x = c[k][a][b]
+        if not x:
+            continue
+        # x = c^k_ab enters D[q][k] c^k_ab in equation (a, b, q),
+        # -c^k_ab D[a][i] in (i, b, k) and -c^k_ab D[b][j] in (a, j, k)
+        for q in range(n if a < b else 0):
+            rows[row_of[a, b] + q][q * n + k] += x
+        for i in range(b):
+            rows[row_of[i, b] + k][a * n + i] -= x
+        for j in range(a + 1, n):
+            rows[row_of[a, j] + k][b * n + j] -= x
+    return tuple(map(tuple, rows))
 
 
 def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:

@@ -38,20 +38,35 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def ring_zero(*matrices) -> Scalar:
-    """0.0 when any of the matrices holds a float, else Fraction(0)."""
-    return 0.0 if any(_has_float(m) for m in matrices) else Fraction(0)
+    """The zero of the matrices' ring: 0.0, Polynomial() or Fraction(0)."""
+    types = {type(x) for m in matrices for row in m for x in row}
+    return 0.0 if float in types else Polynomial() if Polynomial in types \
+        else Fraction(0)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b over sparse factors: zero factors are skipped, and each entry
-    starts from a zero of the inputs' ring, so a float product holds no
-    exact 0."""
-    zero = ring_zero(a, b)
-    rows = [{k: x for k, x in enumerate(row) if not is_zero(x)} for row in a]
-    cols = [[(k, y) for k, y in enumerate(col) if not is_zero(y)]
-            for col in zip(*b)]
-    return tuple(tuple(sum((r[k] * y for k, y in col if k in r), zero)
-                       for col in cols) for r in rows)
+    """a b from one pass over each factor: it keeps each row's nonzero
+    entries (truthiness is ``not is_zero(x)`` in every ring) and sees any
+    float, 0.0 too.  Each entry then adds its terms in increasing k to the
+    ring's zero, 0.0 or Fraction(0), so a float product holds no exact 0."""
+    zero, a_rows, b_rows = Fraction(0), [], []
+    for m, rows in ((a, a_rows), (b, b_rows)):
+        for row in m:
+            rows.append({})
+            for k, x in enumerate(row):
+                if x:
+                    rows[-1][k] = x
+                if type(x) is float:
+                    zero = 0.0
+    cols = range(len(b[0]) if b else 0)
+    out = []
+    for r in a_rows:
+        acc: dict = {}
+        for k, x in r.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, zero) + x * y
+        out.append(tuple(acc.get(j, zero) for j in cols))
+    return tuple(out)
 
 
 def is_symmetric(m: Matrix, tol: float = 0.0) -> bool:
@@ -95,7 +110,7 @@ class Compound:
 
     def _expand(self, idx: Tuple[int, ...]) -> dict:
         first = [(j, x) for j, x in enumerate(self.matrix[idx[0] - 1], start=1)
-                 if not is_zero(x)]
+                 if x]
         acc: dict = {}
         for rest, minor in self.row(idx[1:]).items():
             for j, x in first:
@@ -107,13 +122,16 @@ class Compound:
                 term = x * minor
                 acc[col] = acc.get(col, Fraction(0)) + (
                     -term if pos % 2 else term)
-        return {j: c for j, c in acc.items() if not is_zero(c)}
+        return {j: c for j, c in acc.items() if c}
+
+    def det(self) -> Scalar:
+        full = tuple(range(1, len(self.matrix) + 1))
+        return self.row(full).get(full, ring_zero(self.matrix))
 
 
 def det(m: Matrix) -> Scalar:
     """The full-degree entry of the compound cache; fine for n <= 8."""
-    full = tuple(range(1, len(m) + 1))
-    return Compound(m).row(full).get(full, ring_zero(m))
+    return Compound(m).det()
 
 
 def submatrix_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Scalar:
@@ -238,17 +256,18 @@ def to_numpy(a: Matrix) -> np.ndarray:
     return np.array([[as_float(x) for x in row] for row in a], dtype=float)
 
 
-def is_positive_definite(m: Matrix, tol: float = 0.0) -> bool:
-    """Eigenvalues for floats.  Exact matrices: Sylvester's criterion on the
-    trailing principal minors det m[k:, k:], the nested rows of one
-    compound cache (any nested chain of principal minors decides it)."""
+def is_positive_definite(m: Matrix, tol: float = 0.0, sign: int = 1,
+                         minors: Optional[Compound] = None) -> bool:
+    """Whether sign * m is positive definite.  Eigenvalues for floats.
+    Exact: Sylvester's criterion on sign^s det m[k:, k:], s = n - k, the
+    nested rows of the compound cache ``minors`` of m, or a new one."""
     n = len(m)
     if not is_symmetric(m, tol):
         return False
     if _has_float(m):
-        eigs = np.linalg.eigvalsh(to_numpy(m))
+        eigs = np.linalg.eigvalsh(sign * to_numpy(m))
         return bool(eigs.min() > tol)
-    minors = Compound(m)
+    minors = Compound(m) if minors is None else minors
     for k in range(n, 0, -1):
         idx = tuple(range(k, n + 1))
         d = minors.row(idx).get(idx, Fraction(0))
@@ -257,6 +276,6 @@ def is_positive_definite(m: Matrix, tol: float = 0.0) -> bool:
                 raise ValueError("positive definiteness of a symbolic matrix "
                                  "is not decidable here")
             d = d.constant_value()
-        if d <= 0:
+        if d * sign ** (n - k + 1) <= 0:
             return False
     return True

@@ -108,6 +108,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """Nonzero: truthiness tests zero alike in every ring."""
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(m == () for m in self.terms)
 
@@ -309,11 +313,9 @@ def coerce(x) -> Scalar:
 
 
 def is_zero(x: Scalar, tol: float = 0.0) -> bool:
-    if isinstance(x, Polynomial):
-        return x.is_zero()
     if isinstance(x, float):
         return abs(x) <= tol
-    return x == 0
+    return not x
 
 
 def eq(a: Scalar, b: Scalar, tol: float = 0.0) -> bool:

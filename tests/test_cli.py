@@ -365,6 +365,25 @@ def test_commands_compute_curvature_once(capsys, curvature_calls, argv):
     assert len(curvature_calls) == 1
 
 
+def test_metric_analyze_decides_nilpotency_once(capsys, monkeypatch):
+    # the lower central series takes one rank reduction per step; n28 has
+    # step 2, and the command and the nilsoliton check share one verdict
+    from g2forge import liealg
+    assert liealg.is_nilpotent(catalog.algebra("n28")) == (True, 2)
+    spans = []
+    original = liealg._span_rank
+
+    def counted(vectors, tol):
+        spans.append(len(vectors))
+        return original(vectors, tol)
+
+    monkeypatch.setattr(liealg, "_span_rank", counted)
+    code, out = run_cli(capsys, "metric", "analyze", "n28", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"
+    assert len(spans) == 2
+
+
 def test_scenario_computes_curvature_once(tmp_path, capsys, curvature_calls):
     path = tmp_path / "all.txt"
     path.write_text("[algebra]\nn28\n[analyses]\nricci\neinstein\nnilsoliton\n")

@@ -164,6 +164,29 @@ def test_dense_twist_reads_each_minor_once(monkeypatch):
     assert outside == []
 
 
+def test_metric_from_phi_reads_det_and_positivity_from_one_compound(
+        monkeypatch):
+    """det B and the Sylvester chain of sign * B come from one cache over B:
+    the trailing minors of sign * B are sign^k those of B."""
+    _, phi = CASES["n28_ext"]
+    # phi -> 8 phi gives g -> 4 g and B -> 2^9 B, so the metric's own
+    # determinant is not read from a matrix equal to B
+    phi = Coframe(P_DENSE).form(phi) * 8
+    b = g2.b_form(phi)
+    minus_b = tuple(tuple(-x for x in row) for row in b)
+    over = []
+    init = linalg.Compound.__init__
+
+    def counted_init(self, m):
+        over.append(tuple(map(tuple, m)))
+        init(self, m)
+
+    monkeypatch.setattr(linalg.Compound, "__init__", counted_init)
+    s = metric_from_phi(phi)
+    assert not s.metric.is_diagonal() and s.metric.matrix != b
+    assert sum(m in (b, minus_b) for m in over) == 1
+
+
 def test_dense_twist_computes_each_gram_entry_once(monkeypatch):
     algebra, phi = CASES["n28_ext"]
     c = Coframe(P_DENSE)

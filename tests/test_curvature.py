@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from g2forge import catalog, linalg
-from g2forge.curvature import (connection_satisfies_invariants,
+from g2forge.curvature import (CurvatureTensors,
+                               connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
 from g2forge.exterior import InnerProduct, scaled
 from g2forge.g2 import metric_from_phi
-from g2forge.liealg import MetricLieAlgebra, derivation_space, to_float_algebra
-from g2forge.scalars import Polynomial
+from g2forge.liealg import (MetricLieAlgebra, derivation_space, is_nilpotent,
+                            to_float_algebra)
+from g2forge.scalars import Polynomial, is_zero
 from test_coframe import CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe
 from test_liealg import is_derivation_by_brackets
 
@@ -303,3 +305,121 @@ def test_ricci_matches_besse_formula(key):
     abelian = not any(x for plane in m.algebra.structure_constants
                       for row in plane for x in row)
     assert (besse_ricci(m, Fraction(-1, 4)) == ricci) == abelian
+
+
+def curvature_by_pairs(m, bracket_term=True):
+    """Reference: R(e_i, e_j) one pair at a time, with two products
+    N_i N_j and N_j N_i, the c^m_ij N_m term subtracted from every entry,
+    and one lowering by g per pair.  ``bracket_term=False`` drops the
+    c^m_ij N_m term, for the negative control."""
+    algebra, g = m.algebra, m.metric
+    n = algebra.dim
+    nab, c = levi_civita(m).matrices, algebra.structure_constants
+    zero = linalg.ring_zero(g.matrix, *nab)
+    riemann = {}
+    ricci = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = [[x - y for x, y in zip(rx, ry)] for rx, ry in
+                 zip(linalg.mat_mul(nab[i], nab[j]),
+                     linalg.mat_mul(nab[j], nab[i]))]
+            for mm in range(n):
+                cm = c[mm][i][j]
+                if bracket_term and not is_zero(cm):
+                    r = [[x - cm * y for x, y in zip(rx, ry)]
+                         for rx, ry in zip(r, nab[mm])]
+            low = linalg.mat_mul(g.matrix, r)
+            for k in range(n):
+                for l in range(n):
+                    if not is_zero(low[l][k]):
+                        riemann[(i + 1, j + 1, k + 1, l + 1)] = low[l][k]
+                        riemann[(j + 1, i + 1, k + 1, l + 1)] = -low[l][k]
+                ricci[j][k] = ricci[j][k] + r[i][k]
+                ricci[i][k] = ricci[i][k] - r[j][k]
+    ricci = tuple(map(tuple, ricci))
+    ginv = g.inverse
+    scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
+                if not is_zero(ricci[j][k])), zero)
+    return CurvatureTensors(riemann=riemann, ricci=ricci, scal=scal)
+
+
+def typed(t):
+    """The tensors with the type of every entry next to it: equal exactly
+    when values and types agree."""
+    def entry(x):
+        return type(x), x
+    return ({key: entry(x) for key, x in t.riemann.items()},
+            tuple(tuple(entry(x) for x in row) for row in t.ricci),
+            entry(t.scal))
+
+
+def float_copy(m):
+    return MetricLieAlgebra(to_float_algebra(m.algebra), m.metric.to_float())
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("key", BESSE_INPUTS)
+def test_batched_curvature_matches_pairs(key, ring):
+    m = besse_input(key)
+    if ring == "float":
+        m = float_copy(m)
+    assert typed(curvature_tensors(m)) == typed(curvature_by_pairs(m))
+
+
+def test_batched_curvature_matches_pairs_on_polynomial_family():
+    m = catalog.abelian_scaling_extension()
+    t = curvature_tensors(m)
+    assert typed(t) == typed(curvature_by_pairs(m))
+    assert all(type(x) is Polynomial for row in t.ricci for x in row)
+
+
+def test_pairs_reference_needs_the_bracket_term():
+    # negative control: without c^m_ij N_m the reference differs from the
+    # batched tensors on a non-abelian algebra, in either ring
+    for m in (euclidean("n28"), float_copy(euclidean("n28")),
+              catalog.n28_einstein_extension()):
+        assert typed(curvature_by_pairs(m, bracket_term=False)) != \
+            typed(curvature_tensors(m))
+
+
+def count_mat_mul(monkeypatch):
+    calls = []
+    original = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["n28", "n28_einstein_extension",
+                                 "n28_ext-dense"])
+def test_curvature_makes_a_fixed_number_of_products(monkeypatch, key):
+    # one product for every N_i N_j and one lowering of every R(e_i, e_j),
+    # in dimension 6 and 7 alike, where the pairs took 3 C(n, 2)
+    m = besse_input(key)
+    coeffs = levi_civita(m)
+    calls = count_mat_mul(monkeypatch)
+    curvature_tensors(m, coeffs)
+    n = m.algebra.dim
+    assert calls == [(n * n, n), (n, n)]
+    calls.clear()
+    curvature_tensors(m)
+    assert len(calls) == 4      # and two in levi_civita
+
+
+def test_nilpotency_takes_one_product_per_step(monkeypatch):
+    algebras = {name: catalog.algebra(name) for name in catalog.NILPOTENT6}
+    calls = count_mat_mul(monkeypatch)
+    for name, algebra in sorted(algebras.items()):
+        calls.clear()
+        nilp, step = is_nilpotent(algebra)
+        assert nilp and len(calls) == step, name
+
+
+def test_nilsoliton_raises_on_a_cached_non_nilpotent_verdict(einstein_ext):
+    assert is_nilpotent(einstein_ext.algebra) == (False, None)
+    with pytest.raises(ValueError):
+        nilsoliton_check(einstein_ext)

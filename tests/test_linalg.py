@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from g2forge import catalog, linalg
 from g2forge.cli import main
 from g2forge.liealg import derivation_space, to_float_algebra
-from g2forge.scalars import Polynomial
+from g2forge.scalars import Polynomial, is_zero
 
 A = linalg.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 B = [Fraction(3), Fraction(5), Fraction(5)]      # A (1, 1, 1)
@@ -58,11 +58,27 @@ def dense_product(a, b):
                  for i in range(len(a)))
 
 
+# the zero of each ring, which mat_mul must skip like an exact 0
+RING_ZEROS = {"exact": Fraction(0), "float": 0.0, "polynomial": Polynomial()}
+
+
+def nonzero_product(a, b):
+    """sum(a[i][k] b[k][j]) over the nonzero factors only, in increasing k,
+    from 0.0 when a factor holds a float and from Fraction(0) otherwise."""
+    floats = any(type(x) is float for m in (a, b) for row in m for x in row)
+    zero = 0.0 if floats else Fraction(0)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))
+                            if not is_zero(a[i][k]) and not is_zero(b[k][j])),
+                           zero) for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
 @st.composite
 def factor_pairs(draw):
     ring = draw(st.sampled_from(sorted(RING_ENTRIES)))
-    # exact zeros are drawn often, since mat_mul skips them
-    entry = st.one_of(st.just(Fraction(0)), RING_ENTRIES[ring])
+    # zeros are drawn often, exact and of the ring, since mat_mul skips them
+    entry = st.one_of(st.just(Fraction(0)), st.just(RING_ZEROS[ring]),
+                      RING_ENTRIES[ring])
     n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
     def matrix(rows, cols):
         return tuple(tuple(draw(entry) for _ in range(cols))
@@ -76,8 +92,41 @@ def test_mat_mul_matches_dense_product(factors):
     a, b = factors
     product = linalg.mat_mul(a, b)
     assert product == dense_product(a, b)
+    # entry types too: a float anywhere, a float 0.0 too, makes every entry
+    # a float, and a zero Polynomial factor adds no Polynomial() term
+    expected = nonzero_product(a, b)
+    assert [[type(x) for x in row] for row in product] == \
+        [[type(x) for x in row] for row in expected]
+    assert product == expected
     if any(type(x) is float for m in factors for row in m for x in row):
         assert all(type(x) is float for row in product for x in row)
+
+
+def test_mat_mul_of_zero_factors_keeps_the_ring():
+    ones = linalg.mat([[1, 2], [3, 4]])
+    assert linalg.mat_mul(((0.0, 0.0),), ones) == ((0.0, 0.0),)
+    assert all(type(x) is float for x in linalg.mat_mul(((0.0, 0.0),), ones)[0])
+    assert all(type(x) is float
+               for x in linalg.mat_mul(ones, ((0.0,), (-0.0,)))[0])
+    poly_zero = ((Polynomial(), Polynomial()),)
+    assert all(type(x) is Fraction for x in linalg.mat_mul(poly_zero, ones)[0])
+
+
+ZERO_TEST_VALUES = st.one_of(
+    st.fractions(-5, 5, max_denominator=4), st.just(Fraction(0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, float("nan"), 5e-324]),
+    st.just(Polynomial()),
+    st.tuples(st.fractions(-3, 3, max_denominator=3), st.integers(-2, 2),
+              st.sampled_from(["a", "b"])).map(
+        lambda t: t[0] * Polynomial.variable(t[2]) + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ZERO_TEST_VALUES)
+def test_truthiness_is_the_zero_test(x):
+    # mat_mul and the compound cache test entries by truthiness
+    assert bool(x) == (not is_zero(x)) == (not is_zero(x, 0.0))
 
 
 def test_float_product_with_a_zero_row_holds_floats():
