@@ -7,6 +7,7 @@ so JSON output round-trips and golden diffs are meaningful.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -599,6 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds its parser once per process; parsing leaves no state on it
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand and print its report.  Exit status:
 
@@ -608,7 +613,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``--ring float``) or internally inconsistent (``RuntimeError``, as
     ``TorsionInconsistencyError``).  2 and 3 print ``error: ...`` only.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except (ValueError, RingMismatchError, OSError) as exc:

@@ -41,54 +41,68 @@ class CurvatureTensors:
     scal: Scalar
 
 
+def _cleared_constants(algebra) -> Tuple[int, list]:
+    # (den, rows) with rows[k][a*n + b] = den * c^k_ab
+    return linalg.clear_rows([[x for row in plane for x in row]
+                              for plane in algebra.structure_constants])
+
+
 def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     """Koszul formula 2 g(nabla_i e_j, e_k) = g([e_i,e_j],e_k)
-    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields."""
+    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields, on
+    integers over one denominator when g and the algebra are exact."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     if not g.is_positive_definite(1e-12):
         raise ValueError("metric must be positive definite")
-    c = algebra.structure_constants
-    # low[k][a*n + b] = g([e_a, e_b], e_k): every bracket in one product
-    low = linalg.mat_mul(g.matrix, [[x for row in c[k] for x in row]
-                                    for k in range(n)])
-    # a term whose three parts are zero is skipped, left to mat_mul to skip
-    koszul = [[(x - y + z) / 2 if x or y or z else x for x, y, z in (
-        (low[k][i * n + j], low[i][j * n + k], low[j][k * n + i])
-        for i in range(n) for j in range(n))] for k in range(n)]
-    # raising k: flat[k][i*n + j] = N_i[k][j]
-    flat = linalg.mat_mul(g.inverse, koszul)
-    return ConnectionCoeffs(tuple(tuple(row[i * n:(i + 1) * n] for row in flat)
-                                  for i in range(n)))
+    dc, c = _cleared_constants(algebra)
+    dg, gs = linalg.clear_rows(g.matrix)
+    # low[k][a*n + b] = g([e_a, e_b], e_k) dg dc: every bracket in one product
+    low = linalg.mat_mul(gs, c)
+    # koszul[k][i*n + j] = 2 g(nabla_i e_j, e_k) dg dc
+    koszul = [[low[k][i * n + j] - low[i][j * n + k] + low[j][k * n + i]
+               for i in range(n) for j in range(n)] for k in range(n)]
+    # raising k: flat[k][i*n + j] = N_i[k][j] den
+    di, ginv = linalg.clear_rows(g.inverse)
+    flat, den = linalg.mat_mul(ginv, koszul), 2 * dg * dc * di
+    return ConnectionCoeffs(tuple(
+        tuple(tuple(linalg.over(x, den) for x in row[i * n:(i + 1) * n])
+              for row in flat) for i in range(n)))
 
 
 def curvature_tensors(m: MetricLieAlgebra,
                       coeffs: Optional[ConnectionCoeffs] = None
                       ) -> CurvatureTensors:
+    """On exact input the products run on integers: N_i over their common
+    denominator dn, c over dc, and R(e_i, e_j) and Ricci over dc dn^2."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     if coeffs is None:
         coeffs = levi_civita(m)
-    nab, c = coeffs.matrices, algebra.structure_constants
+    dn, stacked = linalg.clear_rows([r for nm in coeffs.matrices for r in nm])
+    nab = [stacked[i * n:(i + 1) * n] for i in range(n)]
+    dc, c = _cleared_constants(algebra)
+    dg, gs = linalg.clear_rows(g.matrix)
     # sums start from a zero of the inputs' ring, so an entry no term
     # reaches is 0.0 in floats
-    zero = linalg.ring_zero(g.matrix, *nab)
+    zero = linalg.ring_zero(gs, stacked)
     # prod[i*n + a][j*n + b] = (N_i N_j)[a][b]: the stacked N_i times the
     # side-by-side N_j, every product in one mat_mul
-    prod = linalg.mat_mul([row for nm in nab for row in nm],
-                          [[x for nm in nab for x in nm[a]] for a in range(n)])
+    prod = linalg.mat_mul(stacked, [[x for nm in nab for x in nm[a]]
+                                    for a in range(n)])
     pairs = list(combinations(range(n), 2))
     ricci = [[zero] * n for _ in range(n)]
     curv = []
     for i, j in pairs:
         # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m, subtracting
         # at the nonzero entries of each term only
-        r = [list(row[j * n:(j + 1) * n]) for row in prod[i * n:(i + 1) * n]]
-        terms = [(a, b, y) for a, row in enumerate(prod[j * n:(j + 1) * n])
+        r = [[dc * x for x in row[j * n:(j + 1) * n]]
+             for row in prod[i * n:(i + 1) * n]]
+        terms = [(a, b, dc * y) for a, row in enumerate(prod[j * n:(j + 1) * n])
                  for b, y in enumerate(row[i * n:(i + 1) * n]) if y]
-        terms += [(a, b, c[mm][i][j] * y) for mm, nm in enumerate(nab)
-                  if c[mm][i][j] for a, row in enumerate(nm)
-                  for b, y in enumerate(row) if y]
+        terms += [(a, b, dn * (c[mm][i * n + j] * y))
+                  for mm, nm in enumerate(nab) if c[mm][i * n + j]
+                  for a, row in enumerate(nm) for b, y in enumerate(row) if y]
         for a, b, y in terms:
             r[a][b] = r[a][b] - y
         for k in range(n):
@@ -96,21 +110,25 @@ def curvature_tensors(m: MetricLieAlgebra,
             ricci[j][k] = ricci[j][k] + r[i][k]
             ricci[i][k] = ricci[i][k] - r[j][k]
         curv.append(r)
-    # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) for the p-th pair (i, j):
-    # every R(e_i, e_j) lowered in one product
-    low = linalg.mat_mul(g.matrix, [[x for r in curv for x in r[a]]
-                                    for a in range(n)])
+    den = dc * dn * dn
+    # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) dg den for the p-th pair
+    # (i, j): every R(e_i, e_j) lowered in one product
+    low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
+                              for a in range(n)])
     riemann = {}
     for p, (i, j) in enumerate(pairs):
         for k, l in product(range(n), repeat=2):
             if low[l][p * n + k]:
-                riemann[(i + 1, j + 1, k + 1, l + 1)] = low[l][p * n + k]
-                riemann[(j + 1, i + 1, k + 1, l + 1)] = -low[l][p * n + k]
-    ricci = tuple(map(tuple, ricci))
-    ginv = g.inverse
+                x = linalg.over(low[l][p * n + k], dg * den)
+                riemann[(i + 1, j + 1, k + 1, l + 1)] = x
+                riemann[(j + 1, i + 1, k + 1, l + 1)] = -x
+    di, ginv = linalg.clear_rows(g.inverse)
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if ricci[j][k]), zero)
-    return CurvatureTensors(riemann=riemann, ricci=ricci, scal=scal)
+    return CurvatureTensors(
+        riemann=riemann,
+        ricci=tuple(tuple(linalg.over(x, den) for x in row) for row in ricci),
+        scal=linalg.over(scal, di * den))
 
 
 def ricci_operator(m: MetricLieAlgebra,

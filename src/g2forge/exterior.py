@@ -364,24 +364,28 @@ class Orientation:
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-commutative product; zero when degrees overflow the dimension."""
+    """Graded-commutative product; zero when degrees overflow the dimension.
+    Exact coefficients are multiplied as integers over one denominator."""
     if a.dim != b.dim:
         raise DimensionMismatchError("wedge of forms on different dimensions")
     deg = a.degree + b.degree
     if deg > a.dim:
         return KForm.zero(a.dim, deg)
+    den, nums = linalg.clear([*a.coeffs.values(), *b.coeffs.values()])
+    right = list(zip(b.coeffs, nums[len(a.coeffs):]))
     acc: Dict[Index, Scalar] = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
+    for ia, ca in zip(a.coeffs, nums):
+        for ib, cb in right:
             sign, merged = merge_sign(ia, ib)
             if sign == 0:
                 continue
-            val = acc.get(merged, Fraction(0)) + (ca * cb) * sign
+            val = acc.get(merged, 0) + (ca * cb) * sign
             if is_zero(val):
                 acc.pop(merged, None)
             else:
                 acc[merged] = val
-    return KForm(a.dim, deg, acc)
+    return KForm(a.dim, deg, {i: linalg.over(c, den * den)
+                              for i, c in acc.items()})
 
 
 def contract(x: Vector, a: KForm) -> KForm:
@@ -415,19 +419,23 @@ def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
 
     Monomials of an orthonormal coframe are orthonormal; in general the
     Gram entries are minors of the inverse metric (``g.minors``).  Only
-    the entries where b is nonzero are multiplied.
+    the entries where b is nonzero are multiplied, on integers when the
+    coefficients and g are exact, and the sum is divided once.
     """
     if a.dim != b.dim or a.dim != g.dim:
         raise DimensionMismatchError("dimension mismatch in form_inner")
     if a.degree != b.degree:
         raise DegreeError("inner product needs equal degrees")
-    total: Scalar = Fraction(0)
-    for ia, ca in a.coeffs.items():
-        for ib, gram in g.minors.row(ia).items():
-            cb = b.coeffs.get(ib)
+    den, nums = linalg.clear([*a.coeffs.values(), *b.coeffs.values()])
+    right = dict(zip(b.coeffs, nums[len(a.coeffs):]))
+    minors = g.minors
+    total: Scalar = 0
+    for ia, ca in zip(a.coeffs, nums):
+        for ib, gram in minors.row(ia).items():
+            cb = right.get(ib)
             if cb is not None:
                 total = total + ca * cb * gram
-    return total
+    return linalg.over(total, den * den * minors.den ** a.degree)
 
 
 def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
@@ -440,14 +448,18 @@ def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
 def pullback(a: KForm, minors: linalg.Compound) -> KForm:
     """a(M., ..., M.) for the matrix M of ``minors``: the coefficient of e^J
     is the sum of a_I det M[I, J] over I, so C_k(M) acts on k-forms.  With
-    the minors of g^-1 it raises every index of a."""
+    the minors of g^-1 it raises every index of a.  Exact sums run on the
+    integer rows and are divided once per coefficient."""
     if len(minors.matrix) != a.dim:
         raise DimensionMismatchError("dimension mismatch in pullback")
+    den, nums = linalg.clear(a.coeffs.values())
     acc: Dict[Index, Scalar] = {}
-    for src, c in a.coeffs.items():
+    for src, c in zip(a.coeffs, nums):
         for tgt, minor in minors.row(src).items():
-            acc[tgt] = acc.get(tgt, Fraction(0)) + c * minor
-    return KForm(a.dim, a.degree, acc)
+            acc[tgt] = acc.get(tgt, 0) + c * minor
+    den *= minors.den ** a.degree
+    return KForm(a.dim, a.degree, {j: linalg.over(c, den)
+                                   for j, c in acc.items()})
 
 
 def hodge_star(a: KForm, g: InnerProduct, orient: Orientation) -> KForm:

@@ -35,7 +35,8 @@ class NotDerivationError(ValueError):
 class LieAlgebra:
     """dim + the coframe differentials; d extends as an anti-derivation."""
 
-    __slots__ = ("dim", "d_coframe", "name", "_constants", "_nilpotency")
+    __slots__ = ("dim", "d_coframe", "name", "_constants", "_cleared",
+                 "_nilpotency", "_derivations")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
                  name: Optional[str] = None, check: bool = True,
@@ -52,7 +53,13 @@ class LieAlgebra:
         object.__setattr__(self, "d_coframe", norm)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_constants", None)
+        # the de^k over one denominator: (den, [{pair: den * coefficient}])
+        den, nums = linalg.clear(c for f in norm for c in f.coeffs.values())
+        nums = iter(nums)
+        object.__setattr__(self, "_cleared", (den, [
+            {pair: next(nums) for pair in f.coeffs} for f in norm]))
         object.__setattr__(self, "_nilpotency", {})   # tol -> is_nilpotent
+        object.__setattr__(self, "_derivations", None)  # derivation_map
         if check:
             bad = self.jacobi_defect(tol=tol)
             if bad is not None:
@@ -79,21 +86,25 @@ class LieAlgebra:
 
     # -- Chevalley-Eilenberg differential -----------------------------------
     def d(self, a: KForm) -> KForm:
-        """Anti-derivation extension of the coframe differentials."""
+        """Anti-derivation extension of the coframe differentials, on
+        integers over one denominator when a and the algebra are exact."""
         if a.dim != self.dim:
             raise DimensionMismatchError("form does not live on this algebra")
         if a.degree == 0:
             return KForm.zero(self.dim, 1)
+        den_d, d_coframe = self._cleared
+        den, nums = linalg.clear(a.coeffs.values())
         acc: Dict[Index, Scalar] = {}
-        for idx, c in a.coeffs.items():
+        for idx, c in zip(a.coeffs, nums):
             for pos, i in enumerate(idx):
                 signed = c if pos % 2 == 0 else -c
-                for pair, cd in self.d_coframe[i - 1].coeffs.items():
+                for pair, cd in d_coframe[i - 1].items():
                     sign, merged = sort_index(idx[:pos] + pair + idx[pos + 1:])
                     if sign:
-                        acc[merged] = acc.get(merged, Fraction(0)) + \
-                            signed * (cd * sign)
-        return KForm(self.dim, a.degree + 1, acc)
+                        acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
+        den *= den_d
+        return KForm(self.dim, a.degree + 1,
+                     {i: linalg.over(c, den) for i, c in acc.items()})
 
     # -- structure constants --------------------------------------------------
     @property
@@ -374,11 +385,14 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
     return algebra._nilpotency[tol]
 
 
-def derivation_map(algebra: LieAlgebra) -> linalg.Matrix:
+def derivation_map(algebra: LieAlgebra) -> linalg.Sparse:
     """The derivation identity as one linear map L on the n^2 entries of D,
     taken row by row: entry (i<j, k) of L vec(D) is the e_k-component of
     D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Derivations are its kernel.
-    Each nonzero c^k_ab is visited once; an entry of L sums at most two."""
+    Each nonzero c^k_ab is visited once; an entry of L sums at most two.
+    L is built once per algebra and kept on it with its nonzero entries."""
+    if algebra._derivations is not None:
+        return algebra._derivations
     n = algebra.dim
     # the equations (i, j, k) of the pair (i, j) start at row row_of[i, j]
     row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
@@ -396,7 +410,9 @@ def derivation_map(algebra: LieAlgebra) -> linalg.Matrix:
             rows[row_of[i, b] + k][a * n + i] -= x
         for j in range(a + 1, n):
             rows[row_of[a, j] + k][b * n + j] -= x
-    return tuple(map(tuple, rows))
+    object.__setattr__(algebra, "_derivations",
+                       linalg.Sparse(tuple(map(tuple, rows))))
+    return algebra._derivations
 
 
 def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
@@ -411,7 +427,7 @@ def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Mat
     ``derivation_map``, from ``linalg.nullspace``."""
     n = algebra.dim
     return [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
-            for v in linalg.nullspace(derivation_map(algebra), tol)]
+            for v in linalg.nullspace(derivation_map(algebra).matrix, tol)]
 
 
 def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,

@@ -5,16 +5,22 @@ anywhere sends ``solve`` and ``nullspace`` to numpy, otherwise they
 eliminate exactly with Fraction pivots and allow polynomial right-hand
 sides.
 
+Exact kernels compute on Python ints: ``clear`` writes their inputs over
+one denominator and ``over`` divides each result once.  Floats and
+polynomials pass through over den 1, so every ring takes the same path.
+
 Every minor comes from one place, the compound cache ``Compound``: the
-rows of the compound matrices C_k(m), built by Laplace expansion.  ``det``
-is its full-degree entry, exact positivity reads its nested principal
-minors, and ``exterior`` reads the pullback and the Hodge star from it.
+integer rows of the compound matrices C_k(den m), built by Laplace
+expansion.  ``det`` is its full-degree entry over den**n, exact positivity
+reads the signs of its nested principal minors, and ``exterior`` reads the
+pullback and the Hodge star from it.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .scalars import Polynomial, Scalar, coerce, is_zero
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
 VectorS = Tuple[Scalar, ...]
+_ZERO = Fraction(0)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -38,32 +45,68 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def ring_zero(*matrices) -> Scalar:
-    """The zero of the matrices' ring: 0.0, Polynomial() or Fraction(0)."""
+    """The zero of the matrices' ring: 0.0, Polynomial(), 0 for Python ints
+    or Fraction(0)."""
     types = {type(x) for m in matrices for row in m for x in row}
     return 0.0 if float in types else Polynomial() if Polynomial in types \
-        else Fraction(0)
+        else 0 if types <= {int} else Fraction(0)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a b from one pass over each factor: it keeps each row's nonzero
-    entries (truthiness is ``not is_zero(x)`` in every ring) and sees any
-    float, 0.0 too.  Each entry then adds its terms in increasing k to the
-    ring's zero, 0.0 or Fraction(0), so a float product holds no exact 0."""
-    zero, a_rows, b_rows = Fraction(0), [], []
-    for m, rows in ((a, a_rows), (b, b_rows)):
+def clear(values: Iterable[Scalar]) -> Tuple[int, list]:
+    """(den, den * values): for exact values den is the lcm of their
+    denominators and the numerators are Python ints; a float or Polynomial
+    among the values makes den 1 and keeps the values as they are."""
+    values = list(values)
+    if set(map(type, values)) - {Fraction, int}:
+        return 1, values
+    den = math.lcm(*[x.denominator for x in values])
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def clear_rows(m: Sequence[Sequence[Scalar]]) -> Tuple[int, List[list]]:
+    """``clear`` on the entries of a matrix, kept in its rows."""
+    den, nums = clear(x for row in m for x in row)
+    nums = iter(nums)
+    return den, [[next(nums) for _ in row] for row in m]
+
+
+def over(num, den: int) -> Scalar:
+    """num / den for a num of den * values from ``clear``: a Fraction for
+    an int num (one shared Fraction(0) for 0), and a float or polynomial
+    num as it is when den is 1."""
+    if type(num) is int:
+        return Fraction(num, den) if num else _ZERO
+    return num if den == 1 else num / den
+
+
+class Sparse:
+    """A matrix, the nonzero entries of each row (truthiness is ``not
+    is_zero(x)`` in every ring) and its entry types: a ``mat_mul`` factor
+    from one pass over m, which a caller can keep."""
+
+    __slots__ = ("matrix", "rows", "types")
+
+    def __init__(self, m: Sequence[Sequence[Scalar]]):
+        self.matrix, self.rows, self.types = m, [], set()
         for row in m:
-            rows.append({})
-            for k, x in enumerate(row):
-                if x:
-                    rows[-1][k] = x
-                if type(x) is float:
-                    zero = 0.0
-    cols = range(len(b[0]) if b else 0)
+            self.rows.append({k: x for k, x in enumerate(row) if x})
+            self.types.update(map(type, row))
+
+
+def mat_mul(a, b) -> Matrix:
+    """a b, either factor a matrix or its ``Sparse``.  Each entry adds its
+    nonzero terms in increasing k to the ring's zero: 0.0 when a factor
+    holds a float, 0.0 too, so a float product holds no exact 0; 0 when
+    both hold Python ints only; Fraction(0) otherwise."""
+    a, b = (m if isinstance(m, Sparse) else Sparse(m) for m in (a, b))
+    types = a.types | b.types
+    zero = 0.0 if float in types else 0 if types <= {int} else Fraction(0)
+    cols = range(len(b.matrix[0]) if len(b.matrix) else 0)
     out = []
-    for r in a_rows:
+    for r in a.rows:
         acc: dict = {}
         for k, x in r.items():
-            for j, y in b_rows[k].items():
+            for j, y in b.rows[k].items():
                 acc[j] = acc.get(j, zero) + x * y
         out.append(tuple(acc.get(j, zero) for j in cols))
     return tuple(out)
@@ -78,21 +121,24 @@ def is_symmetric(m: Matrix, tol: float = 0.0) -> bool:
 class Compound:
     """The minors of one square matrix m, one row of C_k(m) at a time.
 
-    ``row(idx)`` maps each column set J to det(m[idx, J]), nonzero entries
-    only; index sets are 1-based increasing tuples, as forms use them.  A
-    row is built once, by Laplace expansion along idx[0] from the row of
-    idx[1:]: division-free, so polynomial entries work, and a diagonal m
-    costs one product per row.  When m is exactly symmetric, a new row
-    takes the entries it shares with rows of its degree built before it,
-    so C_k(m) is exactly symmetric under float rounding too.  The dict
-    returned is the cached row itself: read it, do not change it."""
+    ``row(idx)`` maps each column set J to det((den m)[idx, J]), nonzero
+    entries only, with den from ``clear``: det(m[idx, J]) is
+    ``row(idx)[J] / den**k``, k = len(idx), and den is 1 in float and
+    polynomial m.  Index sets are 1-based increasing tuples, as forms use
+    them.  A row is built once, by Laplace expansion along idx[0] from the
+    row of idx[1:]: division-free, so polynomial entries work, and a
+    diagonal m costs one product per row.  When m is exactly symmetric, a
+    new row takes the entries it shares with rows of its degree built
+    before it, so C_k(m) is exactly symmetric under float rounding too.
+    The dict returned is the cached row itself: read it, do not change it."""
 
-    __slots__ = ("matrix", "_symmetric", "_rows")
+    __slots__ = ("matrix", "den", "_cleared", "_symmetric", "_rows")
 
     def __init__(self, m: Sequence[Sequence[Scalar]]):
         self.matrix = m
-        self._symmetric = is_symmetric(m)
-        self._rows: dict = {(): {(): Fraction(1)}}
+        self.den, self._cleared = clear_rows(m)
+        self._symmetric = is_symmetric(self._cleared)
+        self._rows: dict = {(): {(): 1}}
 
     def row(self, idx: Tuple[int, ...]) -> dict:
         row = self._rows.get(idx)
@@ -109,8 +155,8 @@ class Compound:
         return row
 
     def _expand(self, idx: Tuple[int, ...]) -> dict:
-        first = [(j, x) for j, x in enumerate(self.matrix[idx[0] - 1], start=1)
-                 if x]
+        first = [(j, x) for j, x in enumerate(self._cleared[idx[0] - 1],
+                                              start=1) if x]
         acc: dict = {}
         for rest, minor in self.row(idx[1:]).items():
             for j, x in first:
@@ -120,13 +166,14 @@ class Compound:
                     continue
                 col = rest[:pos] + (j,) + rest[pos:]
                 term = x * minor
-                acc[col] = acc.get(col, Fraction(0)) + (
-                    -term if pos % 2 else term)
+                acc[col] = acc.get(col, 0) + (-term if pos % 2 else term)
         return {j: c for j, c in acc.items() if c}
 
     def det(self) -> Scalar:
-        full = tuple(range(1, len(self.matrix) + 1))
-        return self.row(full).get(full, ring_zero(self.matrix))
+        n = len(self.matrix)
+        full = tuple(range(1, n + 1))
+        return over(self.row(full).get(full, ring_zero(self.matrix)),
+                    self.den ** n)
 
 
 def det(m: Matrix) -> Scalar:
@@ -260,7 +307,8 @@ def is_positive_definite(m: Matrix, tol: float = 0.0, sign: int = 1,
                          minors: Optional[Compound] = None) -> bool:
     """Whether sign * m is positive definite.  Eigenvalues for floats.
     Exact: Sylvester's criterion on sign^s det m[k:, k:], s = n - k, the
-    nested rows of the compound cache ``minors`` of m, or a new one."""
+    nested rows of the compound cache ``minors`` of m, or a new one (den > 0
+    keeps the signs)."""
     n = len(m)
     if not is_symmetric(m, tol):
         return False
@@ -270,7 +318,7 @@ def is_positive_definite(m: Matrix, tol: float = 0.0, sign: int = 1,
     minors = Compound(m) if minors is None else minors
     for k in range(n, 0, -1):
         idx = tuple(range(k, n + 1))
-        d = minors.row(idx).get(idx, Fraction(0))
+        d = minors.row(idx).get(idx, 0)
         if isinstance(d, Polynomial):
             if not d.is_constant():
                 raise ValueError("positive definiteness of a symbolic matrix "

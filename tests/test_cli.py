@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2forge import catalog
+from g2forge import catalog, cli
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
 from g2forge.exterior import render_form
 from g2forge.liealg import render_structure_equations
@@ -578,3 +578,37 @@ def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
         if key in exact:
             assert_close(exact[key], approx[key])
     assert_close(exact["torsion"]["tau0"], approx["torsion"]["tau0"])
+
+
+def test_main_parses_with_one_parser_and_no_state_between_calls(
+        capsys, monkeypatch):
+    """Alternating subcommands, flags before and after them, and a usage
+    error give the same exit codes and output from the one parser that
+    main keeps as from a fresh parser per call."""
+    argvs = [
+        ["metric", "analyze", "n28", "--ring", "float", "--format", "json"],
+        ["metric", "analyze", "n28"],
+        ["--format", "json", "algebra", "show", "n28"],
+        ["algebra", "show", "n28", "--tol", "1e-3"],
+        ["metric", "analyze"],
+        ["--ring", "float", "algebra", "list"],
+        ["su3", "check", "n28", "--omega", "e12+e34+e56",
+         "--sigma", "e135-e146-e236-e245", "--format", "json"],
+    ]
+
+    def run_all():
+        out = []
+        for argv in argvs + argvs[::-1]:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out.append((code, capsys.readouterr()))
+        return out
+
+    cli._parser.cache_clear()
+    kept = run_all()
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert kept == run_all()
+    assert ("exit", 2) in [code for code, _ in kept]

@@ -1,19 +1,23 @@
 import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from g2forge import catalog, linalg
-from g2forge.curvature import (CurvatureTensors,
+from g2forge.curvature import (CurvatureTensors, NilsolitonWitness,
                                connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
-from g2forge.exterior import InnerProduct, scaled
-from g2forge.g2 import metric_from_phi
-from g2forge.liealg import (MetricLieAlgebra, derivation_space, is_nilpotent,
+from g2forge.exterior import (InnerProduct, KForm, basis_indices, form_inner,
+                              scaled)
+from g2forge.g2 import metric_from_phi, torsion_forms
+from g2forge.liealg import (MetricLieAlgebra, derivation_map,
+                            derivation_space, is_derivation, is_nilpotent,
                             to_float_algebra)
 from g2forge.scalars import Polynomial, is_zero
 from test_coframe import CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe
+from test_exterior import leibniz_det
 from test_liealg import is_derivation_by_brackets
 
 
@@ -423,3 +427,112 @@ def test_nilsoliton_raises_on_a_cached_non_nilpotent_verdict(einstein_ext):
     assert is_nilpotent(einstein_ext.algebra) == (False, None)
     with pytest.raises(ValueError):
         nilsoliton_check(einstein_ext)
+
+
+def nilsoliton_through_dense_map(m, tol=1e-10):
+    """Reference: the nilsoliton solve with the dense L of
+    ``derivation_map`` handed to ``mat_mul``, which scans it again."""
+    n = m.algebra.dim
+    ric_op = ricci_operator(m)
+    images = linalg.mat_mul(derivation_map(m.algebra).matrix, [
+        (ric_op[p][q], Fraction(1 if p == q else 0))
+        for p in range(n) for q in range(n)])
+    sol = linalg.solve(tuple((li,) for _, li in images),
+                       [lr for lr, _ in images], scaled(tol, ric_op))
+    if sol is None:
+        return None
+    d = tuple(tuple(ric_op[p][q] - sol[0] if p == q else ric_op[p][q]
+                    for q in range(n)) for p in range(n))
+    return NilsolitonWitness(constant=sol[0], derivation=d)
+
+
+def typed_entries(x):
+    """x with the type of every scalar next to it."""
+    if isinstance(x, NilsolitonWitness):
+        return typed_entries((x.constant, x.derivation))
+    if isinstance(x, (list, tuple)):
+        return [typed_entries(y) for y in x]
+    return x if x is None or type(x) is bool else (type(x), x)
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_derivation_map_is_built_once_per_algebra(monkeypatch, ring):
+    """nilsoliton_check and is_derivation apply the nonzero entries of L
+    kept on the algebra: one L per algebra, and the same witnesses and
+    verdicts as the dense product with L."""
+    built = []
+    init = linalg.Sparse.__init__
+
+    def counted(self, m):
+        if len(m) == 90:        # the rows of L for n = 6
+            built.append(1)
+        init(self, m)
+
+    monkeypatch.setattr(linalg.Sparse, "__init__", counted)
+    n = 6
+    units = [tuple(tuple(Fraction(int(p == q == i)) for q in range(n))
+                   for p in range(n)) for i in range(n)]
+    for name in sorted(catalog.NILPOTENT6):
+        algebra = catalog.algebra(name)
+        if ring == "float":
+            algebra = to_float_algebra(algebra)
+        built.clear()
+        candidates = derivation_space(algebra) + units
+        verdicts = [is_derivation(algebra, d) for d in candidates]
+        metrics = [MetricLieAlgebra(algebra, g) for g in (
+            InnerProduct.euclidean(n), InnerProduct(P6_GRAM))]
+        if ring == "float":
+            metrics = [MetricLieAlgebra(algebra, m.metric.to_float())
+                       for m in metrics]
+        witnesses = [nilsoliton_check(m) for m in metrics]
+        assert len(built) == 1, name
+        assert verdicts == [
+            all(is_zero(x, 1e-9) for (x,) in linalg.mat_mul(
+                derivation_map(algebra).matrix,
+                [[x] for row in d for x in row])) for d in candidates], name
+        assert typed_entries(witnesses) == typed_entries(
+            [nilsoliton_through_dense_map(m) for m in metrics]), name
+        # some units are derivations and some are not, except on n34
+        assert all(verdicts[:-n]) and (not all(verdicts) or name == "n34")
+
+
+def digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+# Exact outputs on the P_DENSE twist of n28_ext, with phi and with phi / 8
+# (g / 4, so that g and g^-1 have denominators): sha256 prefixes of the
+# reprs, which carry the Fraction type, recorded from the Fraction-only
+# kernels that the integer kernels replaced.
+PINNED = {
+    1: {"riemann": "2be601d7a65e1295", "ricci": "30d4603d51e8264a",
+        "scal": Fraction(-21), "star_phi": "d68ad43aff20116f",
+        "tau0": Fraction(0), "gram": "15ddbd30e88b3eba"},
+    8: {"riemann": "863f0ef6f4ad7e15", "ricci": "30d4603d51e8264a",
+        "scal": Fraction(-84), "star_phi": "21874aa7d0234a92",
+        "tau0": Fraction(0), "gram": "b5da9c397614aa62"},
+}
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED))
+def test_dense_twist_exact_outputs_are_pinned(scale):
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    algebra, phi = c.algebra(algebra), c.form(phi) * Fraction(1, scale)
+    s = metric_from_phi(phi)
+    m = MetricLieAlgebra(algebra, s.metric)
+    tensors = curvature_tensors(m)
+    assert typed(tensors) == typed(curvature_by_pairs(m))
+    two = basis_indices(7, 2)
+    gram = [[form_inner(KForm.monomial(7, a), KForm.monomial(7, b), s.metric)
+             for b in two] for a in two]
+    ginv = s.metric.inverse
+    assert gram == [[leibniz_det(ginv, a, b) for b in two] for a in two]
+    tau0 = torsion_forms(algebra, phi, s).tau0
+    pin = PINNED[scale]
+    assert digest(sorted(tensors.riemann.items())) == pin["riemann"]
+    assert digest(tensors.ricci) == pin["ricci"]
+    assert digest(sorted(s.star_phi.coeffs.items())) == pin["star_phi"]
+    assert digest(gram) == pin["gram"]
+    assert (type(tensors.scal), tensors.scal) == (Fraction, pin["scal"])
+    assert (type(tau0), tau0) == (Fraction, pin["tau0"])

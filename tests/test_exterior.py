@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -146,11 +147,17 @@ def leibniz_det(m, rows, cols):
     return total
 
 
+def minors_of(minors, ia):
+    """Row ia of the compound cache as minors: row[J] / den**k."""
+    return {ib: Fraction(x, minors.den ** len(ia))
+            for ib, x in minors.row(ia).items()}
+
+
 def assert_rows_are_minors(minors, m):
     n = len(m)
     for k in range(n + 1):
         for ia in basis_indices(n, k):
-            row = minors.row(ia)
+            row = minors_of(minors, ia)
             for ib in basis_indices(n, k):
                 assert row.get(ib, 0) == leibniz_det(m, ia, ib)
 
@@ -161,7 +168,27 @@ def test_compound_rows_are_minors_of_the_inverse():
     assert all(x != 0 for row in ginv for x in row)
     assert_rows_are_minors(g.minors, ginv)
     diag = InnerProduct.diagonal([Fraction(2), Fraction(3), Fraction(5)])
-    assert diag.minors.row((1, 3)) == {(1, 3): Fraction(1, 10)}
+    assert minors_of(diag.minors, (1, 3)) == {(1, 3): Fraction(1, 10)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: square(n)), st.booleans())
+def test_integer_compound_rows_over_den_are_leibniz_minors(m, symmetric):
+    """Rows hold integers: det((den m)[I, J]), with den the lcm of the
+    entries' denominators, so row[J] / den**k is the Leibniz minor and det
+    divides once.  Symmetric inputs take the mirrored-row path."""
+    n = len(m)
+    if symmetric:
+        m = tuple(tuple(m[min(i, j)][max(i, j)] for j in range(n))
+                  for i in range(n))
+    minors = linalg.Compound(m)
+    assert minors.den == math.lcm(*(x.denominator for row in m for x in row))
+    assert all(type(x) is int for k in range(n + 1)
+               for ia in basis_indices(n, k) for x in minors.row(ia).values())
+    assert_rows_are_minors(minors, m)
+    full = tuple(range(1, n + 1))
+    assert minors.det() == linalg.det(m) == leibniz_det(m, full, full)
+    assert type(minors.det()) is Fraction
 
 
 def test_compound_rows_of_a_complex_structure_are_its_minors():

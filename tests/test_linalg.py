@@ -2,6 +2,8 @@
 in the system sends them to numpy, otherwise they eliminate exactly."""
 import json
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ def test_inconsistent_system_has_no_solution(ring):
 
 RING_ENTRIES = {
     "exact": st.fractions(-5, 5, max_denominator=4),
+    "int": st.integers(-5, 5),
     "float": st.floats(-5, 5),
     "polynomial": st.tuples(st.fractions(-3, 3, max_denominator=3),
                             st.integers(-2, 2)).map(
@@ -59,14 +62,16 @@ def dense_product(a, b):
 
 
 # the zero of each ring, which mat_mul must skip like an exact 0
-RING_ZEROS = {"exact": Fraction(0), "float": 0.0, "polynomial": Polynomial()}
+RING_ZEROS = {"exact": Fraction(0), "int": 0, "float": 0.0,
+              "polynomial": Polynomial()}
 
 
 def nonzero_product(a, b):
     """sum(a[i][k] b[k][j]) over the nonzero factors only, in increasing k,
-    from 0.0 when a factor holds a float and from Fraction(0) otherwise."""
-    floats = any(type(x) is float for m in (a, b) for row in m for x in row)
-    zero = 0.0 if floats else Fraction(0)
+    from 0.0 when a factor holds a float, from 0 when both hold Python ints
+    only and from Fraction(0) otherwise."""
+    types = {type(x) for m in (a, b) for row in m for x in row}
+    zero = 0.0 if float in types else 0 if types == {int} else Fraction(0)
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))
                             if not is_zero(a[i][k]) and not is_zero(b[k][j])),
                            zero) for j in range(len(b[0])))
@@ -76,8 +81,10 @@ def nonzero_product(a, b):
 @st.composite
 def factor_pairs(draw):
     ring = draw(st.sampled_from(sorted(RING_ENTRIES)))
-    # zeros are drawn often, exact and of the ring, since mat_mul skips them
-    entry = st.one_of(st.just(Fraction(0)), st.just(RING_ZEROS[ring]),
+    # zeros are drawn often, exact and of the ring, since mat_mul skips them;
+    # an int factor is all ints
+    exact_zero = RING_ZEROS["int" if ring == "int" else "exact"]
+    entry = st.one_of(st.just(exact_zero), st.just(RING_ZEROS[ring]),
                       RING_ENTRIES[ring])
     n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
     def matrix(rows, cols):
@@ -224,3 +231,40 @@ def test_positive_definite_polynomial_matrix():
         linalg.mat([[Polynomial.constant(1), 2], [2, 1]]))
     with pytest.raises(ValueError, match="symbolic"):
         linalg.is_positive_definite(linalg.mat([[a, 0], [0, 1]]))
+
+
+def lcm_of(dens):
+    return reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=60) | st.integers(-50, 50),
+                max_size=12))
+def test_clear_writes_exact_values_over_their_lcm(values):
+    den, nums = linalg.clear(values)
+    assert den == lcm_of(Fraction(x).denominator for x in values)
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, den) for x in nums] == values
+    assert [linalg.over(x, den) for x in nums] == values
+    assert all(type(linalg.over(x, den)) is Fraction for x in nums)
+
+
+NON_EXACT = (st.floats(allow_nan=True, allow_infinity=True)
+             | st.sampled_from([0.0, -0.0, 5e-324])
+             | st.sampled_from([Polynomial(), Polynomial.variable("a"),
+                                Polynomial.constant(Fraction(1, 3))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=60), max_size=6),
+       st.lists(NON_EXACT, min_size=1, max_size=4), st.randoms())
+def test_clear_passes_floats_and_polynomials_through(exact, other, rnd):
+    """One float or polynomial keeps every value as it is, -0.0 and
+    Fractions too, over den 1; ``over`` then returns them unchanged."""
+    values = exact + other
+    rnd.shuffle(values)
+    den, nums = linalg.clear(values)
+    assert den == 1
+    assert len(nums) == len(values)
+    assert all(x is y for x, y in zip(nums, values))
+    assert all(linalg.over(x, den) is x for x in other)
