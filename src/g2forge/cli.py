@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Any, Dict, List, Optional, Sequence
 
-from . import catalog
+from . import __version__, catalog
 from .curvature import (curvature_tensors, einstein_constant, nilsoliton_check)
 from .exterior import InnerProduct, KForm
 from .g2 import NotPositiveError, metric_from_phi, \
@@ -59,7 +59,8 @@ class Report:
             "command": self.command,
             "inputs": payload(self.inputs),
             "results": payload(self.results),
-            "provenance": payload(self.provenance),
+            "provenance": payload({**self.provenance,
+                                   "version": __version__}),
             "checks": [
                 {"name": c.name, "passed": c.passed,
                  "expected": payload(c.expected),

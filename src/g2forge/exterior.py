@@ -8,6 +8,7 @@ operator.
 """
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +53,10 @@ def sort_index(idx: Sequence[int]) -> Tuple[int, Index]:
     return sign, tuple(idx)
 
 
+@functools.lru_cache(maxsize=None)
 def merge_sign(a: Index, b: Index) -> Tuple[int, Optional[Index]]:
-    """Sign of e^a ^ e^b relative to the merged increasing index."""
+    """Sign of e^a ^ e^b relative to the merged increasing index; cached,
+    with at most 4**n keys in dimension n."""
     if set(a) & set(b):
         return 0, None
     inversions = 0

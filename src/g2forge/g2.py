@@ -348,25 +348,31 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
         tensors = curvature_tensors(m)
     g, ginv = m.metric.matrix, m.metric.inverse
     n = 7
-    # up[(i, j)][t] = phi^{ij}_t, for both orders of (i, j)
+    raised = [pullback(contract_basis(t, phi), m.metric.minors).coeffs
+              for t in range(1, n + 1)]
+    du, nums = linalg.clear(c for r in raised for c in r.values())
+    nums = iter(nums)
+    # up[(i, j)][t] = du phi^{ij}_t, for both orders of (i, j)
     up: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for t in range(1, n + 1):
-        raised = pullback(contract_basis(t, phi), m.metric.minors)
-        for (i, j), c in raised.coeffs.items():
+    for t, r in enumerate(raised, start=1):
+        for (i, j), c in zip(r, nums):
             up.setdefault((i, j), {})[t] = c
             up.setdefault((j, i), {})[t] = -c
-    # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} = A_{kl,s} phi^{kl}_m
+    # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} = A_{kl,s} phi^{kl}_m,
+    # on integers over dr du^2 for exact R and phi
+    dr, riemann = linalg.clear(tensors.riemann.values())
     contracted: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for (i, j, k, l), r in tensors.riemann.items():
+    for (i, j, k, l), r in zip(tensors.riemann, riemann):
         for ss, c in up.get((i, j), {}).items():
             row = contracted.setdefault((k, l), {})
-            row[ss] = row.get(ss, Fraction(0)) + r * c
-    rows = [[Fraction(0)] * n for _ in range(n)]
+            row[ss] = row.get(ss, 0) + r * c
+    rows = [[0] * n for _ in range(n)]
     for kl, row in contracted.items():
         for mm, c2 in up.get(kl, {}).items():
             for ss, c1 in row.items():
                 rows[ss - 1][mm - 1] = rows[ss - 1][mm - 1] + c1 * c2
-    matrix = linalg.mat(rows)
+    den = dr * du * du
+    matrix = tuple(tuple(linalg.over(x, den) for x in row) for row in rows)
     trace: Scalar = Fraction(0)
     for i in range(n):
         for j in range(n):

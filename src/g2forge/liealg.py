@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       render_form, sort_index)
+                       merge_sign, render_form)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -99,7 +99,8 @@ class LieAlgebra:
             for pos, i in enumerate(idx):
                 signed = c if pos % 2 == 0 else -c
                 for pair, cd in d_coframe[i - 1].items():
-                    sign, merged = sort_index(idx[:pos] + pair + idx[pos + 1:])
+                    # pair moves past idx[:pos] by an even permutation
+                    sign, merged = merge_sign(pair, idx[:pos] + idx[pos + 1:])
                     if sign:
                         acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
         den *= den_d

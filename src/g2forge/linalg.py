@@ -2,8 +2,9 @@
 
 Matrices are tuples of tuples.  The scalars pick the method: a float entry
 anywhere sends ``solve`` and ``nullspace`` to numpy, otherwise they
-eliminate exactly with Fraction pivots and allow polynomial right-hand
-sides.
+eliminate exactly.  Exact ``rref`` is Bareiss's fraction-free Gauss-Jordan
+elimination on the matrix over one denominator; a polynomial right-hand
+side eliminates with its scalars as they are.
 
 Exact kernels compute on Python ints: ``clear`` writes their inputs over
 one denominator and ``over`` divides each result once.  Floats and
@@ -52,12 +53,17 @@ def ring_zero(*matrices) -> Scalar:
         else 0 if types <= {int} else Fraction(0)
 
 
+def is_exact(values: Iterable[Scalar]) -> bool:
+    """Whether every value is a Fraction or a Python int."""
+    return not set(map(type, values)) - {Fraction, int}
+
+
 def clear(values: Iterable[Scalar]) -> Tuple[int, list]:
     """(den, den * values): for exact values den is the lcm of their
     denominators and the numerators are Python ints; a float or Polynomial
     among the values makes den 1 and keeps the values as they are."""
     values = list(values)
-    if set(map(type, values)) - {Fraction, int}:
+    if not is_exact(values):
         return 1, values
     den = math.lcm(*[x.denominator for x in values])
     return den, [x.numerator * (den // x.denominator) for x in values]
@@ -187,15 +193,18 @@ def submatrix_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Scalar
 
 def rref(rows: List[List[Scalar]], ncols: Optional[int] = None,
          tol: float = 0.0) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+    """Reduced row echelon form of a copy; returns (rows, pivot columns).
 
     Pivot selection only divides by entries in the leading ``ncols``
     columns, which must be invertible scalars (Fractions or floats);
-    trailing columns may hold polynomial data.
+    trailing columns may hold polynomial data.  Exact rows (Fractions and
+    ints) take ``_bareiss`` and come back as Fractions.
     """
     rows = [list(r) for r in rows]
     nr = len(rows)
     nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
+    if is_exact(x for row in rows for x in row):
+        return _bareiss(rows, nc)
     pivots: List[int] = []
     r = 0
     for c in range(nc):
@@ -226,6 +235,32 @@ def rref(rows: List[List[Scalar]], ncols: Optional[int] = None,
     return rows, pivots
 
 
+def _bareiss(rows: List[List[Scalar]], nc: int) -> Tuple[list, List[int]]:
+    """Exact rref of den * rows by fraction-free Gauss-Jordan (Bareiss, Math.
+    Comp. 1968): with pivot p and previous pivot prev, each other row becomes
+    (p row - f pivot_row) // prev, exactly, so the rows stay prev times the
+    rref.  Pivot rows are divided by prev, rows past the rank by prev * den."""
+    den, m = clear_rows(rows)
+    pivots: List[int] = []
+    prev = 1
+    for c in range(nc):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top, piv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = piv
+    rank = len(pivots)
+    return [[over(x, prev if i < rank else prev * den) for x in row]
+            for i, row in enumerate(m)], pivots
+
+
 def _has_float(rows) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
 
@@ -235,9 +270,10 @@ def solve(a: Matrix, b: Sequence[Scalar],
     """One solution of a x = b, or None when the system is inconsistent.
 
     With a float in a or b: least squares, a tuple of floats, and None when
-    the residual norm exceeds ``tol``.  Otherwise exact elimination with
-    free variables set to zero; the coefficients must be invertible
-    scalars, b may be polynomial.
+    the residual norm exceeds ``tol``.  Otherwise exact elimination
+    (Bareiss over one denominator when b is rational) with free variables
+    set to zero; the coefficients must be invertible scalars, b may be
+    polynomial.
     """
     if _has_float(a) or _has_float([b]):
         an, bn = to_numpy(a), to_numpy([b])[0]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import g2forge
 from g2forge import catalog, cli
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
 from g2forge.exterior import render_form
@@ -612,3 +613,26 @@ def test_main_parses_with_one_parser_and_no_state_between_calls(
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert kept == run_all()
     assert ("exit", 2) in [code for code, _ in kept]
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "list"],
+    ["algebra", "show", "n28"],
+    ["su3", "check", "n28", "--omega", "e12+e34-e56",
+     "--sigma", "e136-e145-e235-e246"],
+    ["metric", "analyze", "n28"],
+    ["g2", "analyze", "n28_ext",
+     "--phi", "e127+e347-e567+e136-e145-e235-e246"],
+    ["table1"],
+    ["obstruction", "n4", "--trials", "2"],
+    ["obstruction", "n9", "--trials", "2"],
+    ["reproduce-paper", "--only", "table1"],
+    ["check", "SCENARIO"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_json_provenance_records_the_package_version(tmp_path, capsys, argv):
+    if argv[0] == "check":
+        argv = ["check", str(tmp_path / "scenario.txt")]
+        Path(argv[1]).write_text(SCENARIO)
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["provenance"]["version"] == g2forge.__version__

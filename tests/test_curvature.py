@@ -9,9 +9,9 @@ from g2forge.curvature import (CurvatureTensors, NilsolitonWitness,
                                connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
-from g2forge.exterior import (InnerProduct, KForm, basis_indices, form_inner,
-                              scaled)
-from g2forge.g2 import metric_from_phi, torsion_forms
+from g2forge.exterior import (InnerProduct, KForm, basis_indices,
+                              contract_basis, form_inner, pullback, scaled)
+from g2forge.g2 import metric_from_phi, star_ricci, torsion_forms
 from g2forge.liealg import (MetricLieAlgebra, derivation_map,
                             derivation_space, is_derivation, is_nilpotent,
                             to_float_algebra)
@@ -504,21 +504,30 @@ def digest(x):
 # (g / 4, so that g and g^-1 have denominators): sha256 prefixes of the
 # reprs, which carry the Fraction type, recorded from the Fraction-only
 # kernels that the integer kernels replaced.
+# rho* and tau2 were recorded from the Fraction contraction of star_ricci
+# and the Fraction elimination of rref.
 PINNED = {
     1: {"riemann": "2be601d7a65e1295", "ricci": "30d4603d51e8264a",
         "scal": Fraction(-21), "star_phi": "d68ad43aff20116f",
-        "tau0": Fraction(0), "gram": "15ddbd30e88b3eba"},
+        "tau0": Fraction(0), "gram": "15ddbd30e88b3eba",
+        "star_ricci": "b2a8c566aa5767e1", "tau2": "7136ff5b765f6921"},
     8: {"riemann": "863f0ef6f4ad7e15", "ricci": "30d4603d51e8264a",
         "scal": Fraction(-84), "star_phi": "21874aa7d0234a92",
-        "tau0": Fraction(0), "gram": "b5da9c397614aa62"},
+        "tau0": Fraction(0), "gram": "b5da9c397614aa62",
+        "star_ricci": "b2a8c566aa5767e1", "tau2": "45ec7b00df1bbe6c"},
 }
+
+
+def dense_twist(scale):
+    """The P_DENSE twist of n28_ext with phi / scale: (algebra, phi)."""
+    algebra, phi = CASES["n28_ext"]
+    c = Coframe(P_DENSE)
+    return c.algebra(algebra), c.form(phi) * Fraction(1, scale)
 
 
 @pytest.mark.parametrize("scale", sorted(PINNED))
 def test_dense_twist_exact_outputs_are_pinned(scale):
-    algebra, phi = CASES["n28_ext"]
-    c = Coframe(P_DENSE)
-    algebra, phi = c.algebra(algebra), c.form(phi) * Fraction(1, scale)
+    algebra, phi = dense_twist(scale)
     s = metric_from_phi(phi)
     m = MetricLieAlgebra(algebra, s.metric)
     tensors = curvature_tensors(m)
@@ -528,11 +537,61 @@ def test_dense_twist_exact_outputs_are_pinned(scale):
              for b in two] for a in two]
     ginv = s.metric.inverse
     assert gram == [[leibniz_det(ginv, a, b) for b in two] for a in two]
-    tau0 = torsion_forms(algebra, phi, s).tau0
+    torsion = torsion_forms(algebra, phi, s)
+    rho = star_ricci(m, phi, s, tensors=tensors).matrix
     pin = PINNED[scale]
+    assert digest(rho) == pin["star_ricci"]
+    assert digest(sorted(torsion.tau2.coeffs.items())) == pin["tau2"]
     assert digest(sorted(tensors.riemann.items())) == pin["riemann"]
     assert digest(tensors.ricci) == pin["ricci"]
     assert digest(sorted(s.star_phi.coeffs.items())) == pin["star_phi"]
     assert digest(gram) == pin["gram"]
     assert (type(tensors.scal), tensors.scal) == (Fraction, pin["scal"])
-    assert (type(tau0), tau0) == (Fraction, pin["tau0"])
+    assert (type(torsion.tau0), torsion.tau0) == (Fraction, pin["tau0"])
+
+
+def star_ricci_by_fractions(m, phi):
+    """Reference: rho*_{sm} = R_{ijkl} phi^{ij}_s phi^{kl}_m in star_ricci's
+    loop order, summed on the scalars as they come from Fraction(0):
+    Fractions in the exact ring, floats in the float ring."""
+    up = {}
+    for t in range(1, 8):
+        raised = pullback(contract_basis(t, phi), m.metric.minors)
+        for (i, j), c in raised.coeffs.items():
+            up.setdefault((i, j), {})[t] = c
+            up.setdefault((j, i), {})[t] = -c
+    contracted = {}
+    for (i, j, k, l), r in curvature_tensors(m).riemann.items():
+        for s, c in up.get((i, j), {}).items():
+            row = contracted.setdefault((k, l), {})
+            row[s] = row.get(s, Fraction(0)) + r * c
+    rows = [[Fraction(0)] * 7 for _ in range(7)]
+    for kl, row in contracted.items():
+        for mm, c2 in up.get(kl, {}).items():
+            for s, c1 in row.items():
+                rows[s - 1][mm - 1] = rows[s - 1][mm - 1] + c1 * c2
+    return tuple(tuple(row) for row in rows)
+
+
+def bits(x):
+    """A scalar as its type and value, a float as its exact bits."""
+    return (float, x.hex()) if type(x) is float else (type(x), x)
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("scale", [1, 8, Fraction(1, 27)],
+                         ids=["phi", "phi/8", "27phi"])
+def test_star_ricci_on_integers_matches_the_fraction_contraction(scale, ring):
+    """The integer contraction over dr du^2 gives the Fractions of the
+    reference in the exact ring and its bits in the float ring.  The
+    Riemann denominator dr is 4, 16 and 4; the raised phi's du is 1, 1
+    and 3."""
+    algebra, phi = dense_twist(scale)
+    if ring == "float":
+        algebra, phi = to_float_algebra(algebra), phi.to_float()
+    s = metric_from_phi(phi)
+    m = MetricLieAlgebra(algebra, s.metric)
+    got = star_ricci(m, phi, s).matrix
+    want = star_ricci_by_fractions(m, phi)
+    assert [[bits(x) for x in row] for row in got] == \
+        [[bits(x) for x in row] for row in want]

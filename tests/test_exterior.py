@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from g2forge import catalog, linalg
 from g2forge.exterior import (InnerProduct, KForm, Orientation, Vector,
                               basis_indices, codifferential, contract,
-                              contract_basis, form_inner, hodge_star, pullback,
-                              render_form, wedge)
+                              contract_basis, form_inner, hodge_star,
+                              merge_sign, pullback, render_form, sort_index,
+                              wedge)
 from g2forge.g2 import metric_from_phi
 from g2forge.stable_forms import metric_from_pair
 from test_coframe import CASES, P_DENSE, Coframe, twisted_n28_pair
@@ -26,6 +27,16 @@ def form_strategy(dim, degree):
     n = len(basis_indices(dim, degree))
     return st.lists(rationals, min_size=n, max_size=n).map(
         lambda cs: rand_form(dim, degree, cs))
+
+
+def test_merge_sign_is_sort_index_of_the_concatenation():
+    """All pairs of increasing tuples on 1..7, disjoint or not."""
+    increasing = [c for k in range(8) for c in combinations(range(1, 8), k)]
+    assert len(increasing) ** 2 == 16384
+    for a in increasing:
+        for b in increasing:
+            sign, merged = sort_index(a + b)
+            assert merge_sign(a, b) == (sign, merged if sign else None)
 
 
 def test_wedge_examples():

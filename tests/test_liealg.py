@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
-from g2forge.exterior import KForm, basis_indices, wedge
+from g2forge.exterior import KForm, basis_indices, sort_index, wedge
 from g2forge.liealg import (Derivation, JacobiError,
                             MetricLieAlgebra, NotDerivationError,
                             StructureParseError, derivation_space,
@@ -12,6 +12,7 @@ from g2forge.liealg import (Derivation, JacobiError,
                             parse_structure_equations, rank_one_extension,
                             render_structure_equations, restrict, specialize,
                             to_float_algebra)
+from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -127,6 +128,57 @@ def test_d_matches_wedge_expansion(name):
         if not algebra.is_polynomial_ring():
             fa = to_float_algebra(algebra)
             assert fa.d(a.to_float()) == d_by_wedges(fa, a.to_float())
+
+
+def d_by_sorting(algebra, a):
+    """Reference: the terms of d(e^I), the de^i put in place of e^i and the
+    index sorted by ``sort_index``, summed in d's order in the ring of a."""
+    acc = {}
+    for idx, c in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            signed = c if pos % 2 == 0 else -c
+            for pair, cd in algebra.d_coframe[i - 1].coeffs.items():
+                sign, merged = sort_index(idx[:pos] + pair + idx[pos + 1:])
+                if sign:
+                    acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
+    return KForm(algebra.dim, a.degree + 1, acc)
+
+
+D_INPUTS = {**{name: lambda name=name: catalog.algebra(name)
+               for name in sorted(catalog.NILPOTENT6)},
+            "n28_ext": lambda: CASES["n28_ext"][0],
+            "abelian_ext": lambda: CASES["abelian_ext"][0],
+            "n28_ext-dense": lambda: Coframe(P_DENSE).algebra(
+                CASES["n28_ext"][0]),
+            "n28-dense": lambda: Coframe(P6_DENSE).algebra(
+                catalog.algebra("n28"))}
+
+
+def typed_coeffs(a):
+    """The coefficients of a with their types, floats as their bits."""
+    return sorted((idx, type(c), c.hex() if type(c) is float else c)
+                  for idx, c in a.coeffs.items())
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("name", sorted(D_INPUTS))
+def test_d_matches_the_sorted_index_formula(name, ring):
+    """d merges each de^i into e^I by merge_sign: on every monomial and on
+    one dense form of each degree, the values and types (float bits) of
+    the sort_index formula."""
+    algebra = D_INPUTS[name]()
+    n = algebra.dim
+    forms = [KForm.monomial(n, idx) for k in range(1, n)
+             for idx in basis_indices(n, k)]
+    forms += [KForm(n, k, {ix: Fraction(j % 7 - 3, j % 4 + 1) for j, ix
+                           in enumerate(basis_indices(n, k))})
+              for k in range(1, n)]
+    if ring == "float":
+        algebra = to_float_algebra(algebra)
+        forms = [a.to_float() for a in forms]
+    for a in forms:
+        assert typed_coeffs(algebra.d(a)) == \
+            typed_coeffs(d_by_sorting(algebra, a))
 
 
 def test_derivation_space_abelian():

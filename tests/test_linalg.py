@@ -268,3 +268,61 @@ def test_clear_passes_floats_and_polynomials_through(exact, other, rnd):
     assert len(nums) == len(values)
     assert all(x is y for x, y in zip(nums, values))
     assert all(linalg.over(x, den) is x for x in other)
+
+
+def fraction_rref(rows, ncols):
+    """Reference: Gauss-Jordan over Fractions.  In each of the leading ncols
+    columns the first nonzero entry at or below the next pivot row pivots;
+    its row is divided by it and its column cleared from every other row."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = [x / rows[r][c] for x in rows[r]]
+        rows = [top if i == r else [x - row[c] * y for x, y in zip(row, top)]
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    return rows, pivots
+
+
+EXACT_ENTRIES = st.fractions(-4, 4, max_denominator=6) | st.integers(-4, 4)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """(rows, ncols, width): rows that are integer combinations of at most
+    four basis rows (zero rows when every coefficient is 0), ints mixed with
+    Fractions, some with an entry added past ncols, so that rows past the
+    rank can be nonzero there."""
+    width = draw(st.integers(1, 6))
+    ncols = draw(st.integers(0, width))
+    vector = st.lists(EXACT_ENTRIES, min_size=width, max_size=width)
+    basis = draw(st.lists(vector, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                               max_size=len(basis)))
+        row = [sum((c * b[j] for c, b in zip(coeffs, basis)), 0)
+               for j in range(width)]
+        if ncols < width and draw(st.booleans()):
+            j = draw(st.integers(ncols, width - 1))
+            row[j] += draw(EXACT_ENTRIES)
+        rows.append(row)
+    return rows, (None if ncols == width else ncols), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_rows())
+def test_exact_rref_is_fraction_gauss_jordan(case):
+    """Bareiss over one denominator gives the Fraction elimination's
+    pivots and rows, every entry a Fraction."""
+    rows, ncols, width = case
+    red, pivots = linalg.rref(rows, ncols)
+    want, want_pivots = fraction_rref(rows, width if ncols is None else ncols)
+    assert pivots == want_pivots
+    assert [[(type(x), x) for x in row] for row in red] == \
+        [[(type(x), x) for x in row] for row in want]
