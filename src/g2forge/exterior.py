@@ -405,7 +405,7 @@ def contract(x: Vector, a: KForm) -> KForm:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             term = (xi * c) if pos % 2 == 0 else -(xi * c)
-            val = acc.get(rest, Fraction(0)) + term
+            val = acc.get(rest, 0) + term
             if is_zero(val):
                 acc.pop(rest, None)
             else:

@@ -397,7 +397,8 @@ def derivation_map(algebra: LieAlgebra) -> linalg.Sparse:
     n = algebra.dim
     # the equations (i, j, k) of the pair (i, j) start at row row_of[i, j]
     row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
-    rows = [[Fraction(0)] * (n * n) for _ in range(len(row_of) * n)]
+    # int zeros: Sparse tests them at C speed, and 0 + x has the type of x
+    rows = [[0] * (n * n) for _ in range(len(row_of) * n)]
     c = algebra.structure_constants
     for k, a, b in product(range(n), repeat=3):
         x = c[k][a][b]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,15 +89,14 @@ def over(num, den: int) -> Scalar:
 class Sparse:
     """A matrix, the nonzero entries of each row (truthiness is ``not
     is_zero(x)`` in every ring) and its entry types: a ``mat_mul`` factor
-    from one pass over m, which a caller can keep."""
+    built once from m, which a caller can keep."""
 
     __slots__ = ("matrix", "rows", "types")
 
     def __init__(self, m: Sequence[Sequence[Scalar]]):
-        self.matrix, self.rows, self.types = m, [], set()
-        for row in m:
-            self.rows.append({k: x for k, x in enumerate(row) if x})
-            self.types.update(map(type, row))
+        self.matrix = m
+        self.rows = [dict(compress(enumerate(row), row)) for row in m]
+        self.types = set(map(type, chain.from_iterable(m)))
 
 
 def mat_mul(a, b) -> Matrix:
@@ -114,7 +114,7 @@ def mat_mul(a, b) -> Matrix:
         for k, x in r.items():
             for j, y in b.rows[k].items():
                 acc[j] = acc.get(j, zero) + x * y
-        out.append(tuple(acc.get(j, zero) for j in cols))
+        out.append(tuple(map(acc.get, cols, repeat(zero))))
     return tuple(out)
 
 
@@ -273,7 +273,7 @@ def solve(a: Matrix, b: Sequence[Scalar],
     the residual norm exceeds ``tol``.  Otherwise exact elimination
     (Bareiss over one denominator when b is rational) with free variables
     set to zero; the coefficients must be invertible scalars, b may be
-    polynomial.
+    polynomial, and then a x - b is checked.
     """
     if _has_float(a) or _has_float([b]):
         an, bn = to_numpy(a), to_numpy([b])[0]
@@ -291,11 +291,12 @@ def solve(a: Matrix, b: Sequence[Scalar],
     for r in range(len(pivots), nr):
         if not is_zero(red[r][nc]):
             return None
-    # residual check for polynomial rhs safety
-    for i in range(nr):
-        res = sum((a[i][j] * x[j] for j in range(nc)), Fraction(0)) - b[i]
-        if not is_zero(res):
-            return None
+    # Bareiss is exact on a rational rhs; a polynomial one is checked
+    if any(isinstance(v, Polynomial) for v in b):
+        for i in range(nr):
+            res = sum((a[i][j] * x[j] for j in range(nc)), _ZERO) - b[i]
+            if not is_zero(res):
+                return None
     return tuple(x)
 
 

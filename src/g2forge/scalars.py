@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 Rational = Fraction
@@ -39,7 +40,9 @@ def _var_key(name: str):
 Monomial = tuple
 
 
+@lru_cache(maxsize=None)
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    # a pure function of two tuples; a survey pass has 96 distinct pairs
     exps: dict = dict(m1)
     for v, e in m2:
         exps[v] = exps.get(v, 0) + e
@@ -68,7 +71,11 @@ class Polynomial:
 
     Terms are stored as a map monomial -> Fraction with no zero
     coefficients.  Arithmetic accepts ints and Fractions as constant
-    operands; floats are rejected.
+    operands; floats are rejected.  A product or quotient with a constant
+    scales the coefficients directly (by 1 or -1 it returns the polynomial
+    or its negative, and adding 0 returns it), and the product of two
+    monomials is memoized (``_mono_mul``), so repeated products do not
+    re-sort.  Values are immutable, so returning an operand is safe.
     """
 
     __slots__ = ("terms",)
@@ -131,16 +138,19 @@ class Polynomial:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m)
+            s = c if s is None else s + c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
+                del terms[m]
         out = Polynomial.__new__(Polynomial)
         object.__setattr__(out, "terms", terms)
         return out
@@ -165,18 +175,28 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+        if isinstance(other, (int, Fraction)):
+            # a constant scales the coefficients; a sign returns or negates
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
+            terms = {m: c * other for m, c in self.terms.items()} \
+                if other else {}
+        else:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+            terms = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = _mono_mul(m1, m2)
+                    s = terms.get(m)
+                    s = c1 * c2 if s is None else s + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
         out = Polynomial.__new__(Polynomial)
         object.__setattr__(out, "terms", terms)
         return out

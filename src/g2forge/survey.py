@@ -21,7 +21,7 @@ from . import catalog
 from .exterior import KForm
 from .liealg import LieAlgebra, render_structure_equations
 from .sampling import PAIR_COL, PAIR_ROW, PAIRS, StableFormSampler
-from .scalars import Polynomial, poly_eval, poly_sqrt
+from .scalars import Polynomial, _mono_div, poly_eval, poly_sqrt
 from .stable_forms import lambda_invariant
 
 SIGN_NONNEG = "nonneg"
@@ -82,14 +82,13 @@ def generic_lambda(algebra: LieAlgebra) -> Polynomial:
 
 
 def _strip_c4(p: Polynomial) -> Polynomial:
-    """Divide by c^4, which divides every survey polynomial exactly."""
+    """Divide by c^4, which divides every survey polynomial exactly; the
+    quotient's monomials stay in canonical variable order."""
     terms = {}
     for m, coeff in p.terms.items():
-        md = dict(m)
-        if md.get("c", 0) != 4:
+        if dict(m).get("c", 0) != 4:
             raise NoCertificateError("polynomial is not c^4 times a b-form")
-        md.pop("c")
-        terms[tuple(sorted(md.items()))] = coeff
+        terms[_mono_div(m, (("c", 4),))] = coeff
     return Polynomial(terms)
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -453,6 +454,52 @@ def typed_entries(x):
     if isinstance(x, (list, tuple)):
         return [typed_entries(y) for y in x]
     return x if x is None or type(x) is bool else (type(x), x)
+
+
+def derivation_map_on_fraction_zeros(algebra):
+    """Reference: ``derivation_map`` as it was built, on a grid of
+    Fraction(0) with the structure constants added in."""
+    n = algebra.dim
+    row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
+    rows = [[Fraction(0)] * (n * n) for _ in range(len(row_of) * n)]
+    c = algebra.structure_constants
+    for k, a, b in product(range(n), repeat=3):
+        x = c[k][a][b]
+        if not x:
+            continue
+        for q in range(n if a < b else 0):
+            rows[row_of[a, b] + q][q * n + k] += x
+        for i in range(b):
+            rows[row_of[i, b] + k][a * n + i] -= x
+        for j in range(a + 1, n):
+            rows[row_of[a, j] + k][b * n + j] -= x
+    return linalg.Sparse(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_derivation_map_matches_the_fraction_zero_grid(ring):
+    """L over int zeros has the nonzero entries, with their types, of the
+    L built over Fraction(0), and every product with it, its kernel
+    included, is the same in value and type."""
+    n = 6
+    scalar = float if ring == "float" else Fraction
+    columns = [[scalar(int(p == q == i)) for i in range(n)]
+               + [scalar(Fraction(p * n + q + 1, q + 2))]
+               for p in range(n) for q in range(n)]
+    for name in sorted(catalog.NILPOTENT6):
+        algebra = catalog.algebra(name)
+        if ring == "float":
+            algebra = to_float_algebra(algebra)
+        got, want = derivation_map(algebra), derivation_map_on_fraction_zeros(
+            algebra)
+        assert [{k: (type(x), x) for k, x in r.items()} for r in got.rows] \
+            == [{k: (type(x), x) for k, x in r.items()} for r in want.rows]
+        assert got.matrix == want.matrix, name
+        for a, b in ((got, want), (got.matrix, want.matrix)):
+            assert typed_entries(linalg.mat_mul(a, columns)) == \
+                typed_entries(linalg.mat_mul(b, columns)), name
+        assert typed_entries(linalg.nullspace(got.matrix, 1e-10)) == \
+            typed_entries(linalg.nullspace(want.matrix, 1e-10)), name
 
 
 @pytest.mark.parametrize("ring", ["exact", "float"])

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from g2forge import catalog, linalg
 from g2forge.cli import main
 from g2forge.liealg import derivation_space, to_float_algebra
-from g2forge.scalars import Polynomial, is_zero
+from g2forge.scalars import Polynomial, coerce, is_zero
 
 A = linalg.mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
 B = [Fraction(3), Fraction(5), Fraction(5)]      # A (1, 1, 1)
@@ -326,3 +326,44 @@ def test_exact_rref_is_fraction_gauss_jordan(case):
     assert pivots == want_pivots
     assert [[(type(x), x) for x in row] for row in red] == \
         [[(type(x), x) for x in row] for row in want]
+
+
+def solve_with_residual(a, b):
+    """The exact branch of ``linalg.solve`` as it was before the residual
+    check was kept for polynomial right-hand sides only."""
+    nr, nc = len(a), len(a[0]) if a else 0
+    red, pivots = linalg.rref([list(a[i]) + [coerce(b[i])] for i in range(nr)],
+                              ncols=nc)
+    x = [Fraction(0)] * nc
+    for r, c in enumerate(pivots):
+        x[c] = red[r][nc]
+    if any(not is_zero(red[r][nc]) for r in range(len(pivots), nr)):
+        return None
+    for i in range(nr):
+        res = sum((a[i][j] * x[j] for j in range(nc)), Fraction(0)) - b[i]
+        if not is_zero(res):
+            return None
+    return tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_rows())
+def test_exact_solve_matches_the_residual_checked_solve(case):
+    """On a rational right-hand side the solution, or None, and the types
+    of its entries are those of the solve that re-summed a x - b."""
+    rows, ncols, width = case
+    split = width - 1 if ncols is None else ncols   # b is the column there
+    assume(rows and split)
+    a = [row[:split] for row in rows]
+    b = [row[split] for row in rows]
+    got, want = linalg.solve(a, b), solve_with_residual(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+
+
+def test_solve_with_a_polynomial_rhs():
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    a = linalg.mat([[1, 1], [2, 2], [0, 1]])
+    assert linalg.solve(a, [x, 2 * x + y, y]) is None
+    assert linalg.solve(a, [x + y, 2 * x + 2 * y, y]) == (x, y)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2forge.scalars import (ExactnessError, MissingVariableError, Polynomial,
-                             RingMismatchError, nth_root_fraction, poly_eval,
-                             poly_sqrt, render_scalar, sqrt_fraction, ssqrt)
+                             RingMismatchError, _var_key, nth_root_fraction,
+                             poly_eval, poly_sqrt, render_scalar,
+                             sqrt_fraction, ssqrt)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -130,3 +131,72 @@ def test_render_float_positional():
     assert render_scalar(1e16) == "10000000000000000.0"
     assert render_scalar(-0.5) == "-0.5"
     assert float(render_scalar(1e-300)) == 1e-300
+
+
+# The sort-and-Fraction(0) product and sum that the scalar fast path and the
+# memoized monomial product replaced, on the terms of constants promoted to
+# polynomials as before.
+def canonical(exps):
+    return tuple(sorted(exps.items(), key=lambda ve: _var_key(ve[0])))
+
+
+def reference_terms(x):
+    return x.terms if isinstance(x, Polynomial) else Polynomial.constant(x).terms
+
+
+def reference_sum(p, q):
+    terms = dict(reference_terms(p))
+    for m, c in reference_terms(q).items():
+        s = terms.get(m, Fraction(0)) + c
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+    return terms
+
+
+def reference_product(p, q):
+    terms = {}
+    for m1, c1 in reference_terms(p).items():
+        for m2, c2 in reference_terms(q).items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = canonical(exps)
+            s = terms.get(m, Fraction(0)) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return terms
+
+
+# names whose string order differs from _var_key order: b10 < b2, b12 < b9
+monomials = st.dictionaries(st.sampled_from(["b2", "b9", "b10", "b12", "c"]),
+                            st.integers(1, 3), max_size=3).map(canonical)
+polynomials = st.dictionaries(monomials, rationals, max_size=4).map(Polynomial)
+constants = st.one_of(st.integers(-4, 4), rationals)
+
+
+def assert_same_terms(result, reference):
+    assert isinstance(result, Polynomial)
+    assert result.terms == reference
+    assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert all(m == canonical(dict(m)) and all(e > 0 for _, e in m)
+               for m in result.terms)
+
+
+@given(polynomials, polynomials, constants, constants.filter(bool))
+def test_polynomial_arithmetic_matches_the_sorting_reference(p, q, k, j):
+    """Sums, products and quotients with polynomial and constant operands,
+    in both orders: equal terms, Fraction coefficients, no zero coefficient
+    and every monomial in _var_key order."""
+    for result, reference in [
+            (p + q, reference_sum(p, q)), (p - q, reference_sum(p, -q)),
+            (p + k, reference_sum(p, k)), (k + p, reference_sum(k, p)),
+            (p - k, reference_sum(p, -k)), (k - p, reference_sum(k, -p)),
+            (p * q, reference_product(p, q)),
+            (p * k, reference_product(p, k)), (k * p, reference_product(k, p)),
+            (p / j, reference_product(p, 1 / Fraction(j))),
+            (k / Polynomial.constant(j), reference_product(k, 1 / Fraction(j)))]:
+        assert_same_terms(result, reference)

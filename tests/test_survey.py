@@ -6,8 +6,8 @@ from g2forge import catalog
 from g2forge.scalars import Polynomial, poly_eval
 from g2forge.stable_forms import lambda_invariant
 from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
-                            SIGN_ZERO, NoCertificateError, generic_lambda,
-                            generic_two_form, sign_certificate,
+                            SIGN_ZERO, NoCertificateError, _strip_c4,
+                            generic_lambda, generic_two_form, sign_certificate,
                             sign_partition)
 
 
@@ -146,6 +146,64 @@ def test_sign_certificate_examples():
     assert cls == SIGN_ZERO
     with pytest.raises(NoCertificateError):
         sign_certificate(P("b1"))
+
+
+def test_strip_c4_keeps_monomials_in_variable_order():
+    """b12 sorts before b9 as a string; the quotient's monomials must still
+    be the canonical ones, which the scaled square below relies on."""
+    c4, b9, b12 = P("c") ** 4, P("b9"), P("b12")
+    assert _strip_c4(c4 * b9 * b12) == b9 * b12
+    cls, cert = sign_certificate(c4 * (b9 + b12) ** 2)
+    assert (cls, cert.kind, cert.factor) == (SIGN_NONNEG, "scaled_square", 1)
+    assert cert.root == b9 + b12
+
+
+def witness(b_values):
+    return {**{v: Fraction(x) for v, x in b_values.items()}, "c": Fraction(1)}
+
+
+# Every survey row as the Polynomial arithmetic before its scalar fast path
+# and memoized monomial product computed it: str(lambda), sign class and
+# the certificate (kind, factor, str(root), witnesses).
+N4_POS = witness({"b12": -2, "b13": -2, "b14": -2, "b15": 1})
+N4_NEG = witness({"b12": -2, "b13": -2, "b14": -2, "b15": -2})
+N9_POS = witness({"b9": -2, "b13": -2, "b14": -2, "b15": 1})
+N9_NEG = witness({"b9": -2, "b13": -2, "b14": -2, "b15": -2})
+SQUARE15 = ("b15^4*c^4", SIGN_NONNEG, "scaled_square", 1, "b15^2")
+ZERO_ROW = ("0", SIGN_ZERO, "zero", None, None)
+DIFF = ("b14^4*c^4 - 2*b14^2*b15^2*c^4 + b15^4*c^4", SIGN_NONNEG,
+        "scaled_square", 1, "b14^2 - b15^2")
+SUM = ("b14^4*c^4 + 2*b14^2*b15^2*c^4 + b15^4*c^4", SIGN_NONNEG,
+       "scaled_square", 1, "b14^2 + b15^2")
+SURVEY_PINNED = {
+    "n4": ("-4*b12*b15^3*c^4 - 4*b13*b15^3*c^4 + 4*b14^2*b15^2*c^4",
+           SIGN_INDEFINITE, "witness_pair", None, None, N4_POS, N4_NEG),
+    "n6": SQUARE15, "n7": DIFF, "n8": SUM,
+    "n9": ("-4*b9*b15^3*c^4 - 4*b13*b15^3*c^4 + 4*b14^2*b15^2*c^4",
+           SIGN_INDEFINITE, "witness_pair", None, None, N9_POS, N9_NEG),
+    "n10": SQUARE15, "n11": SQUARE15, "n12": ZERO_ROW, "n13": ZERO_ROW,
+    "n14": ("b14^4*c^4", SIGN_NONNEG, "scaled_square", 1, "b14^2"),
+    "n15": DIFF, "n16": SUM, "n21": ZERO_ROW, "n22": SQUARE15,
+    "n24": ZERO_ROW, "n25": SQUARE15, "n27": ZERO_ROW,
+    "n28": ("-4*b15^4*c^4", SIGN_NONPOS, "scaled_square", -4, "b15^2"),
+    "n29": ZERO_ROW, "n30": SQUARE15, "n31": ZERO_ROW, "n32": ZERO_ROW,
+    "n33": ZERO_ROW, "n34": ZERO_ROW,
+}
+
+
+def test_survey_rows_are_pinned(survey_rows):
+    assert [r.algebra_name for r in survey_rows] == list(SURVEY_PINNED)
+    for row in survey_rows:
+        cert = row.certificate
+        want = SURVEY_PINNED[row.algebra_name]
+        want = want + (None, None) if len(want) == 5 else want
+        assert (str(row.lambda_poly), row.sign_class, cert.kind, cert.factor,
+                None if cert.root is None else str(cert.root),
+                cert.positive_witness, cert.negative_witness) == want
+        assert cert.factor is None or type(cert.factor) is Fraction
+        assert all(type(x) is Fraction for w in (cert.positive_witness,
+                                                 cert.negative_witness)
+                   if w for x in w.values())
 
 
 def test_n28_specialization_matches_explicit_pair(survey_rows):
