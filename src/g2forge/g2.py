@@ -3,20 +3,22 @@ intrinsic torsion, curvature formulas and the product construction from a
 coupled pair on a six-dimensional factor.
 
 Torsion forms are extracted by orthogonal projection onto the irreducible
-pieces of the 4- and 5-form decompositions, then validated by exact
-reconstruction of d(phi) and d(*phi).
+pieces of the 4- and 5-form decompositions, by their closed-form Gram
+matrices, then validated by exact reconstruction of d(phi) and d(*phi).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg, scalars
 from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, basis_indices,
-                       codifferential, contract_basis, form_inner, form_to_vec,
-                       hodge_star, pullback, scaled, vec_to_form, wedge)
+                       codifferential, complement_sign, contract_basis,
+                       form_inner, hodge_star, pullback, scaled, vec_to_form,
+                       wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -76,21 +78,24 @@ class StarRicci:
 
 
 def b_form(phi: KForm) -> linalg.Matrix:
-    """B(X,Y) = (1/6) i_X phi ^ i_Y phi ^ phi, in units of e^{1..7}."""
+    """B(X,Y) = (1/6) i_X phi ^ i_Y phi ^ phi, in units of e^{1..7}: each
+    2-index of i_X phi pairs with its signed complement in the 5-form
+    i_Y phi ^ phi, on integers over one denominator for exact phi."""
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("b_form expects a 3-form in dimension 7")
-    top = tuple(range(1, 8))
     contractions = [contract_basis(i, phi) for i in range(1, 8)]
-    rows = []
-    for i in range(7):
-        row = []
-        for j in range(7):
-            if j < i:
-                row.append(rows[j][i])
-                continue
-            w = wedge(wedge(contractions[i], contractions[j]), phi)
-            row.append(w.coeffs.get(top, Fraction(0)) / 6)
-        rows.append(row)
+    fives = [wedge(c, phi) for c in contractions]
+    den, nums = linalg.clear(chain.from_iterable(
+        f.coeffs.values() for f in contractions + fives))
+    nums = iter(nums)
+    lefts = [[(complement_sign(idx, 7), x) for idx, x in zip(c.coeffs, nums)]
+             for c in contractions]
+    rights = [dict(zip(f.coeffs, nums)) for f in fives]
+    rows: List[List[Scalar]] = []
+    for i, left in enumerate(lefts):
+        rows.append([rows[j][i] if j < i else linalg.over(sum(
+            sign * x * w[comp] for (sign, comp), x in left if comp in w),
+            6 * den * den) for j, w in enumerate(rights)])
     return linalg.mat(rows)
 
 
@@ -141,24 +146,15 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
 # projections onto irreducible pieces
 # ---------------------------------------------------------------------------
 
-def _gram_project(target: KForm, basis: List[KForm], g: InnerProduct,
-                  tol: float) -> Tuple[KForm, Sequence[Scalar]]:
-    """g-orthogonal projection of target onto span(basis).
-
-    The Gram matrix is symmetric: its upper triangle is computed and
-    mirrored."""
-    gram: List[List[Scalar]] = []
-    for i, a in enumerate(basis):
-        gram.append([gram[j][i] if j < i else form_inner(a, b, g)
-                     for j, b in enumerate(basis)])
-    rhs = [form_inner(a, target, g) for a in basis]
-    coeffs = linalg.solve(linalg.mat(gram), rhs, tol)
-    if coeffs is None:
-        raise TorsionInconsistencyError("projection system is singular")
-    out = KForm.zero(target.dim, target.degree)
-    for c, f in zip(coeffs, basis):
-        out = out + c * f
-    return out, coeffs
+def _project(target: KForm, basis: List[KForm], g: InnerProduct,
+             m: linalg.Matrix, k: int) -> Tuple[KForm, List[Scalar]]:
+    """g-orthogonal projection of target onto a family of 7 forms whose Gram
+    matrix is k m^-1 (see ``torsion_forms``): the coefficients are m r / k
+    for the inner products r of the family with target."""
+    r = [form_inner(b, target, g) for b in basis]
+    coeffs = [sum(x * y for x, y in zip(row, r)) / k for row in m]
+    return sum((c * f for c, f in zip(coeffs, basis)),
+               KForm.zero(target.dim, target.degree)), coeffs
 
 
 def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
@@ -172,7 +168,7 @@ def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
         raise ValueError("expected a 2-form")
     basis7 = [contract_basis(i, s.phi) for i in range(1, 8)]
     use_tol = scaled(tol, a, s.phi, s.star_phi)
-    p7, _ = _gram_project(a, basis7, s.metric, use_tol)
+    p7, _ = _project(a, basis7, s.metric, s.metric.inverse, 3)
     p14 = a - p7
     if not wedge(p14, s.star_phi).is_zero(scaled(use_tol, p14)):
         raise TorsionInconsistencyError("14-part failed its defining relation")
@@ -189,7 +185,7 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     phi_norm = form_inner(s.phi, s.phi, g)
     p1 = (form_inner(a, s.phi, g) / phi_norm) * s.phi
     basis7 = [contract_basis(i, s.star_phi) for i in range(1, 8)]
-    p7, _ = _gram_project(a, basis7, g, use_tol)
+    p7, _ = _project(a, basis7, g, g.inverse, 4)
     p27 = a - p1 - p7
     type_tol = scaled(use_tol, p27)
     if not wedge(p27, s.phi).is_zero(type_tol) or \
@@ -209,14 +205,10 @@ def type_project(a: KForm, s: G2Structure, tol: float = 1e-10) -> Dict[str, KFor
 def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
     """Exact basis of the 14-dimensional piece: kernel of beta ^ *phi."""
     idx2 = basis_indices(7, 2)
-    idx6 = basis_indices(7, 6)
-    rows = []
-    for i6 in idx6:
-        row = []
-        for i2 in idx2:
-            w = wedge(KForm(7, 2, {i2: Fraction(1)}), s.star_phi)
-            row.append(w.coeffs.get(i6, Fraction(0)))
-        rows.append(row)
+    wedges = [wedge(KForm(7, 2, {i2: Fraction(1)}), s.star_phi).coeffs
+              for i2 in idx2]
+    rows = [[w.get(i6, Fraction(0)) for w in wedges]
+            for i6 in basis_indices(7, 6)]
     kernel = linalg.nullspace(linalg.mat(rows), tol)
     return [vec_to_form(7, 2, v, idx2) for v in kernel]
 
@@ -233,8 +225,18 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
         d phi   = tau0 * (*phi) + 3 tau1 ^ phi + *tau3,
         d *phi  = 4 tau1 ^ (*phi) + tau2 ^ phi,
 
-    where tau2 pairs to zero with *phi and tau3 wedges to zero with both
-    phi and *phi.  Both identities are re-checked after solving.
+    where tau2 wedges to zero with *phi and tau3 wedges to zero with both
+    phi and *phi.  Projections use the Gram matrices (Bryant, Some remarks
+    on G2-structures, 2.6; |phi|^2 = 7)
+
+        <e^i ^ phi, e^j ^ phi> = 4 g^ij,   <e^i ^ *phi, e^j ^ *phi> = 3 g^ij,
+        <i_i phi, i_j phi>     = 3 g_ij,   <i_i *phi, i_j *phi>     = 4 g_ij,
+
+    and tau1 is read from both equations, which must agree.  On the
+    14-dimensional piece *(beta ^ phi) = -beta in the orientation of phi;
+    the star here is taken in the standard one, so tau2 = -sigma *
+    (d *phi - 4 tau1 ^ *phi) for the ``orientation_sign`` sigma.  The types
+    of tau2 and tau3 and both identities are re-checked.
     """
     if algebra.dim != 7:
         raise ValueError("torsion analysis lives on 7-dimensional algebras")
@@ -243,13 +245,13 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
     use_tol = scaled(tol, phi, star_phi, dphi, dstar)
+    coframe = [KForm(7, 1, {(i,): Fraction(1)}) for i in range(1, 8)]
 
     # --- 4-form equation ---------------------------------------------------
     tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
-    basis47 = [wedge(KForm(7, 1, {(i,): Fraction(1)}), phi) for i in range(1, 8)]
-    p47, coeffs47 = _gram_project(dphi, basis47, g, use_tol)
-    tau1 = KForm(7, 1, {(i + 1,): c / 3 for i, c in enumerate(coeffs47)
-                        if not is_zero(c)})
+    basis47 = [wedge(e, phi) for e in coframe]
+    p47, coeffs47 = _project(dphi, basis47, g, g.matrix, 4)
+    tau1 = KForm(7, 1, {(i,): c / 3 for i, c in enumerate(coeffs47, 1)})
     star_tau3 = dphi - tau0 * star_phi - p47
     tau3 = hodge_star(star_tau3, g, orient)
     type_tol = scaled(use_tol, tau3)
@@ -258,26 +260,15 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
         raise TorsionInconsistencyError("tau3 escaped the 27-dimensional type")
 
     # --- 5-form equation ---------------------------------------------------
-    basis57 = [wedge(KForm(7, 1, {(i,): Fraction(1)}), star_phi)
-               for i in range(1, 8)]
-    p57, coeffs57 = _gram_project(dstar, basis57, g, use_tol)
-    tau1_bis = KForm(7, 1, {(i + 1,): c / 4 for i, c in enumerate(coeffs57)
-                            if not is_zero(c)})
+    basis57 = [wedge(e, star_phi) for e in coframe]
+    p57, coeffs57 = _project(dstar, basis57, g, g.matrix, 3)
+    tau1_bis = KForm(7, 1, {(i,): c / 4 for i, c in enumerate(coeffs57, 1)})
     if not (tau1 - tau1_bis).is_zero(use_tol):
         raise TorsionInconsistencyError(
             "tau1 from d(phi) and d(*phi) disagree")
-    rest = dstar - p57
-    basis14 = two_form_14_basis(s, tol)
-    idx5 = basis_indices(7, 5)
-    cols = [form_to_vec(wedge(b, phi), idx5) for b in basis14]
-    rows = [[cols[c][r] for c in range(len(basis14))] for r in range(len(idx5))]
-    rhs = form_to_vec(rest, idx5)
-    sol = linalg.solve(linalg.mat(rows), rhs, use_tol)
-    if sol is None:
-        raise TorsionInconsistencyError("tau2 system is inconsistent")
-    tau2 = KForm.zero(7, 2)
-    for c, f in zip(sol, basis14):
-        tau2 = tau2 + c * f
+    tau2 = -s.orientation_sign * hodge_star(dstar - p57, g, orient)
+    if not wedge(tau2, star_phi).is_zero(scaled(use_tol, tau2)):
+        raise TorsionInconsistencyError("tau2 escaped the 14-dimensional type")
 
     # --- exact reconstruction ------------------------------------------------
     recon4 = tau0 * star_phi + 3 * wedge(tau1, phi) + star_tau3

@@ -365,7 +365,9 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
 
     Spans are kept as rows; the row v ad_i, with (ad_i)_jk = c^k_ij, is
     [e_i, v], so one product by the side-by-side ad_i is one step.  The
-    verdict is kept on the algebra, per tol."""
+    verdict is kept on the algebra per tol and returned first."""
+    if tol in algebra._nilpotency:
+        return algebra._nilpotency[tol]
     if algebra.is_polynomial_ring():
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")

@@ -66,8 +66,11 @@ def clear(values: Iterable[Scalar]) -> Tuple[int, list]:
     values = list(values)
     if not is_exact(values):
         return 1, values
-    den = math.lcm(*[x.denominator for x in values])
-    return den, [x.numerator * (den // x.denominator) for x in values]
+    ratios = [x.as_integer_ratio() for x in values]
+    den = math.lcm(*[d for _, d in ratios])
+    if den == 1:
+        return 1, [n for n, _ in ratios]
+    return den, [n * (den // d) for n, d in ratios]
 
 
 def clear_rows(m: Sequence[Sequence[Scalar]]) -> Tuple[int, List[list]]:

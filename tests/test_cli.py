@@ -13,7 +13,7 @@ from g2forge import catalog, cli
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
 from g2forge.exterior import render_form
 from g2forge.liealg import render_structure_equations
-from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
+from test_coframe import CASES, GENERIC, P6_DENSE, P_DENSE, Coframe
 
 
 def run_cli(capsys, *argv):
@@ -526,9 +526,9 @@ def su3_case(name, twist):
 
 
 def g2_case(name, twist):
-    """(algebra argument, phi) of n28_ext or abelian_ext at a = 2/3, or of
-    its rewriting on the coframe P_DENSE e."""
-    algebra, phi = CASES[name]
+    """(algebra argument, phi) of n28_ext, abelian_ext at a = 2/3 or the
+    generic-torsion input, or of its rewriting on the coframe P_DENSE e."""
+    algebra, phi = {**CASES, "generic": GENERIC}[name]
     if not twist:
         return render_structure_equations(algebra), phi
     c = Coframe(P_DENSE)
@@ -566,7 +566,7 @@ def test_su3_check_verdicts_agree_across_rings(capsys, name, twist):
 
 
 @pytest.mark.parametrize("twist", [False, True], ids=["catalog", "dense"])
-@pytest.mark.parametrize("name", ["n28_ext", "abelian_ext"])
+@pytest.mark.parametrize("name", ["n28_ext", "abelian_ext", "generic"])
 def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
     algebra, phi = g2_case(name, twist)
     exact, approx = results_in_both_rings(capsys, [

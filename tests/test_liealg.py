@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
 from g2forge.exterior import KForm, basis_indices, sort_index, wedge
-from g2forge.liealg import (Derivation, JacobiError,
+from g2forge.liealg import (Derivation, JacobiError, LieAlgebra,
                             MetricLieAlgebra, NotDerivationError,
                             StructureParseError, derivation_space,
                             is_derivation, is_nilpotent, parse_form,
@@ -93,6 +93,27 @@ def test_nilpotency():
     ext = catalog.abelian_scaling_extension().algebra
     at_one = specialize(ext, {"a": Fraction(1)})
     assert is_nilpotent(at_one) == (False, None)
+
+
+def test_cached_nilpotency_verdict_is_returned_first(monkeypatch):
+    """A kept verdict is returned before the structure constants or the
+    ring are read; another tol decides afresh."""
+    algebra = catalog.algebra("n34")
+    assert is_nilpotent(algebra) == (True, 1)
+    reads = []
+    constants = LieAlgebra.structure_constants
+
+    def counted(self):
+        reads.append(1)
+        return constants.fget(self)
+
+    monkeypatch.setattr(LieAlgebra, "structure_constants", property(counted))
+    monkeypatch.setattr(LieAlgebra, "is_polynomial_ring",
+                        lambda self: reads.append(1) or False)
+    assert is_nilpotent(algebra) == (True, 1)
+    assert reads == []
+    assert is_nilpotent(algebra, tol=1e-8) == (True, 1)
+    assert reads == [1, 1]
 
 
 def test_ce_differential_examples(n28):

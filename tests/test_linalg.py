@@ -249,6 +249,31 @@ def test_clear_writes_exact_values_over_their_lcm(values):
     assert all(type(linalg.over(x, den)) is Fraction for x in nums)
 
 
+def clear_by_properties(values):
+    """Reference: ``clear`` reading ``denominator`` twice and ``numerator``
+    once per exact value."""
+    values = list(values)
+    if not linalg.is_exact(values):
+        return 1, values
+    den = lcm_of(x.denominator for x in values)
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(max_denominator=60)
+                | st.integers(-10**30, 10**30)
+                | st.sampled_from([0, Fraction(0), 0.5, Polynomial()]),
+                max_size=12))
+def test_clear_matches_the_property_reads(values):
+    """Denominator, numerators and their types equal the reference's, also
+    over den 1 and from a generator."""
+    den, nums = linalg.clear(x for x in values)
+    ref_den, ref_nums = clear_by_properties(values)
+    assert type(den) is int and den == ref_den
+    assert nums == ref_nums
+    assert [type(x) for x in nums] == [type(x) for x in ref_nums]
+
+
 NON_EXACT = (st.floats(allow_nan=True, allow_infinity=True)
              | st.sampled_from([0.0, -0.0, 5e-324])
              | st.sampled_from([Polynomial(), Polynomial.variable("a"),
