@@ -25,11 +25,11 @@ from .g2 import NotPositiveError, metric_from_phi, \
 from .liealg import (LieAlgebra, MetricLieAlgebra, is_nilpotent, parse_form,
                      parse_structure_equations, render_structure_equations,
                      to_float_algebra)
-from .reproduce import SUITES, compute_suite, payload
+from .reproduce import SUITES, compute_suite, payload, suite_table1
 from .scalars import ExactnessError, RingMismatchError
 from .stable_forms import su3_predicates
-from .survey import (ObstructionFailure, build_table, n4_obstruction_sample,
-                     n9_nilsoliton_obstruction_sample, sign_partition)
+from .survey import (ObstructionFailure, n4_obstruction_sample,
+                     n9_nilsoliton_obstruction_sample)
 
 GOLDEN_PACKAGE = "g2forge.golden"
 
@@ -266,15 +266,7 @@ def cmd_g2(args) -> Report:
 
 
 def cmd_table1(args) -> Report:
-    rows = build_table()
-    rep = Report(command="table1")
-    rep.results["rows"] = [
-        {"algebra": r.algebra_name,
-         "structure": r.structure_equations,
-         "lambda": r.lambda_poly,
-         "sign": r.sign_class} for r in rows]
-    rep.results["partition"] = sign_partition(rows)
-    return rep
+    return Report(command="table1", results=suite_table1())
 
 
 def _render_table1_md(rep: Report) -> str:

@@ -193,10 +193,6 @@ class KForm:
     def __hash__(self):
         return hash((self.dim, self.degree, frozenset(self.coeffs.items())))
 
-    def approx_eq(self, other: "KForm", tol: float = 1e-10) -> bool:
-        self._require_same_shape(other)
-        return (self - other).is_zero(tol)
-
     def wedge(self, other: "KForm") -> "KForm":
         return wedge(self, other)
 

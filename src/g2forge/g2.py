@@ -357,7 +357,9 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
         for ss, c in up.get((i, j), {}).items():
             row = contracted.setdefault((k, l), {})
             row[ss] = row.get(ss, 0) + r * c
-    rows = [[0] * n for _ in range(n)]
+    # the ring's zero: 0.0 for a float metric, int 0 on the exact path
+    zero = 0.0 if isinstance(linalg.ring_zero(g), float) else 0
+    rows = [[zero] * n for _ in range(n)]
     for kl, row in contracted.items():
         for mm, c2 in up.get(kl, {}).items():
             for ss, c1 in row.items():

@@ -2,40 +2,77 @@
 six-dimensional algebra.
 
 The generic 2-form is parametrized by the 15 coefficients b_1..b_15 in
-lexicographic pair order.  All bilinear structure (the K endomorphism,
-compatibility wedges) is precomputed into numpy tensors once per algebra,
-so the samplers can evaluate lambda, J and h in microseconds.  The exact
-stable_forms module is the reference implementation; agreement of the two
-routes is asserted in the test suite.
+lexicographic pair order.  K, omega ^ sigma and the Pfaffian of omega are
+read once per process off the exact code (``k_endomorphism``, ``wedge``,
+``omega_cubed``) at the generic forms, into numpy tables that do not depend
+on the algebra; each sampler contracts them with its own matrix of d on
+2-forms, so the samplers can evaluate lambda, J and h in microseconds.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import scalars
-from .exterior import KForm, sort_index
+from .exterior import KForm, wedge
 from .liealg import LieAlgebra
+from .scalars import Polynomial
+from .stable_forms import k_endomorphism, omega_cubed
 
 PAIRS: List[Tuple[int, int]] = list(combinations(range(1, 7), 2))
 TRIPLES: List[Tuple[int, int, int]] = list(combinations(range(1, 7), 3))
-QUADS: List[Tuple[int, ...]] = list(combinations(range(1, 7), 4))
-FIVES: List[Tuple[int, ...]] = list(combinations(range(1, 7), 5))
 
 _TRIP_POS = {t: i for i, t in enumerate(TRIPLES)}
 
 # 0-based row and column of each pair, so that omega_b[PAIR_ROW, PAIR_COL] = b
 PAIR_ROW = np.array([p - 1 for p, _ in PAIRS])
 PAIR_COL = np.array([q - 1 for _, q in PAIRS])
-# the 15 perfect matchings of {1..6} as triples of pair positions, with the
-# sign of the permutation (p1 q1 p2 q2 p3 q3): Pf(omega_b) = sum sign b b b
-_MATCHINGS = [(x, y, z) for x, y, z in combinations(range(len(PAIRS)), 3)
-              if len(set(PAIRS[x] + PAIRS[y] + PAIRS[z])) == 6]
-_PF_INDEX = np.array(_MATCHINGS)
-_PF_SIGN = np.array([float(sort_index(PAIRS[x] + PAIRS[y] + PAIRS[z])[0])
-                     for x, y, z in _MATCHINGS])
+
+
+def generic_form(degree: int, prefix: str) -> KForm:
+    """The 6-dimensional form with symbolic coefficients prefix1, prefix2,
+    ... in lexicographic index order: generic_form(2, "b") is
+    b1 e^12 + b2 e^13 + ... + b15 e^56."""
+    return KForm(6, degree, {
+        idx: Polynomial.variable("%s%d" % (prefix, i))
+        for i, idx in enumerate(combinations(range(1, 7), degree), start=1)})
+
+
+def _terms(p):
+    """(0-based positions of its variables, coefficient) for each term of a
+    polynomial in the coefficients of ``generic_form``; a square lists its
+    variable twice, and the exact zero, a Fraction, has no terms."""
+    for mono, coeff in getattr(p, "terms", {}).items():
+        yield (tuple(int(v[1:]) - 1 for v, e in mono for _ in range(e)),
+               float(coeff))
+
+
+@lru_cache(maxsize=None)
+def _tables():
+    """The exact K, omega ^ sigma and Pfaffian at the generic omega =
+    sum b_p e^(pair p) and sigma = sum s_a e^(triple a), as numpy tables:
+    K[m, j] = sum k[m, j, a, b] s_a s_b, with each monomial once;
+    (omega ^ sigma) on e^(complement of m) = sum u[m, p, a] b_p s_a;
+    Pf(omega) = sum_i sign[i] prod b[index[i]], over the 15 matchings."""
+    omega, sigma = generic_form(2, "b"), generic_form(3, "s")
+    k = np.zeros((6, 6, len(TRIPLES), len(TRIPLES)))
+    for m, row in enumerate(k_endomorphism(sigma)):
+        for j, entry in enumerate(row):
+            for pos, coeff in _terms(entry):
+                k[(m, j) + pos] = coeff
+    u = np.zeros((6, len(PAIRS), len(TRIPLES)))
+    for idx, entry in wedge(omega, sigma).items():
+        (missing,) = set(range(1, 7)) - set(idx)
+        for pos, coeff in _terms(entry):
+            u[(missing - 1,) + pos] = coeff
+    # omega^3 = 3! Pf(omega) e^123456
+    pf = sorted(_terms(omega_cubed(omega)[tuple(range(1, 7))]))
+    index = np.array([pos for pos, _ in pf])
+    sign = np.array([coeff / 6 for _, coeff in pf])
+    return k, u, index, sign
 
 
 def two_form_from_b(b) -> KForm:
@@ -55,7 +92,8 @@ class StableFormSampler:
             raise ValueError("sampler works on six-dimensional algebras")
         self.algebra = algebra
         self.d_matrix = self._build_d_matrix()
-        self.k_tensor = self._build_k_tensor()
+        self.k_tensor, compat_tensor, self._pf_index, self._pf_sign = \
+            _tables()
         # K and omega ^ sigma for c = 1 written directly on b, summed with
         # their transposes so that one contraction with b gives the
         # Jacobian: dK/db = k_b_tensor @ b and K = (dK/db) b / 2
@@ -63,7 +101,7 @@ class StableFormSampler:
             "mjab,ap,bq->mjpq", self.k_tensor, self.d_matrix, self.d_matrix,
             optimize=True))
         self.compat_b_tensor = _symmetrize(np.einsum(
-            "mpa,aq->mpq", self._build_compat_tensor(), self.d_matrix))
+            "mpa,aq->mpq", compat_tensor, self.d_matrix))
 
     # -- structure tensors ---------------------------------------------------
     def _build_d_matrix(self) -> np.ndarray:
@@ -74,39 +112,6 @@ class StableFormSampler:
             for idx, c in d.coeffs.items():
                 m[_TRIP_POS[idx], col] = scalars.as_float(c)
         return m
-
-    def _build_k_tensor(self) -> np.ndarray:
-        """w[m, j, a, b] with K[m, j] = sum w[m,j,a,b] s_a s_b."""
-        w = np.zeros((6, 6, len(TRIPLES), len(TRIPLES)))
-        full = set(range(1, 7))
-        for a, ta in enumerate(TRIPLES):
-            for j in range(1, 7):
-                if j not in ta:
-                    continue
-                pos = ta.index(j)
-                pair = ta[:pos] + ta[pos + 1:]
-                sign_c = -1.0 if pos % 2 else 1.0
-                for b_i, tb in enumerate(TRIPLES):
-                    if set(pair) & set(tb):
-                        continue
-                    sign_w, merged = _merge(pair, tb)
-                    (missing,) = full - set(merged)
-                    sign_a = -1.0 if (missing - 1) % 2 else 1.0
-                    w[missing - 1, j - 1, a, b_i] += sign_c * sign_w * sign_a
-        return w
-
-    def _build_compat_tensor(self) -> np.ndarray:
-        """u[m, p, a]: coefficient of the 5-form e^(complement of m)."""
-        u = np.zeros((6, len(PAIRS), len(TRIPLES)))
-        full = set(range(1, 7))
-        for p, pair in enumerate(PAIRS):
-            for a, trip in enumerate(TRIPLES):
-                if set(pair) & set(trip):
-                    continue
-                sign_w, merged = _merge(pair, trip)
-                (missing,) = full - set(merged)
-                u[missing - 1, p, a] += sign_w
-        return u
 
     # -- evaluation ------------------------------------------------------------
     def sigma_coeffs(self, b: np.ndarray, c: float = 1.0) -> np.ndarray:
@@ -139,7 +144,8 @@ class StableFormSampler:
 
     def orientation_sign(self, b: np.ndarray) -> float:
         # pfaffian of the omega matrix; sign of omega^3 against e^{1..6}
-        pf = float(_PF_SIGN @ np.prod(np.asarray(b)[_PF_INDEX], axis=1))
+        pf = float(self._pf_sign
+                   @ np.prod(np.asarray(b)[self._pf_index], axis=1))
         return 1.0 if pf >= 0 else -1.0
 
     def metric_of(self, b: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -164,7 +170,3 @@ class StableFormSampler:
 def _symmetrize(t: np.ndarray) -> np.ndarray:
     return t + np.swapaxes(t, -1, -2)
 
-
-def _merge(a: Tuple[int, ...], b: Tuple[int, ...]):
-    sign, idx = sort_index(a + b)
-    return float(sign), idx

@@ -260,17 +260,6 @@ class Polynomial:
             total += term
         return total
 
-    def evaluate_float(self, assignment: Mapping[str, float]) -> float:
-        total = 0.0
-        for m, c in self.terms.items():
-            term = float(c)
-            for v, e in m:
-                if v not in assignment:
-                    raise MissingVariableError("no value for variable %r" % v)
-                term *= float(assignment[v]) ** e
-            total += term
-        return total
-
     # -- ordering helpers (graded lex over the natural variable order) -----
     def _grlex_key(self, m: Monomial, var_order: tuple):
         exps = dict(m)

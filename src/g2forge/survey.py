@@ -18,9 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import catalog
-from .exterior import KForm
 from .liealg import LieAlgebra, render_structure_equations
-from .sampling import PAIR_COL, PAIR_ROW, PAIRS, StableFormSampler
+from .sampling import PAIR_COL, PAIR_ROW, StableFormSampler, generic_form
 from .scalars import Polynomial, _mono_div, poly_eval, poly_sqrt
 from .stable_forms import lambda_invariant
 
@@ -59,22 +58,13 @@ class SurveyRow:
     certificate: Certificate
 
 
-def generic_two_form() -> KForm:
-    """omega with symbolic coefficients b1..b15 in lexicographic pair order."""
-    coeffs = {}
-    for i, pair in enumerate(PAIRS, start=1):
-        coeffs[pair] = Polynomial.variable("b%d" % i)
-    return KForm(6, 2, coeffs)
-
-
 def generic_lambda(algebra: LieAlgebra) -> Polynomial:
     """lambda of sigma = c d(omega) for the generic omega, as an exact quartic."""
     if algebra.dim != 6:
         raise ValueError("the survey runs on six-dimensional algebras")
     if algebra.is_float_ring():
         raise ValueError("generic lambda needs exact structure constants")
-    omega = generic_two_form()
-    sigma = Polynomial.variable("c") * algebra.d(omega)
+    sigma = Polynomial.variable("c") * algebra.d(generic_form(2, "b"))
     lam = lambda_invariant(sigma)
     if not isinstance(lam, Polynomial):
         lam = Polynomial.constant(lam)

@@ -579,6 +579,9 @@ def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
         if key in exact:
             assert_close(exact[key], approx[key])
     assert_close(exact["torsion"]["tau0"], approx["torsion"]["tau0"])
+    # float star-Ricci entries no curvature term reaches are 0.0, not "0"
+    assert not any(isinstance(x, str)
+                   for row in approx["star_ricci"] for x in row)
 
 
 def test_main_parses_with_one_parser_and_no_state_between_calls(

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
+from g2forge.exterior import wedge
 from g2forge.sampling import PAIRS, StableFormSampler, two_form_from_b
-from g2forge.stable_forms import (NotStableError, lambda_invariant,
-                                  metric_from_pair, orientation_sign)
+from g2forge.stable_forms import (NotStableError, k_endomorphism,
+                                  lambda_invariant, metric_from_pair,
+                                  orientation_sign)
 from g2forge.survey import (_isotropy_search, _isotropy_terms,
                             draw_admissible_coefficients,
                             n4_obstruction_sample,
@@ -21,14 +23,27 @@ rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
        rationals.filter(lambda c: c != 0))
 @settings(max_examples=20, deadline=None)
 def test_numeric_lambda_agrees_with_exact(b_frac, c):
-    # dual-route check: tensor evaluation vs exact forms
+    # dual-route check: tensor evaluation vs exact forms, lambda and then K
+    # and omega ^ sigma entry by entry, which see a sign lambda cannot
     algebra = catalog.algebra("n4")
     sampler = StableFormSampler(algebra)
     omega = two_form_from_b(b_frac)
     sigma = Fraction(c) * algebra.d(omega)
     exact = float(lambda_invariant(sigma))
-    fast = sampler.lambda_of(np.array([float(x) for x in b_frac]), float(c))
+    b = np.array([float(x) for x in b_frac])
+    fast = sampler.lambda_of(b, float(c))
     assert abs(exact - fast) <= 1e-9 * max(1.0, abs(exact))
+    k_exact = np.array([[float(x) for x in row]
+                        for row in k_endomorphism(sigma)])
+    k_fast = sampler.k_matrix(sampler.sigma_coeffs(b, float(c)))
+    assert np.abs(k_fast - k_exact).max() <= 1e-9 * max(
+        1.0, np.abs(k_exact).max())
+    five = wedge(omega, sigma)
+    v_exact = np.array([float(five[tuple(i for i in range(1, 7) if i != m)])
+                        for m in range(1, 7)])
+    v_fast = sampler.compat(b, float(c))[0]
+    assert np.abs(v_fast - v_exact).max() <= 1e-9 * max(
+        1.0, np.abs(v_exact).max())
 
 
 def test_numeric_j_and_h_agree_with_exact_on_n28():

@@ -71,19 +71,6 @@ def test_poly_product_evaluation_homomorphism(assignment, a0, a1, b0, b1):
     assert lhs == rhs
 
 
-@given(st.dictionaries(st.sampled_from(["x", "y"]),
-                       st.fractions(min_value=-1000, max_value=1000,
-                                    max_denominator=40),
-                       min_size=2, max_size=2),
-       rationals, rationals, rationals)
-def test_float_evaluation_agrees_with_exact(assignment, a, b, c):
-    p = a + b * P("x") + c * P("x") * P("y") ** 2
-    exact = float(poly_eval(p, assignment))
-    approx = p.evaluate_float({k: float(v) for k, v in assignment.items()})
-    scale = max(1.0, abs(exact))
-    assert abs(exact - approx) <= 1e-12 * scale
-
-
 def test_sqrt_helpers():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_fraction(Fraction(2)) is None

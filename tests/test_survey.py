@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from g2forge import catalog
+from g2forge.sampling import generic_form
 from g2forge.scalars import Polynomial, poly_eval
 from g2forge.stable_forms import lambda_invariant
 from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
                             SIGN_ZERO, NoCertificateError, _strip_c4,
-                            generic_lambda, generic_two_form, sign_certificate,
+                            generic_lambda, sign_certificate,
                             sign_partition)
 
 
@@ -61,10 +62,14 @@ N8_REGENERATED = P("c") ** 4 * (P("b14") ** 2 + P("b15") ** 2) ** 2
 
 
 def test_generic_two_form_ordering():
-    omega = generic_two_form()
+    omega = generic_form(2, "b")
     assert omega[(1, 2)] == P("b1")
     assert omega[(2, 3)] == P("b6")
     assert omega[(5, 6)] == P("b15")
+    sigma = generic_form(3, "s")
+    assert sigma[(1, 2, 3)] == P("s1")
+    assert sigma[(1, 5, 6)] == P("s10")
+    assert sigma[(4, 5, 6)] == P("s20")
 
 
 def test_survey_table_regeneration(survey_rows):
