@@ -165,28 +165,3 @@ def abelian_ext_g2_form() -> KForm:
         (-1, 1, 2, 5), (-1, 1, 3, 6), (-1, 1, 4, 7), (1, 2, 3, 7),
         (-1, 2, 4, 6), (1, 3, 4, 5), (-1, 5, 6, 7))
 
-
-def n9_expected_j_matrix() -> List[List[float]]:
-    """Published almost-complex-structure matrix for the n9 pair."""
-    r = math.sqrt(2.0)
-    return [
-        [0, 0, -r, 0, 0, 0],
-        [r, 0, 0, -r, 0, 0],
-        [r / 2, 0, 0, 0, 0, 0],
-        [0, r / 2, -r, 0, 0, 0],
-        [r, 0, r / 2, r / 2, 0, r],
-        [-r / 4, -r / 4, 3 * r / 2, 0, -r / 2, 0],
-    ]
-
-
-def n9_expected_metric() -> List[List[float]]:
-    """Published induced metric for the n9 pair (positive definite)."""
-    r = math.sqrt(2.0)
-    return [
-        [5 * r / 2, r / 8, r / 4, -r, 0, r],
-        [r / 8, 5 * r / 8, -r / 4, 0, r / 4, 0],
-        [r / 4, -r / 4, 7 * r / 4, r / 4, -r / 2, r / 2],
-        [-r, 0, r / 4, r, 0, 0],
-        [0, r / 4, -r / 2, 0, r / 2, 0],
-        [r, 0, r / 2, 0, 0, r],
-    ]

@@ -18,16 +18,12 @@ from importlib import resources
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import __version__, catalog
-from .curvature import (curvature_tensors, einstein_constant, nilsoliton_check)
 from .exterior import InnerProduct, KForm
-from .g2 import NotPositiveError, metric_from_phi, \
-    scalar_curvature_from_torsion, star_ricci, torsion_forms
-from .liealg import (LieAlgebra, MetricLieAlgebra, is_nilpotent, parse_form,
-                     parse_structure_equations, render_structure_equations,
-                     to_float_algebra)
-from .reproduce import SUITES, compute_suite, payload, suite_table1
+from .liealg import (LieAlgebra, is_nilpotent, parse_form,
+                     parse_structure_equations, render_structure_equations)
+from .reproduce import SUITES, analyze_g2, analyze_metric, analyze_su3, \
+    compute_suite, payload, suite_table1, to_ring
 from .scalars import ExactnessError, RingMismatchError
-from .stable_forms import su3_predicates
 from .survey import (ObstructionFailure, n4_obstruction_sample,
                      n9_nilsoliton_obstruction_sample)
 
@@ -119,9 +115,7 @@ def _load_algebra(name_or_eqns: str, ring: str) -> LieAlgebra:
         algebra = catalog.algebra(name_or_eqns)
     except KeyError:
         algebra = parse_structure_equations(name_or_eqns)
-    if ring == "float" and not algebra.is_polynomial_ring():
-        algebra = to_float_algebra(algebra)
-    return algebra
+    return to_ring(algebra, ring)
 
 
 def _load_form(args, name: str, algebra: LieAlgebra, degree: int) -> KForm:
@@ -130,12 +124,7 @@ def _load_form(args, name: str, algebra: LieAlgebra, degree: int) -> KForm:
     if text is None:
         raise ValueError("%s is missing" % name)
     form = parse_form(text, algebra.dim, degree=degree)
-    return form.to_float() if args.ring == "float" else form
-
-
-def _curvature(algebra: LieAlgebra, metric: InnerProduct):
-    m = MetricLieAlgebra(algebra, metric)
-    return m, curvature_tensors(m)
+    return to_ring(form, args.ring)
 
 
 def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
@@ -190,79 +179,35 @@ def cmd_algebra(args) -> Report:
     return rep
 
 
+def _analysis(command: str, args, algebra: LieAlgebra,
+              results: Dict[str, Any], **inputs: Any) -> Report:
+    return Report(command=command, results=results,
+                  inputs={"algebra": render_structure_equations(algebra),
+                          **inputs},
+                  provenance={"ring": args.ring, "tol": args.tol})
+
+
 def cmd_su3(args) -> Report:
     algebra = _load_algebra(args.algebra, args.ring)
     omega = _load_form(args, "omega", algebra, 2)
     sigma = _load_form(args, "sigma", algebra, 3)
-    verdict = su3_predicates(algebra, omega, sigma, tol=args.tol)
-    rep = Report(command="su3 check")
-    rep.inputs = {"algebra": render_structure_equations(algebra),
-                  "omega": omega, "sigma": sigma}
-    rep.provenance = {"ring": args.ring, "tol": args.tol}
-    rep.results = {
-        "stable": verdict.stable,
-        "compatible": verdict.compatible,
-        "normalized": verdict.normalized,
-        "positive": verdict.positive,
-        "lambda": verdict.lambda_value,
-        "coupled_c": verdict.coupled_c,
-        "half_flat": verdict.half_flat,
-    }
-    return rep
+    return _analysis("su3 check", args, algebra,
+                     analyze_su3(algebra, omega, sigma, args.tol),
+                     omega=omega, sigma=sigma)
 
 
 def cmd_metric(args) -> Report:
     algebra = _load_algebra(args.algebra, args.ring)
-    metric = _parse_metric(args.metric, algebra.dim)
-    if args.ring == "float":
-        metric = metric.to_float()
-    m, tensors = _curvature(algebra, metric)
-    rep = Report(command="metric analyze")
-    rep.inputs = {"algebra": render_structure_equations(algebra),
-                  "metric": metric}
-    rep.provenance = {"ring": args.ring, "tol": args.tol}
-    rep.results["ricci"] = tensors.ricci
-    rep.results["scal"] = tensors.scal
-    rep.results["einstein"] = einstein_constant(m, tensors, tol=args.tol)
-    if not algebra.is_polynomial_ring():
-        nilp, _ = is_nilpotent(algebra)
-        witness = (nilsoliton_check(m, tol=args.tol, tensors=tensors)
-                   if nilp else None)
-        rep.results["nilsoliton"] = None if witness is None else {
-            "c": witness.constant, "derivation": witness.derivation}
-    return rep
+    metric = to_ring(_parse_metric(args.metric, algebra.dim), args.ring)
+    return _analysis("metric analyze", args, algebra,
+                     analyze_metric(algebra, metric, args.tol), metric=metric)
 
 
 def cmd_g2(args) -> Report:
     algebra = _load_algebra(args.algebra, args.ring)
     phi = _load_form(args, "phi", algebra, 3)
-    rep = Report(command="g2 analyze")
-    rep.inputs = {"algebra": render_structure_equations(algebra), "phi": phi}
-    rep.provenance = {"ring": args.ring, "tol": args.tol}
-    try:
-        s = metric_from_phi(phi)
-    except NotPositiveError as exc:
-        rep.results.update(positive=False, error=str(exc))
-        return rep
-    except ExactnessError as exc:
-        # metric_from_phi decides positivity before it takes the 9th root
-        rep.results.update(positive=True, needs_float_ring=str(exc))
-        return rep
-    rep.results["positive"] = True
-    rep.results["metric"] = s.metric
-    t = torsion_forms(algebra, phi, s, tol=args.tol)
-    rep.results["torsion"] = {
-        "tau0": t.tau0, "tau1": t.tau1, "tau2": t.tau2, "tau3": t.tau3}
-    rep.results["class"] = t.class_label
-    if t.class_label != "generic":
-        rep.results["scal_torsion"] = scalar_curvature_from_torsion(
-            t, s, algebra)
-    m, tensors = _curvature(algebra, s.metric)
-    rep.results["scal_ricci"] = tensors.scal
-    sr = star_ricci(m, phi, s, tol=args.tol, tensors=tensors)
-    rep.results["star_ricci"] = sr.matrix
-    rep.results["star_einstein"] = sr.star_einstein
-    return rep
+    return _analysis("g2 analyze", args, algebra,
+                     analyze_g2(algebra, phi, args.tol), phi=phi)
 
 
 def cmd_table1(args) -> Report:
@@ -519,20 +464,26 @@ def cmd_check(args) -> Report:
 # entry point
 # ---------------------------------------------------------------------------
 
+def tolerance(text: str) -> float:
+    """The value of --tol: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number >= 0, not %s" % text)
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--ring", choices=("exact", "float"),
-                        **({"default": default} if suppress
-                           else {"default": "exact"}))
-    parser.add_argument("--tol", type=float,
-                        **({"default": default} if suppress
-                           else {"default": 1e-10}))
-    parser.add_argument("--seed", type=int,
-                        **({"default": default} if suppress
-                           else {"default": 1}))
-    parser.add_argument("--format", choices=("json", "md", "text"), dest="fmt",
-                        **({"default": default} if suppress
-                           else {"default": "text"}))
+    """The global flags; each subcommand repeats them with no default, so
+    that a flag given before the subcommand is not overwritten."""
+    for flag, default, kwargs in (
+            ("--ring", "exact", {"choices": ("exact", "float")}),
+            ("--tol", 1e-10, {"type": tolerance}),
+            ("--seed", 1, {"type": int}),
+            ("--format", "text", {"choices": ("json", "md", "text"),
+                                  "dest": "fmt"})):
+        parser.add_argument(
+            flag, default=argparse.SUPPRESS if suppress else default, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

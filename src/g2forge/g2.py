@@ -194,14 +194,6 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     return {"1": p1, "7": p7, "27": p27}
 
 
-def type_project(a: KForm, s: G2Structure, tol: float = 1e-10) -> Dict[str, KForm]:
-    if a.degree == 2:
-        return two_form_components(a, s, tol)
-    if a.degree == 3:
-        return three_form_components(a, s, tol)
-    raise ValueError("type projection supports degrees 2 and 3")
-
-
 def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
     """Exact basis of the 14-dimensional piece: kernel of beta ^ *phi."""
     idx2 = basis_indices(7, 2)

@@ -1,5 +1,7 @@
-"""Recomputes every archived value: the survey table, both coupled pairs,
-the two rank-one extensions and the obstruction sampling summaries.
+"""The analyses behind ``su3 check``, ``metric analyze`` and ``g2 analyze``,
+and the suites that recompute every archived value (the survey table, both
+coupled pairs, the two rank-one extensions and the obstruction sampling
+summaries), mostly as views of those analyses in the golden-file layout.
 
 Payloads are plain JSON data, built by :func:`payload`, which also
 serializes the command-line reports.  Exact runs render scalars as p/q
@@ -14,11 +16,11 @@ from typing import Any, Dict
 from . import catalog, scalars
 from .curvature import curvature_tensors, einstein_constant, nilsoliton_check
 from .exterior import InnerProduct, KForm, render_form, wedge
-from .g2 import metric_from_phi, scalar_curvature_from_torsion, star_ricci, \
-    torsion_forms
-from .liealg import MetricLieAlgebra, render_structure_equations, \
-    to_float_algebra
-from .scalars import Polynomial
+from .g2 import NotPositiveError, metric_from_phi, \
+    scalar_curvature_from_torsion, star_ricci, torsion_forms
+from .liealg import LieAlgebra, MetricLieAlgebra, is_nilpotent, \
+    render_structure_equations, to_float_algebra
+from .scalars import ExactnessError, Polynomial
 from .stable_forms import metric_from_pair, su3_predicates
 from .survey import build_table, n4_obstruction_sample, \
     n9_nilsoliton_obstruction_sample, sign_partition
@@ -50,6 +52,64 @@ def form_payload(form: KForm) -> Dict[str, Any]:
             for idx, c in form.items()}
 
 
+def to_ring(x: Any, ring: str) -> Any:
+    """An algebra, form or metric with float coefficients in the float ring;
+    an algebra with symbolic coefficients keeps them."""
+    if ring != "float":
+        return x
+    if isinstance(x, LieAlgebra):
+        return x if x.is_polynomial_ring() else to_float_algebra(x)
+    return x.to_float()
+
+
+def analyze_su3(algebra: LieAlgebra, omega: KForm, sigma: KForm,
+                tol: float) -> Dict[str, Any]:
+    results = dict(vars(su3_predicates(algebra, omega, sigma, tol=tol)))
+    results["lambda"] = results.pop("lambda_value")
+    return results
+
+
+def analyze_metric(algebra: LieAlgebra, metric: InnerProduct,
+                   tol: float) -> Dict[str, Any]:
+    """Ricci, scal, the Einstein constant and, on a nilpotent algebra with
+    numeric coefficients, the nilsoliton witness, from one curvature pass."""
+    m = MetricLieAlgebra(algebra, metric)
+    tensors = curvature_tensors(m)
+    results = {"ricci": tensors.ricci, "scal": tensors.scal,
+               "einstein": einstein_constant(m, tensors, tol=tol)}
+    if not algebra.is_polynomial_ring():
+        witness = (nilsoliton_check(m, tol=tol, tensors=tensors)
+                   if is_nilpotent(algebra)[0] else None)
+        results["nilsoliton"] = None if witness is None else {
+            "c": witness.constant, "derivation": witness.derivation}
+    return results
+
+
+def analyze_g2(algebra: LieAlgebra, phi: KForm, tol: float) -> Dict[str, Any]:
+    """Positivity, the induced metric, torsion and its class, and Ricci,
+    scal, the Einstein constant and star-Ricci from one curvature pass."""
+    try:
+        s = metric_from_phi(phi)
+    except NotPositiveError as exc:
+        return {"positive": False, "error": str(exc)}
+    except ExactnessError as exc:
+        # metric_from_phi decides positivity before it takes the 9th root
+        return {"positive": True, "needs_float_ring": str(exc)}
+    t = torsion_forms(algebra, phi, s, tol=tol)
+    results = {"positive": True, "metric": s.metric, "class": t.class_label,
+               "torsion": {"tau0": t.tau0, "tau1": t.tau1, "tau2": t.tau2,
+                           "tau3": t.tau3}}
+    if t.class_label != "generic":
+        results["scal_torsion"] = scalar_curvature_from_torsion(t, s, algebra)
+    m = MetricLieAlgebra(algebra, s.metric)
+    tensors = curvature_tensors(m)
+    sr = star_ricci(m, phi, s, tol=tol, tensors=tensors)
+    results.update(ricci=tensors.ricci, scal_ricci=tensors.scal,
+                   einstein=einstein_constant(m, tensors, tol=tol),
+                   star_ricci=sr.matrix, star_einstein=sr.star_einstein)
+    return results
+
+
 def suite_table1() -> Dict[str, Any]:
     rows = build_table()
     return {
@@ -62,108 +122,76 @@ def suite_table1() -> Dict[str, Any]:
 
 
 def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]:
-    algebra = catalog.algebra("n28")
-    omega, sigma = catalog.n28_coupled_pair()
-    if ring == "float":
-        algebra = to_float_algebra(algebra)
-        omega, sigma = omega.to_float(), sigma.to_float()
+    algebra = to_ring(catalog.algebra("n28"), ring)
+    omega, sigma = (to_ring(f, ring) for f in catalog.n28_coupled_pair())
     pair = metric_from_pair(omega, sigma, tol=tol)
-    verdict = su3_predicates(algebra, omega, sigma, tol=tol)
-    m = MetricLieAlgebra(algebra, pair.metric)
-    tensors = curvature_tensors(m)
-    witness = nilsoliton_check(m, tol=tol, tensors=tensors)
+    su3 = analyze_su3(algebra, omega, sigma, tol)
+    metric = analyze_metric(algebra, pair.metric, tol)
     return {
         "omega": form_payload(omega),
         "sigma": form_payload(sigma),
-        "lambda": payload(pair.lambda_value),
-        "coupled_c": payload(verdict.coupled_c),
-        "half_flat": verdict.half_flat,
-        "normalized": pair.normalized,
-        "positive": pair.positive,
+        **{k: payload(su3[k]) for k in ("lambda", "coupled_c", "half_flat",
+                                        "normalized", "positive")},
         "metric": payload(pair.metric),
-        "ricci": payload(tensors.ricci),
-        "nilsoliton_c": payload(witness.constant),
-        "nilsoliton_derivation": payload(witness.derivation),
+        "ricci": payload(metric["ricci"]),
+        "nilsoliton_c": payload(metric["nilsoliton"]["c"]),
+        "nilsoliton_derivation": payload(metric["nilsoliton"]["derivation"]),
     }
 
 
 def suite_coupled_n9(tol: float = 1e-10) -> Dict[str, Any]:
-    algebra = catalog.algebra("n9")
     omega, sigma = catalog.n9_coupled_pair()
     pair = metric_from_pair(omega, sigma, tol=tol)
-    verdict = su3_predicates(algebra, omega, sigma, tol=tol)
-    soliton_frame = MetricLieAlgebra.euclidean(catalog.n9_nilsoliton_frame())
-    witness = nilsoliton_check(soliton_frame, tol=max(tol, 1e-8))
+    su3 = analyze_su3(catalog.algebra("n9"), omega, sigma, tol)
+    frame = catalog.n9_nilsoliton_frame()
+    soliton = analyze_metric(frame, InnerProduct.euclidean(frame.dim),
+                             max(tol, 1e-8))
     return {
-        "lambda": float(pair.lambda_value),
+        "lambda": float(su3["lambda"]),
         "lambda_expected": -225.0 / 64.0,
-        "coupled_c": float(verdict.coupled_c),
-        "normalized": pair.normalized,
-        "positive": pair.positive,
+        "coupled_c": float(su3["coupled_c"]),
+        **{k: su3[k] for k in ("normalized", "positive")},
         "j_matrix": payload(pair.J),
         "metric": payload(pair.metric),
-        "soliton_frame_has_witness": witness is not None,
+        "soliton_frame_has_witness": soliton["nilsoliton"] is not None,
+    }
+
+
+def _extension(algebra: LieAlgebra, phi: KForm, ring: str,
+               tol: float) -> Dict[str, Any]:
+    """g2 analyze on a rank-one extension, in the golden layout."""
+    g2 = analyze_g2(to_ring(algebra, ring), to_ring(phi, ring), tol)
+    torsion = g2["torsion"]
+    return {
+        "structure": render_structure_equations(algebra),
+        "ricci": payload(g2["ricci"]),
+        "scal": payload(g2["scal_ricci"]),
+        "einstein_constant": payload(g2["einstein"]),
+        "tau0": payload(torsion["tau0"]),
+        **{k: form_payload(torsion[k]) for k in ("tau1", "tau2", "tau3")},
+        "class": g2["class"],
+        "scal_from_torsion": payload(g2["scal_torsion"]),
+        "star_ricci": payload(g2["star_ricci"]),
+        "star_einstein": g2["star_einstein"],
     }
 
 
 def suite_einstein_extension(ring: str = "exact",
                              tol: float = 1e-10) -> Dict[str, Any]:
-    ext = catalog.n28_einstein_extension()
-    phi = catalog.n28_ext_g2_form()
-    algebra, metric = ext.algebra, ext.metric
-    if ring == "float":
-        algebra = to_float_algebra(algebra)
-        metric = metric.to_float()
-        phi = phi.to_float()
-        ext = MetricLieAlgebra(algebra, metric)
-    s = metric_from_phi(phi)
-    t = torsion_forms(algebra, phi, s, tol=tol)
-    tensors = curvature_tensors(ext)
+    algebra, phi = catalog.algebra("n28_ext"), catalog.n28_ext_g2_form()
+    out = _extension(algebra, phi, ring, tol)
+    algebra, phi = to_ring(algebra, ring), to_ring(phi, ring)
     e7 = KForm(7, 1, {(7,): Fraction(1)})
-    dphi_relation = (algebra.d(phi) + wedge(e7, phi)).is_zero(tol)
-    sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
-    return {
-        "structure": render_structure_equations(catalog.algebra("n28_ext")),
-        "ricci": payload(tensors.ricci),
-        "scal": payload(tensors.scal),
-        "einstein_constant": payload(einstein_constant(ext, tensors,
-                                                               tol=tol)),
-        "tau0": payload(t.tau0),
-        "tau1": form_payload(t.tau1),
-        "tau2": form_payload(t.tau2),
-        "tau3": form_payload(t.tau3),
-        "class": t.class_label,
-        "scal_from_torsion": payload(
-            scalar_curvature_from_torsion(t, s, algebra)),
-        "dphi_is_minus_e7_wedge_phi": dphi_relation,
-        "star_ricci": payload(sr.matrix),
-        "star_einstein": sr.star_einstein,
-    }
+    out["dphi_is_minus_e7_wedge_phi"] = (
+        algebra.d(phi) + wedge(e7, phi)).is_zero(tol)
+    return out
 
 
 def suite_lcp_extension(tol: float = 1e-10) -> Dict[str, Any]:
-    ext = catalog.abelian_scaling_extension()
-    phi = catalog.abelian_ext_g2_form()
-    algebra = ext.algebra
-    s = metric_from_phi(phi)
-    t = torsion_forms(algebra, phi, s, tol=tol)
-    tensors = curvature_tensors(ext)
-    sr = star_ricci(ext, phi, s, tol=tol, tensors=tensors)
-    return {
-        "structure": render_structure_equations(algebra),
-        "einstein_constant": payload(einstein_constant(ext, tensors,
-                                                               tol=tol)),
-        "scal": payload(tensors.scal),
-        "tau0": payload(t.tau0),
-        "tau1": form_payload(t.tau1),
-        "tau2": form_payload(t.tau2),
-        "tau3": form_payload(t.tau3),
-        "class": t.class_label,
-        "scal_from_torsion": payload(
-            scalar_curvature_from_torsion(t, s, algebra)),
-        "star_ricci": payload(sr.matrix),
-        "star_einstein": sr.star_einstein,
-    }
+    out = _extension(catalog.algebra("abelian_ext"),
+                     catalog.abelian_ext_g2_form(), "exact", tol)
+    del out["ricci"]
+    return out
 
 
 def suite_obstructions(seed: int = 1, n4_trials: int = 100,

@@ -17,7 +17,8 @@ from g2forge.exterior import (InnerProduct, KForm, Orientation, basis_indices,
                               codifferential, form_inner, hodge_star, wedge)
 from g2forge.g2 import (CLASS_LCC, CLASS_LCP, metric_from_phi, product_g2,
                         scalar_curvature_from_torsion, star_ricci,
-                        torsion_forms, type_project, two_form_14_basis)
+                        three_form_components, torsion_forms,
+                        two_form_14_basis)
 from g2forge.liealg import MetricLieAlgebra, is_derivation, \
     rank_one_extension
 from g2forge.scalars import Polynomial, poly_eval
@@ -28,6 +29,7 @@ from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
                             n9_nilsoliton_obstruction_sample, sign_partition)
 
 from test_curvature import twisted
+from test_stable_forms import n9_expected_j_matrix, n9_expected_metric
 from test_survey import N8_REGENERATED, table_polynomials
 
 
@@ -92,8 +94,8 @@ def test_criterion_03_coupled_pair_n9():
     assert abs(pair.lambda_value - (-225.0 / 64.0)) <= tol
     j = np.array([[float(x) for x in row] for row in pair.J])
     h = np.array([[float(x) for x in row] for row in pair.metric.matrix])
-    assert np.abs(j - np.array(catalog.n9_expected_j_matrix())).max() <= tol
-    assert np.abs(h - np.array(catalog.n9_expected_metric())).max() <= tol
+    assert np.abs(j - np.array(n9_expected_j_matrix())).max() <= tol
+    assert np.abs(h - np.array(n9_expected_metric())).max() <= tol
     assert pair.positive
     verdict = su3_predicates(catalog.algebra("n9"), omega, sigma)
     assert abs(verdict.coupled_c - catalog.n9_coupling_constant()) <= tol
@@ -340,7 +342,7 @@ def test_criterion_11f_decomposition_dimensions():
     rows = [form_to_vec(contract_basis(i, s.phi), idx2) for i in range(1, 8)]
     assert len(idx2) - len(nullspace(mat(rows))) == 7
     assert len(two_form_14_basis(s)) == 14
-    comps = type_project(s.phi, s)
+    comps = three_form_components(s.phi, s)
     assert comps["1"] == s.phi and comps["7"].is_zero() \
         and comps["27"].is_zero()
     idx3 = basis_indices(7, 3)

@@ -342,7 +342,7 @@ ricci
 @pytest.fixture
 def curvature_calls(monkeypatch):
     """Every curvature_tensors call made through the modules that use it."""
-    from g2forge import cli, curvature, g2
+    from g2forge import curvature, g2, reproduce
     calls = []
     original = curvature.curvature_tensors
 
@@ -350,7 +350,7 @@ def curvature_calls(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (cli, curvature, g2):
+    for module in (curvature, g2, reproduce):
         monkeypatch.setattr(module, "curvature_tensors", counted)
     return calls
 
@@ -359,6 +359,7 @@ def curvature_calls(monkeypatch):
     ["metric", "analyze", "n28"],
     ["g2", "analyze", "n28_ext", "--phi",
      "e127+e347-e567+e136-e145-e235-e246"],
+    ["reproduce-paper", "--only", "einstein_extension"],
 ])
 def test_commands_compute_curvature_once(capsys, curvature_calls, argv):
     code, _ = run_cli(capsys, *argv)
@@ -415,6 +416,18 @@ def test_failures_map_to_exit_codes(capsys, argv, code):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert ("rerun with --ring float" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["global", "subcommand"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_outside_its_domain_is_bad_input(capsys, tol, before):
+    argv = ["--ring", "float", "metric", "analyze", "n28"]
+    argv = ["--tol", tol] + argv if before else argv + ["--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "--tol" in err
 
 
 def test_scenario_missing_form_is_bad_input(tmp_path, capsys):
@@ -579,6 +592,11 @@ def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
         if key in exact:
             assert_close(exact[key], approx[key])
     assert_close(exact["torsion"]["tau0"], approx["torsion"]["tau0"])
+    # both extensions are Einstein; the generic-torsion metric is not
+    assert (exact["einstein"] is None) is (approx["einstein"] is None) \
+        is (name == "generic")
+    if name != "generic":
+        assert_close(exact["einstein"], approx["einstein"])
     # float star-Ricci entries no curvature term reaches are 0.0, not "0"
     assert not any(isinstance(x, str)
                    for row in approx["star_ricci"] for x in row)
@@ -639,3 +657,33 @@ def test_json_provenance_records_the_package_version(tmp_path, capsys, argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["provenance"]["version"] == g2forge.__version__
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+@pytest.mark.parametrize("suite, algebra, phi", [
+    ("einstein_extension", "n28_ext", catalog.n28_ext_g2_form()),
+    ("lcp_extension", "abelian_ext", catalog.abelian_ext_g2_form()),
+])
+def test_extension_suites_read_g2_analyze(capsys, suite, algebra, phi, ring):
+    """Every key of an extension golden that g2 analyze also reports holds
+    the command's value.  The lcp suite runs in the exact ring in both
+    rings, since its extension has the symbolic parameter a."""
+    from g2forge.liealg import parse_form
+    from g2forge.reproduce import compute_suite, form_payload
+    golden = compute_suite(suite, ring=ring)
+    cli_ring = "exact" if suite == "lcp_extension" else ring
+    code, out = run_cli(capsys, "--ring", cli_ring, "--format", "json",
+                        "g2", "analyze", algebra, "--phi=" + render_form(phi))
+    assert code == 0
+    results = json.loads(out)["results"]
+    results.update(results.pop("torsion"))
+    for tau in ("tau1", "tau2", "tau3"):
+        results[tau] = form_payload(parse_form(results[tau], 7, int(tau[-1])))
+    renamed = {"scal": "scal_ricci", "scal_from_torsion": "scal_torsion",
+               "einstein_constant": "einstein"}
+    shared = [key for key in golden if renamed.get(key, key) in results]
+    assert set(golden) - set(shared) == {"structure"} | (
+        {"dphi_is_minus_e7_wedge_phi"} if suite == "einstein_extension"
+        else set())
+    for key in shared:
+        assert golden[key] == results[renamed.get(key, key)], key

@@ -19,7 +19,7 @@ from g2forge import g2
 from g2forge.exterior import (KForm, basis_indices, contract_basis, form_inner,
                               pullback, wedge)
 from g2forge.g2 import (TorsionInconsistencyError, metric_from_phi,
-                        star_ricci, torsion_forms, type_project)
+                        star_ricci, torsion_forms, two_form_components)
 from g2forge.liealg import (LieAlgebra, MetricLieAlgebra,
                             parse_structure_equations, specialize,
                             to_float_algebra)
@@ -254,9 +254,9 @@ def test_float_type_projection_on_dense_twist_matches_exact():
     _, phi = CASES["n28_ext"]
     phi = Coframe(P_DENSE).form(phi)
     s_exact, s_float = metric_from_phi(phi), metric_from_phi(phi.to_float())
-    exact = type_project(contract_basis(1, contract_basis(2, s_exact.star_phi)),
-                         s_exact)
-    approx = type_project(
+    exact = two_form_components(
+        contract_basis(1, contract_basis(2, s_exact.star_phi)), s_exact)
+    approx = two_form_components(
         contract_basis(1, contract_basis(2, s_float.star_phi)), s_float)
     assert not exact["14"].is_zero() and not exact["7"].is_zero()
     for part in ("7", "14"):
@@ -266,8 +266,8 @@ def test_float_type_projection_on_dense_twist_matches_exact():
     bent = dataclasses.replace(
         s_float, star_phi=s_float.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
     with pytest.raises(TorsionInconsistencyError, match="14-part"):
-        type_project(contract_basis(1, contract_basis(2, s_float.star_phi)),
-                     bent)
+        two_form_components(
+            contract_basis(1, contract_basis(2, s_float.star_phi)), bent)
 
 
 def scaled_analysis(name, c, ring):

@@ -8,7 +8,8 @@ from g2forge.g2 import (CLASS_CALIBRATED, CLASS_LCC, CLASS_LCP,
                         CLASS_PARALLEL, MetricMismatchError, NotPositiveError,
                         b_form, metric_from_phi, product_g2,
                         scalar_curvature_from_torsion, star_ricci,
-                        torsion_forms, two_form_14_basis, type_project)
+                        three_form_components, torsion_forms,
+                        two_form_14_basis, two_form_components)
 from g2forge.liealg import LieAlgebra, MetricLieAlgebra, rank_one_extension
 from g2forge.linalg import mat, nullspace
 from g2forge.scalars import Polynomial
@@ -113,25 +114,26 @@ def test_type_decomposition_dimensions(std_structure):
 
 def test_type_project_examples(std_structure):
     s = std_structure
-    comps = type_project(s.phi, s)
+    comps = three_form_components(s.phi, s)
     assert comps["1"] == s.phi
     assert comps["7"].is_zero() and comps["27"].is_zero()
     from g2forge.exterior import contract_basis
     w = contract_basis(1, s.phi)
-    comps2 = type_project(w, s)
+    comps2 = two_form_components(w, s)
     assert comps2["7"] == w and comps2["14"].is_zero()
-    with pytest.raises(ValueError):
-        type_project(KForm.monomial(7, (1,)), s)
+    for split in (two_form_components, three_form_components):
+        with pytest.raises(ValueError):
+            split(KForm.monomial(7, (1,)), s)
 
 
 def test_projection_components_sum_and_orthogonality(std_structure):
     s = std_structure
     a = KForm.from_terms(7, 2, (1, 1, 2), (2, 1, 3), (-1, 4, 5), (3, 6, 7))
-    comps = type_project(a, s)
+    comps = two_form_components(a, s)
     assert comps["7"] + comps["14"] == a
     assert form_inner(comps["7"], comps["14"], s.metric) == 0
     b = KForm.from_terms(7, 3, (1, 1, 2, 3), (-2, 2, 4, 6), (1, 5, 6, 7))
-    comps3 = type_project(b, s)
+    comps3 = three_form_components(b, s)
     assert comps3["1"] + comps3["7"] + comps3["27"] == b
     assert form_inner(comps3["1"], comps3["7"], s.metric) == 0
     assert form_inner(comps3["1"], comps3["27"], s.metric) == 0
