@@ -192,7 +192,7 @@ def cmd_su3(args) -> Report:
     omega = _load_form(args, "omega", algebra, 2)
     sigma = _load_form(args, "sigma", algebra, 3)
     return _analysis("su3 check", args, algebra,
-                     analyze_su3(algebra, omega, sigma, args.tol),
+                     analyze_su3(algebra, omega, sigma, args.tol)[0],
                      omega=omega, sigma=sigma)
 
 

@@ -9,6 +9,7 @@ operator.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -226,12 +227,13 @@ def magnitude(*parts) -> float:
                 if isinstance(x, (float, Fraction))), default=0.0)
 
 
-def scaled(tol: float, *parts) -> float:
-    """tol times the magnitude of the parts, at least tol: float rounding
-    grows with the size of the terms a residual sums, so float zero tests
-    are relative to them (exact ones ignore tol).  Zero tests of products
-    scale by the factors' magnitudes instead, with no floor of 1."""
-    return tol * max(1.0, magnitude(*parts))
+def scaled(tol: float, *factors) -> float:
+    """tol times the product of the factors' magnitudes, with no floor: the
+    one rule of every float zero test (exact ones ignore tol).  Float
+    rounding grows with the size of the terms a residual sums, so a test of
+    a product of forms, or of d of a form, scales by each factor, and does
+    not change with the scale of the forms."""
+    return tol * math.prod(magnitude(f) for f in factors)
 
 
 class InnerProduct:

@@ -17,8 +17,8 @@ from . import linalg, scalars
 from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, basis_indices,
                        codifferential, complement_sign, contract_basis,
-                       form_inner, hodge_star, pullback, scaled, vec_to_form,
-                       wedge)
+                       form_inner, hodge_star, magnitude, pullback, scaled,
+                       vec_to_form, wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -116,15 +116,14 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # B by c^9 and det B by c^63.  det B only has to be told from 0 here (a
     # dense B may have |det B| far below max|B|^7); the eigenvalues in the
     # positivity test decide near-degenerate forms.  Exact tests ignore tol.
-    size = max([abs(x) for row in b for x in row if isinstance(x, float)],
-               default=0.0)
-    if is_zero(det_b, (tol * size) ** 7):
+    b_tol = scaled(tol, b)
+    if is_zero(det_b, b_tol ** 7):
         raise NotPositiveError("degenerate 3-form: det B = 0")
     # det B = v^9 with v of either sign: the form picks its own orientation.
     # 9 is odd, so sign(v) = sign(det B) and g = B/v > 0 iff sign * B > 0:
     # positivity is decided before an irrational v can raise ExactnessError.
     sign = 1 if det_b > 0 else -1
-    if not linalg.is_positive_definite(b, tol * size, sign, minors):
+    if not linalg.is_positive_definite(b, b_tol, sign, minors):
         raise NotPositiveError("B form is not positive definite")
     v = scalars.snth_root(det_b, 9)
     g_rows = tuple(tuple(x / v for x in row) for row in b)
@@ -134,7 +133,7 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # signed volume coefficient
     for i in range(7):
         for j in range(7):
-            if not is_zero(g_rows[i][j] * v - b[i][j], tol * size):
+            if not is_zero(g_rows[i][j] * v - b[i][j], b_tol):
                 raise TorsionInconsistencyError("metric extraction failed "
                                                 "the defining relation")
     star = hodge_star(phi, metric, volume)
@@ -167,12 +166,10 @@ def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 2:
         raise ValueError("expected a 2-form")
     basis7 = [contract_basis(i, s.phi) for i in range(1, 8)]
-    use_tol = scaled(tol, a, s.phi, s.star_phi)
     p7, _ = _project(a, basis7, s.metric, s.metric.inverse, 3)
-    p14 = a - p7
-    if not wedge(p14, s.star_phi).is_zero(scaled(use_tol, p14)):
+    if not _type_relation(a, p7, s.star_phi, s.metric, tol):
         raise TorsionInconsistencyError("14-part failed its defining relation")
-    return {"7": p7, "14": p14}
+    return {"7": p7, "14": a - p7}
 
 
 def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
@@ -181,17 +178,24 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     if a.degree != 3:
         raise ValueError("expected a 3-form")
     g = s.metric
-    use_tol = scaled(tol, a, s.phi, s.star_phi)
     phi_norm = form_inner(s.phi, s.phi, g)
     p1 = (form_inner(a, s.phi, g) / phi_norm) * s.phi
     basis7 = [contract_basis(i, s.star_phi) for i in range(1, 8)]
     p7, _ = _project(a, basis7, g, g.inverse, 4)
-    p27 = a - p1 - p7
-    type_tol = scaled(use_tol, p27)
-    if not wedge(p27, s.phi).is_zero(type_tol) or \
-            not wedge(p27, s.star_phi).is_zero(type_tol):
+    if not _type_relation(a, p1 + p7, s.phi, g, tol) or \
+            not _type_relation(a, p1 + p7, s.star_phi, g, tol):
         raise TorsionInconsistencyError("27-part failed its defining relations")
-    return {"1": p1, "7": p7, "27": p27}
+    return {"1": p1, "7": p7, "27": a - p1 - p7}
+
+
+def _type_relation(a: KForm, part: KForm, form: KForm, g: InnerProduct,
+                   tol: float) -> bool:
+    """(a - part) ^ form = 0, tested as a ^ form = part ^ form within
+    kappa tol times the larger side, for kappa = max|g| max|g^-1| (see
+    ``torsion_forms``)."""
+    lhs, rhs = wedge(a, form), wedge(part, form)
+    return (lhs - rhs).is_zero(scaled(tol, g.matrix, g.inverse)
+                               * magnitude(lhs, rhs))
 
 
 def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
@@ -228,7 +232,9 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     14-dimensional piece *(beta ^ phi) = -beta in the orientation of phi;
     the star here is taken in the standard one, so tau2 = -sigma *
     (d *phi - 4 tau1 ^ *phi) for the ``orientation_sign`` sigma.  The types
-    of tau2 and tau3 and both identities are re-checked.
+    of tau2 and tau3 and both identities are re-checked.  A float zero test
+    is bounded by the equation it belongs to, so the class does not change
+    under phi -> c^3 phi.
     """
     if algebra.dim != 7:
         raise ValueError("torsion analysis lives on 7-dimensional algebras")
@@ -236,59 +242,59 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     g, orient, star_phi = s.metric, s.volume, s.star_phi
     dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
-    use_tol = scaled(tol, phi, star_phi, dphi, dstar)
     coframe = [KForm(7, 1, {(i,): Fraction(1)}) for i in range(1, 8)]
+    # float zero tests: each is bounded by the terms of its own equation,
+    # times kappa = max|g| max|g^-1|, which phi -> c^3 phi keeps and by which
+    # rounding grows in the projections and stars.  A bound on a k-form is
+    # carried through its star by sqrt(det g) max|g^-1|^k.
+    ginv, root_det = magnitude(g.inverse), magnitude(orient.volume)
+    kappa_tol = scaled(tol, g.matrix) * ginv
 
     # --- 4-form equation ---------------------------------------------------
     tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
+    tau0_part = tau0 * star_phi
     basis47 = [wedge(e, phi) for e in coframe]
     p47, coeffs47 = _project(dphi, basis47, g, g.matrix, 4)
     tau1 = KForm(7, 1, {(i,): c / 3 for i, c in enumerate(coeffs47, 1)})
-    star_tau3 = dphi - tau0 * star_phi - p47
+    star_tau3 = dphi - tau0_part - p47
     tau3 = hodge_star(star_tau3, g, orient)
-    type_tol = scaled(use_tol, tau3)
-    if not wedge(tau3, phi).is_zero(type_tol) or \
-            not wedge(tau3, star_phi).is_zero(type_tol):
+    t4 = kappa_tol * magnitude(dphi, tau0_part, p47, star_tau3)
+    tau3_tol = t4 * root_det * ginv ** 4
+    if not wedge(tau3, phi).is_zero(scaled(tau3_tol, phi)) or \
+            not wedge(tau3, star_phi).is_zero(scaled(tau3_tol, star_phi)):
         raise TorsionInconsistencyError("tau3 escaped the 27-dimensional type")
 
     # --- 5-form equation ---------------------------------------------------
     basis57 = [wedge(e, star_phi) for e in coframe]
     p57, coeffs57 = _project(dstar, basis57, g, g.matrix, 3)
+    tau2_phi = dstar - p57
+    t5 = kappa_tol * magnitude(dstar, p57, tau2_phi)
     tau1_bis = KForm(7, 1, {(i,): c / 4 for i, c in enumerate(coeffs57, 1)})
-    if not (tau1 - tau1_bis).is_zero(use_tol):
+    if not (3 * wedge(tau1 - tau1_bis, phi)).is_zero(t4):
         raise TorsionInconsistencyError(
             "tau1 from d(phi) and d(*phi) disagree")
-    tau2 = -s.orientation_sign * hodge_star(dstar - p57, g, orient)
-    if not wedge(tau2, star_phi).is_zero(scaled(use_tol, tau2)):
+    tau2 = -s.orientation_sign * hodge_star(tau2_phi, g, orient)
+    if not wedge(tau2, star_phi).is_zero(
+            scaled(t5 * root_det * ginv ** 5, star_phi)):
         raise TorsionInconsistencyError("tau2 escaped the 14-dimensional type")
 
     # --- exact reconstruction ------------------------------------------------
-    recon4 = tau0 * star_phi + 3 * wedge(tau1, phi) + star_tau3
+    recon4 = tau0_part + 3 * wedge(tau1, phi) + star_tau3
     recon5 = 4 * wedge(tau1, star_phi) + wedge(tau2, phi)
-    recon_tol = scaled(use_tol, tau1, tau2, tau3)
-    if not (recon4 - dphi).is_zero(recon_tol) or \
-            not (recon5 - dstar).is_zero(recon_tol):
+    if not (recon4 - dphi).is_zero(t4) or not (recon5 - dstar).is_zero(t5):
         raise TorsionInconsistencyError("torsion reconstruction failed")
 
-    label = _classify(tau0, tau1, tau2, tau3, use_tol)
+    # the class tests the pieces tau0 *phi, 3 tau1 ^ phi, *tau3 and
+    # tau2 ^ phi of the two equations
+    z0, z1, z3 = (x.is_zero(t4) for x in (tau0_part, p47, star_tau3))
+    if not (z0 and z3):
+        label = CLASS_GENERIC
+    elif z1:
+        label = CLASS_PARALLEL if tau2_phi.is_zero(t5) else CLASS_CALIBRATED
+    else:
+        label = CLASS_LCP if tau2_phi.is_zero(t5) else CLASS_LCC
     return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
                         class_label=label)
-
-
-def _classify(tau0, tau1, tau2, tau3, tol) -> str:
-    z0 = is_zero(tau0, tol)
-    z1 = tau1.is_zero(tol)
-    z2 = tau2.is_zero(tol)
-    z3 = tau3.is_zero(tol)
-    if z0 and z1 and z2 and z3:
-        return CLASS_PARALLEL
-    if z0 and z1 and z3:
-        return CLASS_CALIBRATED
-    if z0 and z3 and z2:
-        return CLASS_LCP
-    if z0 and z3:
-        return CLASS_LCC
-    return CLASS_GENERIC
 
 
 def scalar_curvature_from_torsion(t: TorsionForms, s: G2Structure,
@@ -363,10 +369,10 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
         for j in range(n):
             if not is_zero(ginv[i][j]):
                 trace = trace + ginv[i][j] * matrix[i][j]
-    use_tol = scaled(tol, matrix)
-    symmetric = linalg.is_symmetric(matrix, use_tol)
+    rho_tol = scaled(tol, matrix)
+    symmetric = linalg.is_symmetric(matrix, rho_tol)
     star_einstein = all(
-        is_zero(matrix[i][j] - trace / n * g[i][j], use_tol)
+        is_zero(matrix[i][j] - trace / n * g[i][j], rho_tol)
         for i in range(n) for j in range(n))
     return StarRicci(matrix=matrix, trace=trace, star_einstein=star_einstein,
                      symmetric=symmetric)

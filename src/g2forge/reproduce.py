@@ -11,7 +11,7 @@ numerically, so the two rings must produce identical verdicts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 from . import catalog, scalars
 from .curvature import curvature_tensors, einstein_constant, nilsoliton_check
@@ -21,7 +21,7 @@ from .g2 import NotPositiveError, metric_from_phi, \
 from .liealg import LieAlgebra, MetricLieAlgebra, is_nilpotent, \
     render_structure_equations, to_float_algebra
 from .scalars import ExactnessError, Polynomial
-from .stable_forms import metric_from_pair, su3_predicates
+from .stable_forms import StablePair, su3_predicates
 from .survey import build_table, n4_obstruction_sample, \
     n9_nilsoliton_obstruction_sample, sign_partition
 
@@ -62,11 +62,14 @@ def to_ring(x: Any, ring: str) -> Any:
     return x.to_float()
 
 
-def analyze_su3(algebra: LieAlgebra, omega: KForm, sigma: KForm,
-                tol: float) -> Dict[str, Any]:
+def analyze_su3(algebra: LieAlgebra, omega: KForm, sigma: KForm, tol: float
+                ) -> Tuple[Dict[str, Any], Optional[StablePair]]:
+    """The su3 check results, and beside them the StablePair (J and the
+    metric) of a stable pair, else None."""
     results = dict(vars(su3_predicates(algebra, omega, sigma, tol=tol)))
     results["lambda"] = results.pop("lambda_value")
-    return results
+    pair = results.pop("pair")
+    return results, pair
 
 
 def analyze_metric(algebra: LieAlgebra, metric: InnerProduct,
@@ -124,8 +127,7 @@ def suite_table1() -> Dict[str, Any]:
 def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]:
     algebra = to_ring(catalog.algebra("n28"), ring)
     omega, sigma = (to_ring(f, ring) for f in catalog.n28_coupled_pair())
-    pair = metric_from_pair(omega, sigma, tol=tol)
-    su3 = analyze_su3(algebra, omega, sigma, tol)
+    su3, pair = analyze_su3(algebra, omega, sigma, tol)
     metric = analyze_metric(algebra, pair.metric, tol)
     return {
         "omega": form_payload(omega),
@@ -141,8 +143,7 @@ def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]
 
 def suite_coupled_n9(tol: float = 1e-10) -> Dict[str, Any]:
     omega, sigma = catalog.n9_coupled_pair()
-    pair = metric_from_pair(omega, sigma, tol=tol)
-    su3 = analyze_su3(catalog.algebra("n9"), omega, sigma, tol)
+    su3, pair = analyze_su3(catalog.algebra("n9"), omega, sigma, tol)
     frame = catalog.n9_nilsoliton_frame()
     soliton = analyze_metric(frame, InnerProduct.euclidean(frame.dim),
                              max(tol, 1e-8))

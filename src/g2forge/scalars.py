@@ -370,11 +370,7 @@ def nth_root_fraction(q: Fraction, n: int) -> Optional[Fraction]:
     def iroot(m: int) -> Optional[int]:
         if m in (0, 1):
             return m
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        # float estimate can be off for big ints; fall back to bisection
+        # bisection on ints: a float estimate overflows for large m
         lo, hi = 0, 1 << ((m.bit_length() // n) + 2)
         while lo <= hi:
             mid = (lo + hi) // 2

@@ -12,14 +12,13 @@ the one for which positive pairs give positive-definite h.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
 from . import linalg, scalars
 from .exterior import (InnerProduct, KForm, Orientation, contract_basis,
-                       magnitude, pullback, wedge)
+                       pullback, scaled, wedge)
 from .liealg import LieAlgebra
 from .scalars import Polynomial, Scalar, is_zero
 
@@ -120,13 +119,6 @@ def orientation_sign(omega: KForm) -> int:
     return 1 if top > 0 else -1
 
 
-def _relative_tol(tol: float, *factors) -> float:
-    """tol times the product of the factors' magnitudes, with no floor of 1:
-    a float zero test of a product of forms, or of d of a form, then does
-    not change with the scale of the forms."""
-    return tol * math.prod(magnitude(f) for f in factors)
-
-
 def metric_from_pair(omega: KForm, sigma: KForm,
                      orient: Optional[Orientation] = None,
                      tol: float = 1e-10) -> StablePair:
@@ -138,7 +130,7 @@ def metric_from_pair(omega: KForm, sigma: KForm,
     """
     if omega.dim != 6 or sigma.dim != 6:
         raise ValueError("pairs live in dimension 6")
-    if not wedge(omega, sigma).is_zero(_relative_tol(tol, omega, sigma)):
+    if not wedge(omega, sigma).is_zero(scaled(tol, omega, sigma)):
         raise IncompatiblePairError("omega ^ sigma != 0")
     k = k_endomorphism(sigma, orient)
     return _pair_structure(omega, sigma, k, _quartic(k), tol)
@@ -154,14 +146,14 @@ def _pair_structure(omega: KForm, sigma: KForm, k: linalg.Matrix,
     # h(x, y) = omega(Jx, y): h = J^T Omega with Omega_pq = omega(e_p, e_q)
     big_omega = [[omega[p, q] for q in range(1, 7)] for p in range(1, 7)]
     h_matrix = linalg.mat_mul(linalg.transpose(j), big_omega)
-    h_tol = _relative_tol(tol, j, omega)
+    h_tol = scaled(tol, j, omega)
     if not linalg.is_symmetric(h_matrix, h_tol):
         raise IncompatiblePairError("induced bilinear form is not symmetric; "
                                     "the 2-form is not of type (1,1) for J")
     jsigma = pullback(sigma, linalg.Compound(j))
     residual = wedge(jsigma, sigma) - Fraction(2, 3) * omega_cubed(omega)
-    normalized = residual.is_zero(10 * max(_relative_tol(tol, jsigma, sigma),
-                                           _relative_tol(tol, omega, omega, omega)))
+    normalized = residual.is_zero(10 * max(scaled(tol, jsigma, sigma),
+                                           scaled(tol, omega, omega, omega)))
     metric = InnerProduct(h_matrix)
     positive = metric.is_positive_definite(h_tol)
     return StablePair(omega=omega, sigma=sigma, J=j, metric=metric,
@@ -178,19 +170,20 @@ class SU3Verdict:
     lambda_value: Scalar
     coupled_c: Optional[Scalar]
     half_flat: bool
+    pair: Optional[StablePair] = None   # built when the pair is stable
 
 
 def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                       tol: float = 1e-10) -> Optional[Scalar]:
     """The unique nonzero c with d(omega) = c * sigma, if it exists."""
     domega = algebra.d(omega)
-    if domega.is_zero(_relative_tol(tol, omega)) or sigma.is_zero():
+    if domega.is_zero(scaled(tol, omega)) or sigma.is_zero():
         return None
     # pivot on the largest float coefficient of sigma, or on any exact one
     pivot_idx = max(sigma.coeffs, key=lambda idx: abs(sigma.coeffs[idx])
                     if isinstance(sigma.coeffs[idx], float) else 0.0)
     c_val = domega.coeffs.get(pivot_idx, Fraction(0)) / sigma.coeffs[pivot_idx]
-    if (domega - c_val * sigma).is_zero(_relative_tol(tol, domega)):
+    if (domega - c_val * sigma).is_zero(scaled(tol, domega)):
         return c_val
     return None
 
@@ -198,24 +191,24 @@ def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
 def su3_predicates(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                    tol: float = 1e-10) -> SU3Verdict:
     """Coupled / half-flat analysis of a pair on a six-dimensional algebra."""
-    compatible = wedge(omega, sigma).is_zero(_relative_tol(tol, omega, sigma))
+    compatible = wedge(omega, sigma).is_zero(scaled(tol, omega, sigma))
     k = k_endomorphism(sigma)
     lam = _quartic(k)
-    stable = normalized = positive = False
+    pair = None
     if not isinstance(lam, Polynomial) and lam < 0 and compatible \
             and not omega_cubed(omega).is_zero(
-                _relative_tol(tol, omega, omega, omega)):
-        stable = True
+                scaled(tol, omega, omega, omega)):
         pair = _pair_structure(omega, sigma, k, lam, tol)
-        normalized = pair.normalized
-        positive = pair.positive
     c_val = coupling_constant(algebra, omega, sigma, tol=tol)
     half_flat = algebra.d(wedge(omega, omega)).is_zero(
-        _relative_tol(tol, omega, omega)) and \
-        algebra.d(sigma).is_zero(_relative_tol(tol, sigma))
+        scaled(tol, omega, omega)) and \
+        algebra.d(sigma).is_zero(scaled(tol, sigma))
     if c_val is not None and not half_flat:
         raise RuntimeError("coupled structure failed to be half-flat; "
                            "differential conventions are inconsistent")
+    stable = pair is not None
     return SU3Verdict(stable=stable, compatible=compatible,
-                      normalized=normalized, positive=positive,
-                      lambda_value=lam, coupled_c=c_val, half_flat=half_flat)
+                      normalized=stable and pair.normalized,
+                      positive=stable and pair.positive,
+                      lambda_value=lam, coupled_c=c_val, half_flat=half_flat,
+                      pair=pair)

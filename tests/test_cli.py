@@ -538,11 +538,14 @@ def su3_case(name, twist):
             c.form(omega.map_coeffs(Fraction)), unit * c.form(integral))
 
 
-def g2_case(name, twist):
+def g2_case(name, variant):
     """(algebra argument, phi) of n28_ext, abelian_ext at a = 2/3 or the
-    generic-torsion input, or of its rewriting on the coframe P_DENSE e."""
+    generic-torsion input; of its rewriting on the coframe P_DENSE e
+    ("dense"); or with 10^9 phi, that is c^3 phi for c = 1000 ("scaled")."""
     algebra, phi = {**CASES, "generic": GENERIC}[name]
-    if not twist:
+    if variant == "scaled":
+        phi = 10 ** 9 * phi
+    if variant != "dense":
         return render_structure_equations(algebra), phi
     c = Coframe(P_DENSE)
     return render_structure_equations(c.algebra(algebra)), c.form(phi)
@@ -578,10 +581,10 @@ def test_su3_check_verdicts_agree_across_rings(capsys, name, twist):
         assert_close(exact[key], approx[key])
 
 
-@pytest.mark.parametrize("twist", [False, True], ids=["catalog", "dense"])
+@pytest.mark.parametrize("variant", ["catalog", "dense", "scaled"])
 @pytest.mark.parametrize("name", ["n28_ext", "abelian_ext", "generic"])
-def test_g2_analyze_verdicts_agree_across_rings(capsys, name, twist):
-    algebra, phi = g2_case(name, twist)
+def test_g2_analyze_verdicts_agree_across_rings(capsys, name, variant):
+    algebra, phi = g2_case(name, variant)
     exact, approx = results_in_both_rings(capsys, [
         "g2", "analyze", algebra, "--phi=" + render_form(phi)])
     assert exact["positive"] is approx["positive"] is True

@@ -4,10 +4,14 @@ own usage error."""
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from g2forge import catalog
 from g2forge.cli import main
+from g2forge.exterior import render_form
 
 ALGEBRAS = st.sampled_from([
     "n28", "n4", "n9", "n28_ext", "abelian_ext", "no_such_name",
@@ -26,6 +30,12 @@ FORMS = st.one_of(st.lists(TERM, min_size=1, max_size=5).map("".join),
 CELLS = st.sampled_from(["0", "0", "0", "1", "1/2", "-1", "0.5", "1/0", "x",
                          "1e400", "nan", "", "3/"])
 DIAGONAL = st.sampled_from(["1", "1", "2", "1/3", "0.5", "-1", "0"])
+# the catalog's 3-forms on their algebras, and the standard phi on the
+# generic-torsion algebra
+G2_INPUTS = st.sampled_from([
+    ("n28_ext", catalog.n28_ext_g2_form()),
+    ("abelian_ext", catalog.abelian_ext_g2_form()),
+    ("(0,0,0,0,e12,e13,e14+e23)", catalog.standard_g2_form())])
 
 
 @st.composite
@@ -101,3 +111,17 @@ def test_scenario_text_exits_with_a_documented_code(tmp_path_factory, flags,
     path = tmp_path_factory.mktemp("scenario") / "scenario.txt"
     path.write_text(text)
     assert exit_code(flags + ["check", str(path)]) in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(ring=st.sampled_from(["exact", "float"]), case=G2_INPUTS,
+       k=st.integers(-5, 15))
+@example(ring="exact", case=("n28_ext", catalog.n28_ext_g2_form()), k=15)
+def test_g2_analyze_on_scaled_catalog_phi_exits_with_a_documented_code(
+        ring, case, k):
+    """10^k phi, written as exact rationals: the exact 9th root of a large
+    det B and float overflow end in a documented code."""
+    algebra, phi = case
+    phi = render_form(phi * Fraction(10) ** k)
+    assert exit_code(["--ring", ring, "g2", "analyze", algebra,
+                      "--phi=" + phi]) in (0, 1, 2, 3)

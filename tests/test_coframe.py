@@ -48,6 +48,9 @@ P_SHEAR = ((1, 1, 0, 0, 0, 0, 0),
            (1, 0, 0, 0, 1, 0, 0),
            (0, 0, 0, 0, 0, 1, 1),
            (0, 0, 0, 0, 0, 0, 1))
+# a worse-conditioned twist: max|g| max|g^-1| is 6.9e3 on the CASES, against
+# 540 for P_DENSE
+P_DENSE_SHEAR = linalg.mat_mul(linalg.mat(P_DENSE), linalg.mat(P_SHEAR))
 
 
 class Coframe:
@@ -235,19 +238,21 @@ def test_pullback_by_q_is_the_change_of_coframe():
 
 
 def test_float_ring_on_dense_twist_matches_exact(reference):
-    algebra, phi = CASES["n28_ext"]
-    c = Coframe(P_DENSE)
-    algebra = to_float_algebra(c.algebra(algebra))
-    phi = c.form(phi).to_float()
-    t = torsion_forms(algebra, phi, tol=1e-10)
-    assert t.class_label == reference["n28_ext"]["class"]
-    assert abs(t.tau0 - reference["n28_ext"]["tau0"]) <= 1e-9
-    # negative control: a *phi that is off by 1e-6 must not close
-    s = metric_from_phi(phi)
-    bent = dataclasses.replace(
-        s, star_phi=s.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
-    with pytest.raises(TorsionInconsistencyError):
-        torsion_forms(algebra, phi, bent, tol=1e-10)
+    # float rounding grows with max|g| max|g^-1|: 540, then 6.9e3
+    for p, tau0_tol in ((P_DENSE, 1e-9), (P_DENSE_SHEAR, 1e-8)):
+        algebra, phi = CASES["n28_ext"]
+        c = Coframe(p)
+        algebra = to_float_algebra(c.algebra(algebra))
+        phi = c.form(phi).to_float()
+        t = torsion_forms(algebra, phi, tol=1e-10)
+        assert t.class_label == reference["n28_ext"]["class"]
+        assert abs(t.tau0 - reference["n28_ext"]["tau0"]) <= tau0_tol
+        # negative control: a *phi that is off by 1e-6 must not close
+        s = metric_from_phi(phi)
+        bent = dataclasses.replace(
+            s, star_phi=s.star_phi + KForm(7, 4, {(1, 2, 3, 4): 1e-6}))
+        with pytest.raises(TorsionInconsistencyError):
+            torsion_forms(algebra, phi, bent, tol=1e-10)
 
 
 def test_float_type_projection_on_dense_twist_matches_exact():
@@ -283,8 +288,8 @@ def scaled_analysis(name, c, ring):
 
 @pytest.mark.parametrize("ring", ["exact", "float"])
 @pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1, 10),
-                               Fraction(1, 2), Fraction(2), Fraction(10)],
-                         ids=str)
+                               Fraction(1, 2), Fraction(2), Fraction(10),
+                               Fraction(1000)], ids=str)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_scale_covariance(name, c, ring):
     """phi -> c^3 phi keeps positivity and the class, and gives g -> c^2 g,
