@@ -553,9 +553,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     0 every check passed; 1 a check failed; 2 bad input (``ValueError``,
     ``RingMismatchError``, an unreadable file, or argparse's own usage
-    error); 3 not decidable in this ring (``ExactnessError``: rerun with
-    ``--ring float``) or internally inconsistent (``RuntimeError``, as
-    ``TorsionInconsistencyError``).  2 and 3 print ``error: ...`` only.
+    error); 3 undecidable in this ring (``ExactnessError``: rerun with
+    ``--ring float``; ``OverflowError``: past the float range) or
+    inconsistent (``RuntimeError``, as ``TorsionInconsistencyError``).
+    2 and 3 print ``error: ...`` only.
     """
     args = _parser().parse_args(argv)
     try:
@@ -563,7 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, RingMismatchError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ExactnessError, RuntimeError) as exc:
+    except (ExactnessError, OverflowError, RuntimeError) as exc:
         hint = ("; rerun with --ring float"
                 if isinstance(exc, ExactnessError) else "")
         print("error: %s%s" % (exc, hint), file=sys.stderr)

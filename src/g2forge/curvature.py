@@ -11,13 +11,12 @@ the worked nilsoliton example (see the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional, Tuple
 
 from . import linalg
 from .exterior import scaled
-from .liealg import MetricLieAlgebra, derivation_map, is_nilpotent
+from .liealg import MetricLieAlgebra, derivation_defect, is_nilpotent
 from .scalars import Scalar, is_zero
 
 
@@ -34,11 +33,18 @@ class ConnectionCoeffs:
         return tuple(linalg.transpose(nm) for nm in self.matrices)
 
 
-@dataclass(frozen=True)
 class CurvatureTensors:
-    riemann: dict          # (i,j,k,l) -> R_ijkl = g(R(e_i,e_j)e_k, e_l), 1-based
-    ricci: linalg.Matrix
-    scal: Scalar
+    """ricci, scal and riemann, (i,j,k,l) -> g(R(e_i,e_j)e_k, e_l) 1-based:
+    the dict, or a function that builds it on first read."""
+
+    def __init__(self, riemann, ricci: linalg.Matrix, scal: Scalar):
+        self._riemann, self.ricci, self.scal = riemann, ricci, scal
+
+    @property
+    def riemann(self) -> dict:
+        if callable(self._riemann):
+            self._riemann = self._riemann()
+        return self._riemann
 
 
 def _cleared_constants(algebra) -> Tuple[int, list]:
@@ -111,22 +117,25 @@ def curvature_tensors(m: MetricLieAlgebra,
             ricci[i][k] = ricci[i][k] - r[j][k]
         curv.append(r)
     den = dc * dn * dn
-    # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) dg den for the p-th pair
-    # (i, j): every R(e_i, e_j) lowered in one product
-    low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
-                              for a in range(n)])
-    riemann = {}
-    for p, (i, j) in enumerate(pairs):
-        for k, l in product(range(n), repeat=2):
-            if low[l][p * n + k]:
-                x = linalg.over(low[l][p * n + k], dg * den)
-                riemann[(i + 1, j + 1, k + 1, l + 1)] = x
-                riemann[(j + 1, i + 1, k + 1, l + 1)] = -x
+
+    def lower() -> dict:
+        # on the first read of riemann: low[l][p*n + k] = g(R(e_i, e_j) e_k,
+        # e_l) dg den for the p-th pair (i, j), all lowered in one product
+        low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
+                                  for a in range(n)])
+        riemann = {}
+        for p, (i, j) in enumerate(pairs):
+            for k, l in product(range(n), repeat=2):
+                if low[l][p * n + k]:
+                    x = linalg.over(low[l][p * n + k], dg * den)
+                    riemann[(i + 1, j + 1, k + 1, l + 1)] = x
+                    riemann[(j + 1, i + 1, k + 1, l + 1)] = -x
+        return riemann
     di, ginv = linalg.clear_rows(g.inverse)
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if ricci[j][k]), zero)
     return CurvatureTensors(
-        riemann=riemann,
+        riemann=lower,
         ricci=tuple(tuple(linalg.over(x, den) for x in row) for row in ricci),
         scal=linalg.over(scal, di * den))
 
@@ -167,10 +176,10 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
                      ) -> Optional[NilsolitonWitness]:
     """Solve Ric = c I + D with D a derivation of the nilpotent algebra.
 
-    Ric - cI is a derivation exactly when L(Ric) = c L(I), for the map L of
-    ``liealg.derivation_map``: one column, solved by ``linalg.solve``,
-    exact over rationals, least squares over floats with a residual bound
-    of ``scaled(tol, Ric)``.  D = Ric - cI is then the witness.
+    Ric - cI is a derivation exactly when L(Ric) = c L(I), for the L of
+    ``liealg.derivation_defect``: solved by ``linalg.solve`` on the rows
+    where either side is nonzero, exactly over rationals, by least squares
+    over floats with a residual bound of ``scaled(tol, Ric)``.  D = Ric - cI.
     ``tensors`` reuses the curvature of m when the caller has it.
     """
     algebra = m.algebra
@@ -179,12 +188,14 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
         raise ValueError("nilsoliton criterion needs a nilpotent algebra")
     n = algebra.dim
     ric_op = ricci_operator(m, tensors)
-    # columns L(Ric) and L(I) from one product
-    images = linalg.mat_mul(derivation_map(algebra), [
-        (ric_op[p][q], Fraction(1 if p == q else 0))
-        for p in range(n) for q in range(n)])
-    sol = linalg.solve(tuple((li,) for _, li in images),
-                       [lr for lr, _ in images], scaled(tol, ric_op))
+    # entry (i<j, k) of L(I) = -[e_i, e_j] is the e^ij coefficient of de^k
+    li = (f.coeffs.get(p, 0) for p in combinations(range(1, n + 1), 2)
+          for f in algebra.d_coframe)
+    # with no nonzero row (abelian), 0 = c 0 keeps c = 0 in the ring of Ric
+    rows = [(x, y) for x, y in zip(derivation_defect(algebra, ric_op), li)
+            if x or y] or [(linalg.ring_zero(ric_op),) * 2]
+    sol = linalg.solve(tuple((y,) for _, y in rows), [x for x, _ in rows],
+                       scaled(tol, ric_op))
     if sol is None:
         return None
     (c_val,) = sol

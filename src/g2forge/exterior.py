@@ -219,12 +219,12 @@ class Vector:
 
 
 def magnitude(*parts) -> float:
-    """Largest |c| over the numeric coefficients of forms and the entries
-    of matrices; 0.0 when there are none."""
+    """Largest |c| over the nonzero numeric coefficients of forms and the
+    entries of matrices; 0.0 when there are none."""
     return max((abs(x) for p in parts
                 for x in (p.coeffs.values() if isinstance(p, KForm)
                           else (y for row in p for y in row))
-                if isinstance(x, (float, Fraction))), default=0.0)
+                if x and isinstance(x, (float, Fraction))), default=0.0)
 
 
 def scaled(tol: float, *factors) -> float:

@@ -8,6 +8,7 @@ matrices, then validated by exact reconstruction of d(phi) and d(*phi).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -115,9 +116,13 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # float zero tests are relative to the size of B: phi -> c^3 phi scales
     # B by c^9 and det B by c^63.  det B only has to be told from 0 here (a
     # dense B may have |det B| far below max|B|^7); the eigenvalues in the
-    # positivity test decide near-degenerate forms.  Exact tests ignore tol.
-    b_tol = scaled(tol, b)
-    if is_zero(det_b, b_tol ** 7):
+    # positivity test decide near-degenerate forms.  Exact tests ignore tol;
+    # a float det B or tolerance past the float range (inf) decides nothing.
+    b_tol = scaled(tol, b) if isinstance(det_b, float) else 0.0
+    det_tol = math.prod([b_tol] * 7)
+    if isinstance(det_b, float) and not math.isfinite(det_b + det_tol):
+        raise OverflowError("det B of phi is past the float range")
+    if is_zero(det_b, det_tol):
         raise NotPositiveError("degenerate 3-form: det B = 0")
     # det B = v^9 with v of either sign: the form picks its own orientation.
     # 9 is odd, so sign(v) = sign(det B) and g = B/v > 0 iff sign * B > 0:

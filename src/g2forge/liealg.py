@@ -9,12 +9,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       merge_sign, render_form)
+                       merge_sign, render_form, scaled)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -36,7 +36,7 @@ class LieAlgebra:
     """dim + the coframe differentials; d extends as an anti-derivation."""
 
     __slots__ = ("dim", "d_coframe", "name", "_constants", "_cleared",
-                 "_nilpotency", "_derivations")
+                 "_nilpotency")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
                  name: Optional[str] = None, check: bool = True,
@@ -59,7 +59,6 @@ class LieAlgebra:
         object.__setattr__(self, "_cleared", (den, [
             {pair: next(nums) for pair in f.coeffs} for f in norm]))
         object.__setattr__(self, "_nilpotency", {})   # tol -> is_nilpotent
-        object.__setattr__(self, "_derivations", None)  # derivation_map
         if check:
             bad = self.jacobi_defect(tol=tol)
             if bad is not None:
@@ -373,7 +372,8 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
                          "here; specialize the symbols first")
     n = algebra.dim
     c = algebra.structure_constants
-    ads = [[c[k][i][j] for i in range(n) for k in range(n)] for j in range(n)]
+    ads = linalg.Sparse([[c[k][i][j] for i in range(n) for k in range(n)]
+                         for j in range(n)])
     current, step = linalg.identity(n), 0
     while tol not in algebra._nilpotency:
         step += 1
@@ -388,50 +388,48 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
     return algebra._nilpotency[tol]
 
 
-def derivation_map(algebra: LieAlgebra) -> linalg.Sparse:
-    """The derivation identity as one linear map L on the n^2 entries of D,
-    taken row by row: entry (i<j, k) of L vec(D) is the e_k-component of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Derivations are its kernel.
-    Each nonzero c^k_ab is visited once; an entry of L sums at most two.
-    L is built once per algebra and kept on it with its nonzero entries."""
-    if algebra._derivations is not None:
-        return algebra._derivations
+def derivation_defect(algebra: LieAlgebra, matrix) -> List[Scalar]:
+    """L vec(D), zero exactly for derivations: entry r*n + k, for the r-th
+    pair i < j, is the e_k-component of D[e_i,e_j] - [De_i,e_j] -
+    [e_i,De_j].  Each nonzero c^k_ab = -y (a < b, y the e^ab coefficient of
+    de^k) and c^k_ba = y enter once, on integers over one denominator."""
     n = algebra.dim
-    # the equations (i, j, k) of the pair (i, j) start at row row_of[i, j]
+    den_c, planes = algebra._cleared
+    den_d, d = linalg.clear_rows(matrix)
     row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
-    # int zeros: Sparse tests them at C speed, and 0 + x has the type of x
-    rows = [[0] * (n * n) for _ in range(len(row_of) * n)]
-    c = algebra.structure_constants
-    for k, a, b in product(range(n), repeat=3):
-        x = c[k][a][b]
-        if not x:
-            continue
-        # x = c^k_ab enters D[q][k] c^k_ab in equation (a, b, q),
-        # -c^k_ab D[a][i] in (i, b, k) and -c^k_ab D[b][j] in (a, j, k)
-        for q in range(n if a < b else 0):
-            rows[row_of[a, b] + q][q * n + k] += x
-        for i in range(b):
-            rows[row_of[i, b] + k][a * n + i] -= x
-        for j in range(a + 1, n):
-            rows[row_of[a, j] + k][b * n + j] -= x
-    object.__setattr__(algebra, "_derivations",
-                       linalg.Sparse(tuple(map(tuple, rows))))
-    return algebra._derivations
+    zero = linalg.ring_zero(d, [p.values() for p in planes])
+    acc = [zero] * (n * len(row_of))
+    for k, plane in enumerate(planes):
+        for (a, b), y in plane.items():
+            a, b = a - 1, b - 1
+            for q in range(n):
+                acc[row_of[a, b] + q] -= d[q][k] * y
+            # -[De_i, e_v] and -[e_u, De_j] with c^k_uv = -s
+            for u, v, s in ((a, b, y), (b, a, -y)):
+                for i in range(v):
+                    acc[row_of[i, v] + k] += d[u][i] * s
+                for j in range(u + 1, n):
+                    acc[row_of[u, j] + k] += d[v][j] * s
+    return [linalg.over(x, den_c * den_d) for x in acc]
 
 
 def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
-    """L vec(D) = 0 within tol, entry by entry."""
-    column = [[x] for row in linalg.mat(matrix) for x in row]
-    return all(is_zero(x, tol) for (x,) in
-               linalg.mat_mul(derivation_map(algebra), column))
+    """A zero ``derivation_defect``, each entry within
+    ``scaled(tol, D, c)`` in floats, c the structure constants."""
+    matrix = linalg.mat(matrix)
+    bound = scaled(tol, matrix, [f.coeffs.values() for f in algebra.d_coframe])
+    return all(is_zero(x, bound) for x in derivation_defect(algebra, matrix))
 
 
 def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Matrix]:
     """Basis of the space of derivations, as n x n matrices: the kernel of
-    ``derivation_map``, from ``linalg.nullspace``."""
+    L, whose columns are the defects of the unit matrices (``nullspace``)."""
     n = algebra.dim
+    units = ([[int(p * n + q == u) for q in range(n)] for p in range(n)]
+             for u in range(n * n))
     return [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
-            for v in linalg.nullspace(derivation_map(algebra).matrix, tol)]
+            for v in linalg.nullspace(linalg.transpose(
+                [derivation_defect(algebra, e) for e in units]), tol)]
 
 
 def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,

@@ -115,12 +115,15 @@ def test_scenario_text_exits_with_a_documented_code(tmp_path_factory, flags,
 
 @FUZZ
 @given(ring=st.sampled_from(["exact", "float"]), case=G2_INPUTS,
-       k=st.integers(-5, 15))
+       k=st.integers(-5, 30))
 @example(ring="exact", case=("n28_ext", catalog.n28_ext_g2_form()), k=15)
+@example(ring="exact", case=("n28_ext", catalog.n28_ext_g2_form()), k=19)
+@example(ring="float", case=("n28_ext", catalog.n28_ext_g2_form()), k=19)
 def test_g2_analyze_on_scaled_catalog_phi_exits_with_a_documented_code(
         ring, case, k):
     """10^k phi, written as exact rationals: the exact 9th root of a large
-    det B and float overflow end in a documented code."""
+    det B, a det B past the float range and its tolerance end in a
+    documented code."""
     algebra, phi = case
     phi = render_form(phi * Fraction(10) ** k)
     assert exit_code(["--ring", ring, "g2", "analyze", algebra,

@@ -11,9 +11,11 @@ from g2forge.curvature import (CurvatureTensors, NilsolitonWitness,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
 from g2forge.exterior import (InnerProduct, KForm, basis_indices,
-                              contract_basis, form_inner, pullback, scaled)
+                              contract_basis, form_inner, pullback,
+                              render_form, scaled)
 from g2forge.g2 import metric_from_phi, star_ricci, torsion_forms
-from g2forge.liealg import (MetricLieAlgebra, derivation_map,
+from g2forge.cli import main
+from g2forge.liealg import (MetricLieAlgebra, derivation_defect,
                             derivation_space, is_derivation, is_nilpotent,
                             to_float_algebra)
 from g2forge.scalars import Polynomial, is_zero
@@ -388,11 +390,15 @@ def test_pairs_reference_needs_the_bracket_term():
 
 
 def count_mat_mul(monkeypatch):
+    """Record (rows of a, rows of b, columns of b) of every ``mat_mul``,
+    either factor a matrix or its ``Sparse``."""
     calls = []
     original = linalg.mat_mul
 
     def counted(a, b):
-        calls.append((len(a), len(b)))
+        a_rows, b_rows = (getattr(x, "matrix", x) for x in (a, b))
+        calls.append((len(a_rows), len(b_rows),
+                      len(b_rows[0]) if len(b_rows) else 0))
         return original(a, b)
 
     monkeypatch.setattr(linalg, "mat_mul", counted)
@@ -402,17 +408,47 @@ def count_mat_mul(monkeypatch):
 @pytest.mark.parametrize("key", ["n28", "n28_einstein_extension",
                                  "n28_ext-dense"])
 def test_curvature_makes_a_fixed_number_of_products(monkeypatch, key):
-    # one product for every N_i N_j and one lowering of every R(e_i, e_j),
-    # in dimension 6 and 7 alike, where the pairs took 3 C(n, 2)
+    # one product for every N_i N_j, and on the first read of riemann one
+    # lowering of every R(e_i, e_j), in dimension 6 and 7 alike, where the
+    # pairs took 3 C(n, 2)
     m = besse_input(key)
     coeffs = levi_civita(m)
     calls = count_mat_mul(monkeypatch)
-    curvature_tensors(m, coeffs)
+    t = curvature_tensors(m, coeffs)
     n = m.algebra.dim
-    assert calls == [(n * n, n), (n, n)]
+    assert calls == [(n * n, n, n * n)]
+    riemann = t.riemann
+    assert calls == [(n * n, n, n * n), (n, n, n * n * (n - 1) // 2)]
+    assert t.riemann is riemann and len(calls) == 2
     calls.clear()
     curvature_tensors(m)
-    assert len(calls) == 4      # and two in levi_civita
+    assert len(calls) == 3      # and two in levi_civita
+
+
+def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
+    """metric analyze reads Ricci only: no 90-row L and no lowering of the
+    R(e_i, e_j), the product by g with n C(n, 2) columns; g2 analyze lowers
+    them once, for star-Ricci."""
+    built = []
+    init = linalg.Sparse.__init__
+
+    def counted(self, m):
+        built.append(len(m))
+        init(self, m)
+
+    monkeypatch.setattr(linalg.Sparse, "__init__", counted)
+    calls = count_mat_mul(monkeypatch)
+
+    def lowerings():
+        return [b for a, b, cols in calls
+                if a == b and b > 1 and cols == b * b * (b - 1) // 2]
+    for ring in ("exact", "float"):
+        for name in ("n28", "n24", "n34"):
+            assert main(["--ring", ring, "metric", "analyze", name]) in (0, 1)
+    assert 90 not in built and not lowerings()
+    phi = render_form(catalog.n28_ext_g2_form())
+    assert main(["g2", "analyze", "n28_ext", "--phi", phi]) == 0
+    assert 90 not in built and lowerings() == [7]
 
 
 def test_nilpotency_takes_one_product_per_step(monkeypatch):
@@ -431,11 +467,11 @@ def test_nilsoliton_raises_on_a_cached_non_nilpotent_verdict(einstein_ext):
 
 
 def nilsoliton_through_dense_map(m, tol=1e-10):
-    """Reference: the nilsoliton solve with the dense L of
-    ``derivation_map`` handed to ``mat_mul``, which scans it again."""
+    """Reference: the nilsoliton solve on all rows of the dense L of
+    ``derivation_map_on_fraction_zeros``, applied by ``mat_mul``."""
     n = m.algebra.dim
     ric_op = ricci_operator(m)
-    images = linalg.mat_mul(derivation_map(m.algebra).matrix, [
+    images = linalg.mat_mul(derivation_map_on_fraction_zeros(m.algebra), [
         (ric_op[p][q], Fraction(1 if p == q else 0))
         for p in range(n) for q in range(n)])
     sol = linalg.solve(tuple((li,) for _, li in images),
@@ -449,16 +485,30 @@ def nilsoliton_through_dense_map(m, tol=1e-10):
 
 def typed_entries(x):
     """x with the type of every scalar next to it."""
-    if isinstance(x, NilsolitonWitness):
-        return typed_entries((x.constant, x.derivation))
     if isinstance(x, (list, tuple)):
         return [typed_entries(y) for y in x]
     return x if x is None or type(x) is bool else (type(x), x)
 
 
+def assert_close(got, want, ring, scale, name):
+    """Two lists of scalars with equal types, equal in Q and within 1e-12
+    of scale in floats."""
+    assert [type(x) for x in got] == [type(x) for x in want], name
+    if ring == "exact":
+        assert got == want, name
+    else:
+        assert all(abs(x - y) <= 1e-12 * scale
+                   for x, y in zip(got, want)), name
+
+
+def witness_entries(w):
+    return [w.constant] + [x for row in w.derivation for x in row]
+
+
 def derivation_map_on_fraction_zeros(algebra):
-    """Reference: ``derivation_map`` as it was built, on a grid of
-    Fraction(0) with the structure constants added in."""
+    """Reference: the dense L of the derivation identity on a grid of
+    Fraction(0) with the structure constants added in, row (i<j, k) and
+    column p*n + q for D[p][q]."""
     n = algebra.dim
     row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
     rows = [[Fraction(0)] * (n * n) for _ in range(len(row_of) * n)]
@@ -473,74 +523,72 @@ def derivation_map_on_fraction_zeros(algebra):
             rows[row_of[i, b] + k][a * n + i] -= x
         for j in range(a + 1, n):
             rows[row_of[a, j] + k][b * n + j] -= x
-    return linalg.Sparse(tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
+
+
+def metrics_in(ring, algebra):
+    """The identity and the dense P6_GRAM metric on algebra, in ring."""
+    metrics = [MetricLieAlgebra(algebra, g) for g in (
+        InnerProduct.euclidean(6), InnerProduct(P6_GRAM))]
+    if ring == "float":
+        metrics = [float_copy(m) for m in metrics]
+    return metrics
 
 
 @pytest.mark.parametrize("ring", ["exact", "float"])
-def test_derivation_map_matches_the_fraction_zero_grid(ring):
-    """L over int zeros has the nonzero entries, with their types, of the
-    L built over Fraction(0), and every product with it, its kernel
-    included, is the same in value and type."""
+def test_derivation_defect_is_the_dense_map_product(ring):
+    """The defect of D is L vec(D) for the dense L, the derivation space is
+    the kernel of L, and is_derivation tests the same products."""
     n = 6
-    scalar = float if ring == "float" else Fraction
-    columns = [[scalar(int(p == q == i)) for i in range(n)]
-               + [scalar(Fraction(p * n + q + 1, q + 2))]
-               for p in range(n) for q in range(n)]
+    units = [tuple(tuple(Fraction(int(p * n + q == u)) for q in range(n))
+                   for p in range(n)) for u in range(n * n)]
+    ramp = tuple(tuple(Fraction(p * n + q + 1, q + 2) for q in range(n))
+                 for p in range(n))
     for name in sorted(catalog.NILPOTENT6):
         algebra = catalog.algebra(name)
         if ring == "float":
             algebra = to_float_algebra(algebra)
-        got, want = derivation_map(algebra), derivation_map_on_fraction_zeros(
-            algebra)
-        assert [{k: (type(x), x) for k, x in r.items()} for r in got.rows] \
-            == [{k: (type(x), x) for k, x in r.items()} for r in want.rows]
-        assert got.matrix == want.matrix, name
-        for a, b in ((got, want), (got.matrix, want.matrix)):
-            assert typed_entries(linalg.mat_mul(a, columns)) == \
-                typed_entries(linalg.mat_mul(b, columns)), name
-        assert typed_entries(linalg.nullspace(got.matrix, 1e-10)) == \
-            typed_entries(linalg.nullspace(want.matrix, 1e-10)), name
-
-
-@pytest.mark.parametrize("ring", ["exact", "float"])
-def test_derivation_map_is_built_once_per_algebra(monkeypatch, ring):
-    """nilsoliton_check and is_derivation apply the nonzero entries of L
-    kept on the algebra: one L per algebra, and the same witnesses and
-    verdicts as the dense product with L."""
-    built = []
-    init = linalg.Sparse.__init__
-
-    def counted(self, m):
-        if len(m) == 90:        # the rows of L for n = 6
-            built.append(1)
-        init(self, m)
-
-    monkeypatch.setattr(linalg.Sparse, "__init__", counted)
-    n = 6
-    units = [tuple(tuple(Fraction(int(p == q == i)) for q in range(n))
-                   for p in range(n)) for i in range(n)]
-    for name in sorted(catalog.NILPOTENT6):
-        algebra = catalog.algebra(name)
-        if ring == "float":
-            algebra = to_float_algebra(algebra)
-        built.clear()
-        candidates = derivation_space(algebra) + units
-        verdicts = [is_derivation(algebra, d) for d in candidates]
-        metrics = [MetricLieAlgebra(algebra, g) for g in (
-            InnerProduct.euclidean(n), InnerProduct(P6_GRAM))]
-        if ring == "float":
-            metrics = [MetricLieAlgebra(algebra, m.metric.to_float())
-                       for m in metrics]
-        witnesses = [nilsoliton_check(m) for m in metrics]
-        assert len(built) == 1, name
-        assert verdicts == [
-            all(is_zero(x, 1e-9) for (x,) in linalg.mat_mul(
-                derivation_map(algebra).matrix,
-                [[x] for row in d for x in row])) for d in candidates], name
-        assert typed_entries(witnesses) == typed_entries(
-            [nilsoliton_through_dense_map(m) for m in metrics]), name
+        dense = derivation_map_on_fraction_zeros(algebra)
+        basis = derivation_space(algebra)
+        assert typed_entries(basis) == typed_entries(
+            [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
+             for v in linalg.nullspace(dense, 1e-10)]), name
+        for d in basis + units + [ramp]:
+            want = [x for (x,) in linalg.mat_mul(
+                dense, [[x] for row in d for x in row])]
+            assert_close(derivation_defect(algebra, d), want, ring,
+                         max(abs(x) for row in d for x in row), name)
+        verdicts = [is_derivation(algebra, d) for d in basis + units]
         # some units are derivations and some are not, except on n34
-        assert all(verdicts[:-n]) and (not all(verdicts) or name == "n34")
+        assert all(verdicts[:-n * n]) and (not all(verdicts) or name == "n34")
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_nilsoliton_matches_the_dense_map_reference(ring):
+    """The witness from the nonzero rows of L(Ric) = c L(I) is the one of
+    the dense solve on all 90 rows: exactly in Q, within 1e-12 of the
+    largest entry of Ric in floats."""
+    found = 0
+    for name in sorted(catalog.NILPOTENT6):
+        algebra = catalog.algebra(name)
+        if ring == "float":
+            algebra = to_float_algebra(algebra)
+        for m in metrics_in(ring, algebra):
+            got, want = nilsoliton_check(m), nilsoliton_through_dense_map(m)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                found += 1
+                scale = max(abs(x) for row in ricci_operator(m) for x in row)
+                assert_close(witness_entries(got), witness_entries(want),
+                             ring, max(scale, 1), name)
+    assert found > 0
+
+
+def test_nilsoliton_on_the_abelian_algebra_keeps_the_ring():
+    for ring, zero in (("exact", Fraction(0)), ("float", 0.0)):
+        for m in metrics_in(ring, catalog.algebra("n34")):
+            assert typed_entries(witness_entries(nilsoliton_check(m))) == \
+                [(type(zero), zero)] * 37
 
 
 def digest(x):

@@ -1,17 +1,19 @@
+import functools
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
-from g2forge.exterior import KForm, basis_indices, sort_index, wedge
+from g2forge.exterior import KForm, basis_indices, scaled, sort_index, wedge
 from g2forge.liealg import (Derivation, JacobiError, LieAlgebra,
                             MetricLieAlgebra, NotDerivationError,
-                            StructureParseError, derivation_space,
-                            is_derivation, is_nilpotent, parse_form,
-                            parse_structure_equations, rank_one_extension,
-                            render_structure_equations, restrict, specialize,
-                            to_float_algebra)
+                            StructureParseError, derivation_defect,
+                            derivation_space, is_derivation, is_nilpotent,
+                            parse_form, parse_structure_equations,
+                            rank_one_extension, render_structure_equations,
+                            restrict, specialize, to_float_algebra)
 from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -246,6 +248,91 @@ def is_derivation_by_brackets(algebra, matrix, tol=1e-9):
             if any(abs(a - b - c) > tol for a, b, c in zip(lhs, rhs1, rhs2)):
                 return False
     return True
+
+
+def defect_by_brackets(algebra, matrix, drop=None):
+    """Reference: the e_k-components of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]
+    for i < j, in the order of ``derivation_defect``, with the brackets
+    taken one vector at a time and summed from the ring's zero.  ``drop``
+    (0, 1 or 2) leaves one of the three terms out, for the negative
+    control."""
+    n = algebra.dim
+    floats = algebra.is_float_ring() or any(
+        isinstance(x, float) for row in matrix for x in row)
+    zero = 0.0 if floats else Fraction(0)
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    col = [[matrix[p][q] for p in range(n)] for q in range(n)]
+    out = []
+    for i, j in combinations(range(n), 2):
+        bij = bracket(algebra, basis[i], basis[j])
+        terms = [[sum((matrix[k][m] * bij[m] for m in range(n)), zero)
+                  for k in range(n)],
+                 [-x for x in bracket(algebra, col[i], basis[j])],
+                 [-x for x in bracket(algebra, basis[i], col[j])]]
+        if drop is not None:
+            del terms[drop]
+        out += [sum(parts, zero) for parts in zip(*terms)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def defect_input(name, twisted, ring):
+    algebra = catalog.algebra(name)
+    if twisted:
+        algebra = Coframe(P6_DENSE).algebra(algebra)
+    return to_float_algebra(algebra) if ring == "float" else algebra
+
+
+@given(st.sampled_from(sorted(catalog.NILPOTENT6)), st.booleans(),
+       st.sampled_from(["exact", "float"]),
+       st.lists(rationals, min_size=36, max_size=36))
+@settings(max_examples=60, deadline=None)
+def test_derivation_defect_matches_brackets(name, twisted, ring, entries):
+    """Entry by entry, with types: exactly in Q, and in floats within
+    scaled(1e-12, D, c) of the bracket reference."""
+    algebra = defect_input(name, twisted, ring)
+    matrix = [entries[6 * i:6 * i + 6] for i in range(6)]
+    if ring == "float":
+        matrix = [[float(x) for x in row] for row in matrix]
+    got, want = derivation_defect(algebra, matrix), defect_by_brackets(
+        algebra, matrix)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    if ring == "exact":
+        assert got == want
+    else:
+        bound = scaled(1e-12, matrix,
+                       [f.coeffs.values() for f in algebra.d_coframe])
+        assert all(abs(x - y) <= bound for x, y in zip(got, want))
+
+
+def test_bracket_reference_needs_each_term():
+    # negative control: with one term dropped the reference tells a dense
+    # rational D from its defect on every non-abelian algebra
+    matrix = [[Fraction(p * 6 + q + 1, q + 2) for q in range(6)]
+              for p in range(6)]
+    for name in sorted(catalog.NILPOTENT6):
+        if name == "n34":
+            continue
+        algebra = catalog.algebra(name)
+        got = derivation_defect(algebra, matrix)
+        for drop in range(3):
+            assert defect_by_brackets(algebra, matrix, drop) != got, name
+
+
+def test_float_is_derivation_bounds_by_the_matrix_and_the_constants():
+    """Each entry of the defect is bounded by scaled(tol, D, c): a tiny
+    non-derivation fails, and a true derivation passes at any scale."""
+    algebra = to_float_algebra(catalog.algebra("n28"))
+    unit = [[float(p == q == 0) for q in range(6)] for p in range(6)]
+    weights = (1.0, 1.0, 1.0, 1.0, 2.0, 2.0)
+    diagonal = [[weights[p] if p == q else 0.0 for q in range(6)]
+                for p in range(6)]
+    dense = [[sum(b[p][q] for b in derivation_space(algebra))
+              for q in range(6)] for p in range(6)]
+    for t in (1e-10, 1.0, 1e9):
+        assert not is_derivation(algebra, [[t * x for x in r] for r in unit])
+        for d in (diagonal, dense):
+            assert is_derivation(algebra, [[t * x for x in r] for r in d])
 
 
 def random_derivation(algebra, coeffs):
