@@ -390,25 +390,25 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
 
 def contract(x: Vector, a: KForm) -> KForm:
-    """Interior product i_x; an anti-derivation lowering the degree by one."""
+    """Interior product i_x; an anti-derivation lowering the degree by one.
+    Exact coefficients are multiplied as integers over one denominator."""
     if x.dim != a.dim:
         raise DimensionMismatchError("vector and form dimensions differ")
     if a.degree < 1:
         raise DegreeError("cannot contract a 0-form")
+    den, nums = linalg.clear([*x.components, *a.coeffs.values()])
+    xs = nums[:a.dim]
     acc: Dict[Index, Scalar] = {}
-    for idx, c in a.coeffs.items():
+    for idx, c in zip(a.coeffs, nums[a.dim:]):
         for pos, i in enumerate(idx):
-            xi = x.components[i - 1]
+            xi = xs[i - 1]
             if is_zero(xi):
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             term = (xi * c) if pos % 2 == 0 else -(xi * c)
-            val = acc.get(rest, 0) + term
-            if is_zero(val):
-                acc.pop(rest, None)
-            else:
-                acc[rest] = val
-    return KForm(a.dim, a.degree - 1, acc)
+            acc[rest] = acc.get(rest, 0) + term
+    return KForm(a.dim, a.degree - 1, {r: linalg.over(v, den * den)
+                                       for r, v in acc.items()})
 
 
 def contract_basis(i: int, a: KForm) -> KForm:

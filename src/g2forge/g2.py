@@ -2,24 +2,24 @@
 intrinsic torsion, curvature formulas and the product construction from a
 coupled pair on a six-dimensional factor.
 
-Torsion forms are extracted by orthogonal projection onto the irreducible
-pieces of the 4- and 5-form decompositions, by their closed-form Gram
-matrices, then validated by exact reconstruction of d(phi) and d(*phi).
+The torsion forms are read off the type decompositions of *d(phi) and
+*d(*phi), and checked by rebuilding d(*phi) from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg, scalars
 from .curvature import CurvatureTensors, curvature_tensors
-from .exterior import (InnerProduct, KForm, Orientation, basis_indices,
-                       codifferential, complement_sign, contract_basis,
-                       form_inner, hodge_star, magnitude, pullback, scaled,
-                       vec_to_form, wedge)
+from .exterior import (InnerProduct, KForm, Orientation, Vector,
+                       basis_indices, codifferential, complement_sign,
+                       contract, contract_basis, form_inner, hodge_star,
+                       magnitude, pullback, scaled, vec_to_form, wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -59,6 +59,12 @@ class G2Structure:
     volume: Orientation
     star_phi: KForm
     orientation_sign: int = 1
+
+    @cached_property
+    def kappa(self) -> float:
+        """max|g| max|g^-1|: float rounding grows by it in the projections
+        and stars of the type decomposition, and phi -> c^3 phi keeps it."""
+        return magnitude(self.metric.matrix) * magnitude(self.metric.inverse)
 
 
 @dataclass(frozen=True)
@@ -136,71 +142,71 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     volume = Orientation(KForm(7, 7, {tuple(range(1, 8)): abs(v)}))
     # defining relation, checked on all 49 basis pairs: g * v == B with the
     # signed volume coefficient
-    for i in range(7):
-        for j in range(7):
-            if not is_zero(g_rows[i][j] * v - b[i][j], b_tol):
-                raise TorsionInconsistencyError("metric extraction failed "
-                                                "the defining relation")
+    if not all(is_zero(x * v - y, b_tol)
+               for gr, br in zip(g_rows, b) for x, y in zip(gr, br)):
+        raise TorsionInconsistencyError("metric extraction failed the "
+                                        "defining relation")
     star = hodge_star(phi, metric, volume)
     return G2Structure(phi=phi, metric=metric, volume=volume, star_phi=star,
                        orientation_sign=sign)
 
 
 # ---------------------------------------------------------------------------
-# projections onto irreducible pieces
+# type decomposition and torsion
 # ---------------------------------------------------------------------------
 
-def _project(target: KForm, basis: List[KForm], g: InnerProduct,
-             m: linalg.Matrix, k: int) -> Tuple[KForm, List[Scalar]]:
-    """g-orthogonal projection of target onto a family of 7 forms whose Gram
-    matrix is k m^-1 (see ``torsion_forms``): the coefficients are m r / k
-    for the inner products r of the family with target."""
-    r = [form_inner(b, target, g) for b in basis]
-    coeffs = [sum(x * y for x, y in zip(row, r)) / k for row in m]
-    return sum((c * f for c, f in zip(coeffs, basis)),
-               KForm.zero(target.dim, target.degree)), coeffs
+def _project(a: KForm, family: KForm, g: InnerProduct, k: int
+             ) -> Tuple[KForm, Vector]:
+    """The g-orthogonal projection i(X) family of a onto the contractions
+    i_X family, and X.  For family = phi (k = 3) or *phi (k = 4) their Gram
+    matrix is <i_i family, i_j family> = k g_ij (Bryant, *Some remarks on
+    G2-structures*, 2.6; |phi|^2 = 7), so X = g^-1 r / k for the 7 inner
+    products r_i = <i_i family, a>."""
+    r = [form_inner(contract_basis(i, family), a, g) for i in range(1, 8)]
+    x = Vector(7, tuple(sum(y * z for y, z in zip(row, r)) / k
+                        for row in g.inverse))
+    return contract(x, family), x
+
+
+def _type_relation(a: KForm, rest: KForm, forms: Tuple[KForm, ...],
+                   s: G2Structure, tol: float, name: str) -> KForm:
+    """``rest``, what is left of a after its other parts, once it wedges to
+    zero with each of ``forms`` within scaled(tol, g, g^-1, a, form) =
+    kappa tol max|a| max|form| (see ``G2Structure.kappa``).  The bound
+    reads a and form, not the wedge: its true value is 0, and a bound from
+    it collapses to rounding size on input of pure type."""
+    if not all(wedge(rest, f).is_zero(scaled(tol * s.kappa, a, f))
+               for f in forms):
+        raise TorsionInconsistencyError(
+            "%s-part failed its defining relation" % name)
+    return rest
 
 
 def two_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
-                        ) -> Dict[str, KForm]:
-    """Split a 2-form into the 7- and 14-dimensional pieces.
-
-    The 7-part is spanned by contractions i_X phi; the 14-part is the
-    g-orthogonal complement and wedges to zero against *phi.
-    """
+                        ) -> Tuple[Dict[str, KForm], Vector]:
+    """Split a 2-form a = i(X) phi + (14-part) into its parts in
+    Lambda^2_7 + Lambda^2_14, with X.  The 14-part is the g-orthogonal
+    complement and wedges to zero against *phi."""
     if a.degree != 2:
         raise ValueError("expected a 2-form")
-    basis7 = [contract_basis(i, s.phi) for i in range(1, 8)]
-    p7, _ = _project(a, basis7, s.metric, s.metric.inverse, 3)
-    if not _type_relation(a, p7, s.star_phi, s.metric, tol):
-        raise TorsionInconsistencyError("14-part failed its defining relation")
-    return {"7": p7, "14": a - p7}
+    p7, x = _project(a, s.phi, s.metric, 3)
+    p14 = _type_relation(a, a - p7, (s.star_phi,), s, tol, "14")
+    return {"7": p7, "14": p14}, x
 
 
 def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
-                          ) -> Dict[str, KForm]:
-    """Split a 3-form into the 1-, 7- and 27-dimensional pieces."""
+                          ) -> Tuple[Dict[str, KForm], Scalar, Vector]:
+    """Split a 3-form a = t phi + i(X) *phi + (27-part) into its parts in
+    Lambda^3_1 + Lambda^3_7 + Lambda^3_27, with t and X.  The 27-part
+    wedges to zero against phi and *phi."""
     if a.degree != 3:
         raise ValueError("expected a 3-form")
     g = s.metric
-    phi_norm = form_inner(s.phi, s.phi, g)
-    p1 = (form_inner(a, s.phi, g) / phi_norm) * s.phi
-    basis7 = [contract_basis(i, s.star_phi) for i in range(1, 8)]
-    p7, _ = _project(a, basis7, g, g.inverse, 4)
-    if not _type_relation(a, p1 + p7, s.phi, g, tol) or \
-            not _type_relation(a, p1 + p7, s.star_phi, g, tol):
-        raise TorsionInconsistencyError("27-part failed its defining relations")
-    return {"1": p1, "7": p7, "27": a - p1 - p7}
-
-
-def _type_relation(a: KForm, part: KForm, form: KForm, g: InnerProduct,
-                   tol: float) -> bool:
-    """(a - part) ^ form = 0, tested as a ^ form = part ^ form within
-    kappa tol times the larger side, for kappa = max|g| max|g^-1| (see
-    ``torsion_forms``)."""
-    lhs, rhs = wedge(a, form), wedge(part, form)
-    return (lhs - rhs).is_zero(scaled(tol, g.matrix, g.inverse)
-                               * magnitude(lhs, rhs))
+    t = form_inner(a, s.phi, g) / form_inner(s.phi, s.phi, g)
+    p1 = t * s.phi
+    p7, x = _project(a, s.star_phi, g, 4)
+    p27 = _type_relation(a, a - p1 - p7, (s.phi, s.star_phi), s, tol, "27")
+    return {"1": p1, "7": p7, "27": p27}, t, x
 
 
 def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
@@ -214,10 +220,6 @@ def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
     return [vec_to_form(7, 2, v, idx2) for v in kernel]
 
 
-# ---------------------------------------------------------------------------
-# torsion
-# ---------------------------------------------------------------------------
-
 def torsion_forms(algebra: LieAlgebra, phi: KForm,
                   structure: Optional[G2Structure] = None,
                   tol: float = 1e-10) -> TorsionForms:
@@ -226,79 +228,55 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
         d phi   = tau0 * (*phi) + 3 tau1 ^ phi + *tau3,
         d *phi  = 4 tau1 ^ (*phi) + tau2 ^ phi,
 
-    where tau2 wedges to zero with *phi and tau3 wedges to zero with both
-    phi and *phi.  Projections use the Gram matrices (Bryant, Some remarks
-    on G2-structures, 2.6; |phi|^2 = 7)
+    for tau2 in Lambda^2_14 and tau3 in Lambda^3_27 (Bryant, 2005).  The
+    star of the standard orientation has *(alpha ^ phi) = -i(alpha#) *phi,
+    *(alpha ^ *phi) = i(alpha#) phi and *(beta ^ phi) = -sigma beta on
+    Lambda^2_14, for the ``orientation_sign`` sigma.  So
 
-        <e^i ^ phi, e^j ^ phi> = 4 g^ij,   <e^i ^ *phi, e^j ^ *phi> = 3 g^ij,
-        <i_i phi, i_j phi>     = 3 g_ij,   <i_i *phi, i_j *phi>     = 4 g_ij,
+        *d phi  = tau0 phi - 3 i(tau1#) *phi + tau3,
+        *d *phi = 4 i(tau1#) phi - sigma tau2,
 
-    and tau1 is read from both equations, which must agree.  On the
-    14-dimensional piece *(beta ^ phi) = -beta in the orientation of phi;
-    the star here is taken in the standard one, so tau2 = -sigma *
-    (d *phi - 4 tau1 ^ *phi) for the ``orientation_sign`` sigma.  The types
-    of tau2 and tau3 and both identities are re-checked.  A float zero test
-    is bounded by the equation it belongs to, so the class does not change
-    under phi -> c^3 phi.
+    and the torsion is read off the splits of these two stars: tau0 and
+    tau3 are the 1-coefficient and the 27-part of *d phi, tau1 = -g X3 / 3
+    for the vector X3 of its 7-part, which must agree with g X2 / 4 from
+    *d *phi, and tau2 is -sigma times the 14-part of *d *phi.  d *phi is
+    rebuilt from tau1 and tau2, which pins the sign.  A float zero test is
+    bounded by kappa tol times the largest term of its split or equation,
+    so the class does not change under phi -> c^3 phi.
     """
     if algebra.dim != 7:
         raise ValueError("torsion analysis lives on 7-dimensional algebras")
     s = structure if structure is not None else metric_from_phi(phi)
     g, orient, star_phi = s.metric, s.volume, s.star_phi
-    dphi = algebra.d(phi)
     dstar = algebra.d(star_phi)
-    coframe = [KForm(7, 1, {(i,): Fraction(1)}) for i in range(1, 8)]
-    # float zero tests: each is bounded by the terms of its own equation,
-    # times kappa = max|g| max|g^-1|, which phi -> c^3 phi keeps and by which
-    # rounding grows in the projections and stars.  A bound on a k-form is
-    # carried through its star by sqrt(det g) max|g^-1|^k.
-    ginv, root_det = magnitude(g.inverse), magnitude(orient.volume)
-    kappa_tol = scaled(tol, g.matrix) * ginv
-
-    # --- 4-form equation ---------------------------------------------------
-    tau0 = form_inner(dphi, star_phi, g) / form_inner(star_phi, star_phi, g)
-    tau0_part = tau0 * star_phi
-    basis47 = [wedge(e, phi) for e in coframe]
-    p47, coeffs47 = _project(dphi, basis47, g, g.matrix, 4)
-    tau1 = KForm(7, 1, {(i,): c / 3 for i, c in enumerate(coeffs47, 1)})
-    star_tau3 = dphi - tau0_part - p47
-    tau3 = hodge_star(star_tau3, g, orient)
-    t4 = kappa_tol * magnitude(dphi, tau0_part, p47, star_tau3)
-    tau3_tol = t4 * root_det * ginv ** 4
-    if not wedge(tau3, phi).is_zero(scaled(tau3_tol, phi)) or \
-            not wedge(tau3, star_phi).is_zero(scaled(tau3_tol, star_phi)):
-        raise TorsionInconsistencyError("tau3 escaped the 27-dimensional type")
-
-    # --- 5-form equation ---------------------------------------------------
-    basis57 = [wedge(e, star_phi) for e in coframe]
-    p57, coeffs57 = _project(dstar, basis57, g, g.matrix, 3)
-    tau2_phi = dstar - p57
-    t5 = kappa_tol * magnitude(dstar, p57, tau2_phi)
-    tau1_bis = KForm(7, 1, {(i,): c / 4 for i, c in enumerate(coeffs57, 1)})
-    if not (3 * wedge(tau1 - tau1_bis, phi)).is_zero(t4):
+    star_dphi = hodge_star(algebra.d(phi), g, orient)
+    star_dstar = hodge_star(dstar, g, orient)
+    parts3, tau0, x3 = three_form_components(star_dphi, s, tol)
+    parts2, x2 = two_form_components(star_dstar, s, tol)
+    kappa_tol = tol * s.kappa
+    t3 = kappa_tol * magnitude(star_dphi, *parts3.values())
+    t2 = kappa_tol * magnitude(star_dstar, *parts2.values())
+    # the 7-part of *d phi is -3 i(tau1#) *phi = -3/4 i(X2) *phi
+    agree = parts3["7"] + Fraction(3, 4) * contract(x2, star_phi)
+    if not agree.is_zero(t3):
         raise TorsionInconsistencyError(
             "tau1 from d(phi) and d(*phi) disagree")
-    tau2 = -s.orientation_sign * hodge_star(tau2_phi, g, orient)
-    if not wedge(tau2, star_phi).is_zero(
-            scaled(t5 * root_det * ginv ** 5, star_phi)):
-        raise TorsionInconsistencyError("tau2 escaped the 14-dimensional type")
-
-    # --- exact reconstruction ------------------------------------------------
-    recon4 = tau0_part + 3 * wedge(tau1, phi) + star_tau3
-    recon5 = 4 * wedge(tau1, star_phi) + wedge(tau2, phi)
-    if not (recon4 - dphi).is_zero(t4) or not (recon5 - dstar).is_zero(t5):
+    tau1 = KForm(7, 1, {(i,): -sum(y * z for y, z in zip(row, x3.components))
+                        / 3 for i, row in enumerate(g.matrix, 1)})
+    tau2 = -s.orientation_sign * parts2["14"]
+    terms5 = (4 * wedge(tau1, star_phi), wedge(tau2, phi))
+    if not (terms5[0] + terms5[1] - dstar).is_zero(
+            kappa_tol * magnitude(dstar, *terms5)):
         raise TorsionInconsistencyError("torsion reconstruction failed")
-
-    # the class tests the pieces tau0 *phi, 3 tau1 ^ phi, *tau3 and
-    # tau2 ^ phi of the two equations
-    z0, z1, z3 = (x.is_zero(t4) for x in (tau0_part, p47, star_tau3))
+    z0, z1, z3 = (parts3[k].is_zero(t3) for k in ("1", "7", "27"))
+    z2 = parts2["14"].is_zero(t2)
     if not (z0 and z3):
         label = CLASS_GENERIC
     elif z1:
-        label = CLASS_PARALLEL if tau2_phi.is_zero(t5) else CLASS_CALIBRATED
+        label = CLASS_PARALLEL if z2 else CLASS_CALIBRATED
     else:
-        label = CLASS_LCP if tau2_phi.is_zero(t5) else CLASS_LCC
-    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3,
+        label = CLASS_LCP if z2 else CLASS_LCC
+    return TorsionForms(tau0=tau0, tau1=tau1, tau2=tau2, tau3=parts3["27"],
                         class_label=label)
 
 
@@ -369,11 +347,9 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
                 rows[ss - 1][mm - 1] = rows[ss - 1][mm - 1] + c1 * c2
     den = dr * du * du
     matrix = tuple(tuple(linalg.over(x, den) for x in row) for row in rows)
-    trace: Scalar = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            if not is_zero(ginv[i][j]):
-                trace = trace + ginv[i][j] * matrix[i][j]
+    trace: Scalar = sum((ginv[i][j] * matrix[i][j] for i in range(n)
+                         for j in range(n) if not is_zero(ginv[i][j])),
+                        Fraction(0))
     rho_tol = scaled(tol, matrix)
     symmetric = linalg.is_symmetric(matrix, rho_tol)
     star_einstein = all(

@@ -20,7 +20,7 @@ from .g2 import NotPositiveError, metric_from_phi, \
     scalar_curvature_from_torsion, star_ricci, torsion_forms
 from .liealg import LieAlgebra, MetricLieAlgebra, is_nilpotent, \
     render_structure_equations, to_float_algebra
-from .scalars import ExactnessError, Polynomial
+from .scalars import ExactnessError, Polynomial, RingMismatchError
 from .stable_forms import StablePair, su3_predicates
 from .survey import build_table, n4_obstruction_sample, \
     n9_nilsoliton_obstruction_sample, sign_partition
@@ -90,7 +90,11 @@ def analyze_metric(algebra: LieAlgebra, metric: InnerProduct,
 
 def analyze_g2(algebra: LieAlgebra, phi: KForm, tol: float) -> Dict[str, Any]:
     """Positivity, the induced metric, torsion and its class, and Ricci,
-    scal, the Einstein constant and star-Ricci from one curvature pass."""
+    scal, the Einstein constant and star-Ricci from one curvature pass.
+    A float phi on a symbolic algebra is bad input at every scale."""
+    if algebra.is_polynomial_ring() and any(
+            isinstance(c, float) for c in phi.coeffs.values()):
+        raise RingMismatchError("cannot mix polynomial and float scalars")
     try:
         s = metric_from_phi(phi)
     except NotPositiveError as exc:

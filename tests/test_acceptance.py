@@ -342,7 +342,7 @@ def test_criterion_11f_decomposition_dimensions():
     rows = [form_to_vec(contract_basis(i, s.phi), idx2) for i in range(1, 8)]
     assert len(idx2) - len(nullspace(mat(rows))) == 7
     assert len(two_form_14_basis(s)) == 14
-    comps = three_form_components(s.phi, s)
+    comps, _, _ = three_form_components(s.phi, s)
     assert comps["1"] == s.phi and comps["7"].is_zero() \
         and comps["27"].is_zero()
     idx3 = basis_indices(7, 3)

@@ -127,6 +127,25 @@ def test_g2_analyze(capsys):
     assert payload["results"]["star_einstein"] is False
 
 
+@pytest.mark.parametrize("k", [0, 15, 19])
+def test_g2_analyze_rejects_a_symbolic_algebra_in_the_float_ring(capsys, k):
+    """abelian_ext keeps its symbolic coefficient in the float ring, so a
+    float phi on it is bad input at every scale, also where det B of
+    10^k phi is past the float range (k >= 15)."""
+    phi = render_form(catalog.abelian_ext_g2_form() * Fraction(10) ** k)
+    assert main(["--ring", "float", "g2", "analyze", "abelian_ext",
+                 "--phi=" + phi]) == 2
+    assert "cannot mix polynomial and float" in capsys.readouterr().err
+
+
+def test_algebra_show_keeps_a_symbolic_algebra_symbolic_in_the_float_ring(
+        capsys):
+    code, out = run_cli(capsys, "--ring", "float", "algebra", "show",
+                        "abelian_ext", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["ring"] == "polynomial"
+
+
 def test_table1_md(capsys):
     code, out = run_cli(capsys, "table1", "--format", "md")
     assert code == 0

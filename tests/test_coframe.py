@@ -10,6 +10,7 @@ are invariants and must not change.
 import dataclasses
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -218,8 +219,9 @@ def test_dense_twist_computes_each_gram_entry_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counted(name))
     monkeypatch.setattr(g2, "form_inner", counted_form_inner)
     torsion_forms(algebra, phi)
-    # tau0, then per projection the 7 entries of its right-hand side: the
-    # Gram matrices are 4 g^-1 and 3 g^-1, and tau2 is a Hodge star
+    # the Lambda^3_1 coefficient of *d phi (<*d phi, phi> and |phi|^2), then
+    # per 7-part the 7 inner products with the i_X phi or i_X *phi: their
+    # Gram matrices are 3 g and 4 g
     assert len(calls) == 2 + 2 * 7
     assert solves == []
 
@@ -255,13 +257,39 @@ def test_float_ring_on_dense_twist_matches_exact(reference):
             torsion_forms(algebra, phi, bent, tol=1e-10)
 
 
+TWISTS = {"identity": None, "dense": P_DENSE, "dense_shear": P_DENSE_SHEAR}
+INPUTS = dict(CASES, generic=GENERIC)
+
+
+@lru_cache(maxsize=None)
+def exact_class(name):
+    return torsion_forms(*INPUTS[name]).class_label
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 1000), Fraction(1), Fraction(1000)],
+                         ids=str)
+@pytest.mark.parametrize("twist", sorted(TWISTS))
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_float_class_matches_exact_on_twists_and_scales(name, twist, c):
+    """The float class of c^3 phi on a twisted coframe is the exact class of
+    phi, for max|g| max|g^-1| up to 6.9e3 (P_DENSE_SHEAR).  The float ring
+    still raises on P_DENSE P_SHEAR^2 (4.4e4) and P_DENSE^2 (4.3e5)."""
+    algebra, phi = INPUTS[name]
+    if TWISTS[twist] is not None:
+        coframe = Coframe(TWISTS[twist])
+        algebra, phi = coframe.algebra(algebra), coframe.form(phi)
+    t = torsion_forms(to_float_algebra(algebra), (phi * c ** 3).to_float(),
+                      tol=1e-10)
+    assert t.class_label == exact_class(name)
+
+
 def test_float_type_projection_on_dense_twist_matches_exact():
     _, phi = CASES["n28_ext"]
     phi = Coframe(P_DENSE).form(phi)
     s_exact, s_float = metric_from_phi(phi), metric_from_phi(phi.to_float())
-    exact = two_form_components(
+    exact, _ = two_form_components(
         contract_basis(1, contract_basis(2, s_exact.star_phi)), s_exact)
-    approx = two_form_components(
+    approx, _ = two_form_components(
         contract_basis(1, contract_basis(2, s_float.star_phi)), s_float)
     assert not exact["14"].is_zero() and not exact["7"].is_zero()
     for part in ("7", "14"):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from g2forge import catalog
-from g2forge.exterior import (KForm, basis_indices, form_inner, wedge)
+from g2forge.exterior import (KForm, Vector, basis_indices, form_inner,
+                              wedge)
 from g2forge.g2 import (CLASS_CALIBRATED, CLASS_LCC, CLASS_LCP,
                         CLASS_PARALLEL, MetricMismatchError, NotPositiveError,
                         b_form, metric_from_phi, product_g2,
@@ -114,13 +115,15 @@ def test_type_decomposition_dimensions(std_structure):
 
 def test_type_project_examples(std_structure):
     s = std_structure
-    comps = three_form_components(s.phi, s)
-    assert comps["1"] == s.phi
+    comps, t, x = three_form_components(s.phi, s)
+    assert comps["1"] == s.phi and t == 1
+    assert not any(x.components)
     assert comps["7"].is_zero() and comps["27"].is_zero()
     from g2forge.exterior import contract_basis
     w = contract_basis(1, s.phi)
-    comps2 = two_form_components(w, s)
+    comps2, x2 = two_form_components(w, s)
     assert comps2["7"] == w and comps2["14"].is_zero()
+    assert x2 == Vector.basis(7, 1)
     for split in (two_form_components, three_form_components):
         with pytest.raises(ValueError):
             split(KForm.monomial(7, (1,)), s)
@@ -129,11 +132,11 @@ def test_type_project_examples(std_structure):
 def test_projection_components_sum_and_orthogonality(std_structure):
     s = std_structure
     a = KForm.from_terms(7, 2, (1, 1, 2), (2, 1, 3), (-1, 4, 5), (3, 6, 7))
-    comps = two_form_components(a, s)
+    comps, _ = two_form_components(a, s)
     assert comps["7"] + comps["14"] == a
     assert form_inner(comps["7"], comps["14"], s.metric) == 0
     b = KForm.from_terms(7, 3, (1, 1, 2, 3), (-2, 2, 4, 6), (1, 5, 6, 7))
-    comps3 = three_form_components(b, s)
+    comps3, _, _ = three_form_components(b, s)
     assert comps3["1"] + comps3["7"] + comps3["27"] == b
     assert form_inner(comps3["1"], comps3["7"], s.metric) == 0
     assert form_inner(comps3["1"], comps3["27"], s.metric) == 0

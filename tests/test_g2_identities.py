@@ -1,15 +1,19 @@
 """The closed forms of the G2 torsion analysis against the generic linear
-algebra they replace, in the exact ring.
+algebra they replace, in the exact ring, and the conventions they read.
 
-``torsion_forms`` and the type projections read their projection
-coefficients from four Gram identities (Bryant, *Some remarks on
-G2-structures*, 2.6), tau2 from one Hodge star, and ``b_form`` pairs
-i_X phi with the seven 5-forms i_Y phi ^ phi.  The references below are the
-formulas these replace: a Gram matrix of ``form_inner`` values and a solve,
-the solve over a basis of the 14-dimensional piece for tau2, and the double
-wedge for B.  The inputs are CASES on the identity, dense and shear
-coframes, and the generic-torsion input on the identity and dense coframes,
-each with phi and -phi.
+The type decompositions (``two_form_components``, ``three_form_components``)
+read their projection coefficients from the Gram identities of the
+contractions i_X phi and i_X *phi (Bryant, *Some remarks on G2-structures*,
+2.6).  ``torsion_forms`` reads tau0..tau3 off the splits of *d phi and
+*d *phi, through *(e^i ^ phi) = -i(e^i#) *phi, *(e^i ^ *phi) = i(e^i#) phi
+and *(beta ^ phi) = -sigma beta on the 14-dimensional piece, which are
+pinned here.  ``b_form`` pairs i_X phi with the seven 5-forms
+i_Y phi ^ phi.  The references below are the formulas these replace: a
+Gram matrix of ``form_inner`` values and a solve (on the families e^i ^ phi
+and e^i ^ *phi for the torsion), the solve over a basis of the
+14-dimensional piece for tau2, and the double wedge for B.  The inputs are
+CASES on the identity, dense and shear coframes, and the generic-torsion
+input on the identity and dense coframes, each with phi and -phi.
 """
 import dataclasses
 from fractions import Fraction
@@ -18,8 +22,9 @@ from functools import lru_cache
 import pytest
 
 from g2forge import linalg
-from g2forge.exterior import (KForm, basis_indices, contract_basis, form_inner,
-                              form_to_vec, hodge_star, wedge)
+from g2forge.exterior import (KForm, Orientation, Vector, basis_indices,
+                              contract, contract_basis, form_inner,
+                              form_to_vec, hodge_star, magnitude, wedge)
 from g2forge.g2 import (TorsionInconsistencyError, b_form, metric_from_phi,
                         three_form_components, torsion_forms,
                         two_form_14_basis, two_form_components)
@@ -136,19 +141,69 @@ def test_torsion_matches_gram_and_basis_solves(case):
         assert t.tau1 and t.tau2 and t.tau3
 
 
+# a 2-form and a 3-form with every coefficient nonzero
+A2 = KForm(7, 2, {idx: Fraction(i % 5 - 2, i % 3 + 1)
+                  for i, idx in enumerate(basis_indices(7, 2))})
+A3 = KForm(7, 3, {idx: Fraction(i % 7 - 3, i % 4 + 1)
+                  for i, idx in enumerate(basis_indices(7, 3))})
+
+
 @pytest.mark.parametrize("case", INPUTS, ids=IDS)
 def test_type_projections_match_gram_solves(case):
     _, phi, s = structure(*case)
     g = s.metric
-    a2 = KForm(7, 2, {idx: Fraction(i % 5 - 2, i % 3 + 1)
-                      for i, idx in enumerate(basis_indices(7, 2))})
-    a3 = KForm(7, 3, {idx: Fraction(i % 7 - 3, i % 4 + 1)
-                      for i, idx in enumerate(basis_indices(7, 3))})
-    p7, _ = gram_project(a2, [contract_basis(i, phi) for i in range(1, 8)], g)
-    assert typed(two_form_components(a2, s)["7"]) == typed(p7)
-    p7, _ = gram_project(a3, [contract_basis(i, s.star_phi)
+    p7, _ = gram_project(A2, [contract_basis(i, phi) for i in range(1, 8)], g)
+    assert typed(two_form_components(A2, s)[0]["7"]) == typed(p7)
+    p7, _ = gram_project(A3, [contract_basis(i, s.star_phi)
                               for i in range(1, 8)], g)
-    assert typed(three_form_components(a3, s)["7"]) == typed(p7)
+    assert typed(three_form_components(A3, s)[0]["7"]) == typed(p7)
+
+
+FLOAT_INPUTS = [(case, i) for case, i in zip(INPUTS, IDS)
+                if case[1] in ("identity", "dense")]
+
+
+@pytest.mark.parametrize("case", [c for c, _ in FLOAT_INPUTS],
+                         ids=[i for _, i in FLOAT_INPUTS])
+def test_float_splits_accept_input_of_pure_type(case):
+    """The exact 14-part of A2, the exact 27-part of A3 and A3 without its
+    1-part, made float, pass the float splits and give the exact parts.
+    Each type test is bounded by the input and the form it wedges with: a
+    bound from the two sides of a relation whose true value is 0 collapses
+    to rounding size on such input."""
+    _, phi, s = structure(*case)
+    s_float = metric_from_phi(phi.to_float())
+    parts2, _ = two_form_components(A2, s)
+    parts3, _, _ = three_form_components(A3, s)
+    for a, split in ((parts2["14"], two_form_components),
+                     (parts3["27"], three_form_components),
+                     (A3 - parts3["1"], three_form_components)):
+        exact, approx = split(a, s)[0], split(a.to_float(), s_float)[0]
+        for key, part in exact.items():
+            assert (approx[key] - part.to_float()).is_zero(
+                1e-9 * magnitude(a))
+
+
+@pytest.mark.parametrize("case", INPUTS, ids=IDS)
+def test_star_identities_of_the_type_decomposition(case):
+    """In the standard orientation, *(e^i ^ phi) = -i(e^i#) *phi,
+    *(e^i ^ *phi) = i(e^i#) phi and *(beta ^ phi) = -sigma beta on the
+    14-dimensional piece, exactly, with e^i# = g^ij e_j and sigma the
+    ``orientation_sign``.  The star of the reversed orientation flips the
+    sign of each (negative control)."""
+    _, phi, s = structure(*case)
+    g, star_phi, sigma = s.metric, s.star_phi, s.orientation_sign
+    reversed_volume = Orientation(-s.volume.volume)
+    for orient, sign in ((s.volume, 1), (reversed_volume, -1)):
+        for i, e in enumerate(coframe_forms()):
+            x = Vector(7, g.inverse[i])
+            assert hodge_star(wedge(e, phi), g, orient) == \
+                -sign * contract(x, star_phi)
+            assert hodge_star(wedge(e, star_phi), g, orient) == \
+                sign * contract(x, phi)
+        for beta in two_form_14_basis(s):
+            assert hodge_star(wedge(beta, phi), g, orient) == \
+                -sign * sigma * beta
 
 
 @pytest.mark.parametrize("case", INPUTS, ids=IDS)
