@@ -116,14 +116,6 @@ def standard_g2_form() -> KForm:
         (1, 2, 4, 6), (-1, 2, 5, 7), (-1, 3, 4, 7), (-1, 3, 5, 6))
 
 
-def standard_g2_dual() -> KForm:
-    """The 4-form dual to the flat-model 3-form in the euclidean metric."""
-    return KForm.from_terms(
-        7, 4,
-        (1, 4, 5, 6, 7), (1, 2, 3, 6, 7), (1, 2, 3, 4, 5), (1, 1, 3, 5, 7),
-        (-1, 1, 3, 4, 6), (-1, 1, 2, 5, 6), (-1, 1, 2, 4, 7))
-
-
 def n28_coupled_pair() -> Tuple[KForm, KForm]:
     """The exact coupled pair on n28: d(omega) = -sigma, metric the identity."""
     omega = KForm.from_terms(6, 2, (1, 1, 2), (1, 3, 4), (-1, 5, 6))
@@ -143,11 +135,6 @@ def n9_coupled_pair() -> Tuple[KForm, KForm]:
         (1, 3, 4): k / 8, (1, 3, 5): k / 4, (1, 4, 6): -k / 4,
         (2, 3, 6): k / 4, (3, 4, 5): k / 4})
     return omega, sigma
-
-
-def n9_coupling_constant() -> float:
-    """d(omega) = c * sigma for the n9 pair above."""
-    return -4.0 / (math.sqrt(15.0) * 2.0 ** 0.25)
 
 
 def n28_ext_g2_form() -> KForm:

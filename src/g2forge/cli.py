@@ -306,46 +306,45 @@ def save_golden(name: str, payload: Dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def _numeric(x: Any) -> Optional[float]:
+def _numeric(x: Any) -> Any:
+    """A leaf as a number: a Fraction for an exact leaf (an int or a p/q
+    string), a float for a float leaf, None for anything else."""
     if isinstance(x, bool):
         return None
-    if isinstance(x, (int, float)):
-        return float(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        return x
     if isinstance(x, str):
         try:
-            return float(Fraction(x))
+            return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            try:
-                return float(x)
-            except ValueError:
-                return None
+            return None
     return None
 
 
 def _close(a: Any, b: Any, tol: float) -> bool:
-    """Structural equality; numeric leaves compare within tol so exact
-    p/q strings match their float-ring shadows.  Keys missing on one side
-    of a dict count as numeric zero (float noise drops exact-zero terms)."""
+    """Structural equality.  Two exact leaves must be equal; a float leaf
+    agrees with a number within tol * max(1, |a|, |b|).  A key missing on
+    one side of a dict counts as zero (float noise drops exact-zero
+    terms)."""
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(_close(x, y, tol) for x, y in zip(a, b))
     if isinstance(a, dict) and isinstance(b, dict):
-        for k in set(a) | set(b):
-            if k in a and k in b:
-                if not _close(a[k], b[k], tol):
-                    return False
-            else:
-                present = a.get(k, b.get(k))
-                val = _numeric(present)
-                if val is None or abs(val) > tol:
-                    return False
-        return True
+        return all(_close(a.get(k, 0), b.get(k, 0), tol)
+                   for k in set(a) | set(b))
     na, nb = _numeric(a), _numeric(b)
-    if na is not None and nb is not None:
-        return abs(na - nb) <= tol
-    return a == b
+    if na is None or nb is None:
+        return a == b
+    if isinstance(na, float) or isinstance(nb, float):
+        return abs(na - nb) <= tol * max(1.0, abs(na), abs(nb))
+    return na == nb
 
 
 def cmd_reproduce(args) -> Report:
+    if args.update_golden and args.ring != "exact":
+        raise ValueError("--update-golden writes the goldens only from the "
+                         "exact ring")
     rep = Report(command="reproduce-paper")
     rep.provenance = {"ring": args.ring, "tol": args.tol, "seed": args.seed}
     for suite_name in [args.only] if args.only else SUITES:

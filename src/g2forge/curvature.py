@@ -27,11 +27,6 @@ class ConnectionCoeffs:
 
     matrices: Tuple[linalg.Matrix, ...]
 
-    @property
-    def gamma(self) -> Tuple[linalg.Matrix, ...]:
-        """gamma[i][j][k]: coefficient of e_k in nabla_{e_i} e_j."""
-        return tuple(linalg.transpose(nm) for nm in self.matrices)
-
 
 class CurvatureTensors:
     """ricci, scal and riemann, (i,j,k,l) -> g(R(e_i,e_j)e_k, e_l) 1-based:
@@ -203,21 +198,3 @@ def nilsoliton_check(m: MetricLieAlgebra, tol: float = 1e-10,
                     for q in range(n)) for p in range(n))
     return NilsolitonWitness(constant=c_val, derivation=d)
 
-
-def connection_satisfies_invariants(m: MetricLieAlgebra,
-                                    coeffs: Optional[ConnectionCoeffs] = None,
-                                    tol: float = 0.0) -> bool:
-    """Metric compatibility (g N_i is antisymmetric) and torsion-freeness
-    (nabla_i e_j - nabla_j e_i = [e_i, e_j]) of the Koszul connection."""
-    algebra, g = m.algebra, m.metric
-    n = algebra.dim
-    if coeffs is None:
-        coeffs = levi_civita(m)
-    nab, c = coeffs.matrices, algebra.structure_constants
-    for nm in nab:
-        low = linalg.mat_mul(g.matrix, nm)
-        if not all(is_zero(low[j][k] + low[k][j], tol)
-                   for j in range(n) for k in range(j, n)):
-            return False
-    return all(is_zero(nab[i][k][j] - nab[j][k][i] - c[k][i][j], tol)
-               for i in range(n) for j in range(i + 1, n) for k in range(n))

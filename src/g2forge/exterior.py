@@ -278,16 +278,9 @@ class InnerProduct:
     @property
     def minors(self) -> linalg.Compound:
         """Minors of g^-1: ``minors.row(I)[J]`` is the Gram entry
-        <e^I, e^J> of the induced inner product on forms.  The float g^-1
-        from ``linalg.inverse`` is not exactly symmetric, so the cache
-        reads it mirrored from its upper triangle, and every Gram matrix
-        built from it is exactly symmetric."""
+        <e^I, e^J> of the induced inner product on forms."""
         if self._minors is None:
-            inv = self.inverse
-            n = len(inv)
-            self._minors = linalg.Compound(tuple(
-                tuple(inv[min(i, j)][max(i, j)] for j in range(n))
-                for i in range(n)))
+            self._minors = linalg.Compound(self.inverse)
         return self._minors
 
     @property
@@ -296,16 +289,6 @@ class InnerProduct:
         if self._sqrt_det is None:
             self._sqrt_det = scalars.ssqrt(linalg.det(self.matrix))
         return self._sqrt_det
-
-    def is_diagonal(self) -> bool:
-        n = self.dim
-        return all(is_zero(self.matrix[i][j])
-                   for i in range(n) for j in range(n) if i != j)
-
-    def is_identity(self) -> bool:
-        n = self.dim
-        return self.is_diagonal() and all(
-            scalars.eq(self.matrix[i][i], Fraction(1)) for i in range(n))
 
     def is_positive_definite(self, tol: float = 0.0) -> bool:
         return linalg.is_positive_definite(self.matrix, tol)
@@ -496,12 +479,6 @@ def codifferential(a: KForm, d: Callable[[KForm], KForm], g: InnerProduct,
 
 def basis_indices(dim: int, degree: int) -> List[Index]:
     return list(combinations(range(1, dim + 1), degree))
-
-
-def form_to_vec(a: KForm, indices: Optional[List[Index]] = None) -> List[Scalar]:
-    if indices is None:
-        indices = basis_indices(a.dim, a.degree)
-    return [a.coeffs.get(i, Fraction(0)) for i in indices]
 
 
 def vec_to_form(dim: int, degree: int, vec: Sequence[Scalar],

@@ -132,20 +132,6 @@ class LieAlgebra:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """Matrix D with D[x,y] = [Dx,y] + [x,Dy] on the given algebra."""
-
-    matrix: linalg.Matrix
-
-    @classmethod
-    def checked(cls, algebra: LieAlgebra, matrix, tol: float = 1e-9) -> "Derivation":
-        matrix = linalg.mat(matrix)
-        if not is_derivation(algebra, matrix, tol=tol):
-            raise NotDerivationError("matrix fails the derivation identity")
-        return cls(matrix)
-
-
-@dataclass(frozen=True)
 class MetricLieAlgebra:
     algebra: LieAlgebra
     metric: InnerProduct

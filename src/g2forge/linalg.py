@@ -136,31 +136,20 @@ class Compound:
     polynomial m.  Index sets are 1-based increasing tuples, as forms use
     them.  A row is built once, by Laplace expansion along idx[0] from the
     row of idx[1:]: division-free, so polynomial entries work, and a
-    diagonal m costs one product per row.  When m is exactly symmetric, a
-    new row takes the entries it shares with rows of its degree built
-    before it, so C_k(m) is exactly symmetric under float rounding too.
-    The dict returned is the cached row itself: read it, do not change it."""
+    diagonal m costs one product per row.  The dict returned is the cached
+    row itself: read it, do not change it."""
 
-    __slots__ = ("matrix", "den", "_cleared", "_symmetric", "_rows")
+    __slots__ = ("matrix", "den", "_cleared", "_rows")
 
     def __init__(self, m: Sequence[Sequence[Scalar]]):
         self.matrix = m
         self.den, self._cleared = clear_rows(m)
-        self._symmetric = is_symmetric(self._cleared)
         self._rows: dict = {(): {(): 1}}
 
     def row(self, idx: Tuple[int, ...]) -> dict:
         row = self._rows.get(idx)
         if row is None:
-            row = self._expand(idx)
-            if self._symmetric:
-                for j, other in self._rows.items():
-                    if len(j) == len(idx):
-                        if idx in other:
-                            row[j] = other[idx]
-                        else:
-                            row.pop(j, None)
-            self._rows[idx] = row
+            row = self._rows[idx] = self._expand(idx)
         return row
 
     def _expand(self, idx: Tuple[int, ...]) -> dict:

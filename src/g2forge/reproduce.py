@@ -5,8 +5,9 @@ summaries), mostly as views of those analyses in the golden-file layout.
 
 Payloads are plain JSON data, built by :func:`payload`, which also
 serializes the command-line reports.  Exact runs render scalars as p/q
-strings; float runs emit floats, and the golden diff coerces both sides
-numerically, so the two rings must produce identical verdicts.
+strings and float runs emit floats.  The golden diff requires two exact
+values to be equal and a float within ``--tol`` relative of its golden, so
+the two rings must produce identical verdicts.
 """
 from __future__ import annotations
 

@@ -75,15 +75,6 @@ def _tables():
     return k, u, index, sign
 
 
-def two_form_from_b(b) -> KForm:
-    """b_1 e^12 + b_2 e^13 + ... + b_15 e^56."""
-    coeffs = {}
-    for val, pair in zip(b, PAIRS):
-        if not scalars.is_zero(scalars.coerce(val)):
-            coeffs[pair] = val
-    return KForm(6, 2, coeffs)
-
-
 class StableFormSampler:
     """Numeric lambda / J / h evaluation for sigma = c * d(omega_b)."""
 

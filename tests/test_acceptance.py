@@ -21,6 +21,7 @@ from g2forge.g2 import (CLASS_LCC, CLASS_LCP, metric_from_phi, product_g2,
                         two_form_14_basis)
 from g2forge.liealg import MetricLieAlgebra, is_derivation, \
     rank_one_extension
+from g2forge.linalg import identity
 from g2forge.scalars import Polynomial, poly_eval
 from g2forge.stable_forms import (almost_complex, lambda_invariant,
                                   metric_from_pair, su3_predicates)
@@ -78,7 +79,7 @@ def test_criterion_02_coupled_pair_n28(n28, n28_pair, survey_rows):
     pair = metric_from_pair(omega, sigma)
     assert pair.lambda_value == -4
     assert pair.normalized
-    assert pair.metric.is_identity()
+    assert pair.metric.matrix == identity(6)
     assert pair.positive
     verdict = su3_predicates(n28, omega, sigma)
     assert verdict.coupled_c == -1
@@ -98,7 +99,7 @@ def test_criterion_03_coupled_pair_n9():
     assert np.abs(h - np.array(n9_expected_metric())).max() <= tol
     assert pair.positive
     verdict = su3_predicates(catalog.algebra("n9"), omega, sigma)
-    assert abs(verdict.coupled_c - catalog.n9_coupling_constant()) <= tol
+    assert abs(verdict.coupled_c + 4 / (15 ** 0.5 * 2 ** 0.25)) <= tol
     report(3, "n9 pair: lambda=-225/64, printed J and h, positive, "
               "c=-4/(sqrt(15) 2^(1/4)), within 1e-10")
 
@@ -335,18 +336,18 @@ def test_criterion_11e_lambda_homogeneity_and_j_invariance(n28_pair):
 
 
 def test_criterion_11f_decomposition_dimensions():
-    from g2forge.exterior import contract_basis, form_to_vec
+    from g2forge.exterior import contract_basis
     from g2forge.linalg import mat, nullspace
     s = metric_from_phi(catalog.standard_g2_form())
     idx2 = basis_indices(7, 2)
-    rows = [form_to_vec(contract_basis(i, s.phi), idx2) for i in range(1, 8)]
+    rows = [[contract_basis(i, s.phi)[j] for j in idx2] for i in range(1, 8)]
     assert len(idx2) - len(nullspace(mat(rows))) == 7
     assert len(two_form_14_basis(s)) == 14
     comps, _, _ = three_form_components(s.phi, s)
     assert comps["1"] == s.phi and comps["7"].is_zero() \
         and comps["27"].is_zero()
     idx3 = basis_indices(7, 3)
-    rows7 = [form_to_vec(contract_basis(i, s.star_phi), idx3)
+    rows7 = [[contract_basis(i, s.star_phi)[j] for j in idx3]
              for i in range(1, 8)]
     assert len(idx3) - len(nullspace(mat(rows7))) == 7
     report(11, "type decomposition ranks 7/14 and 1/7/27 for the flat model")

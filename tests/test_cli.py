@@ -293,6 +293,48 @@ def test_close_numeric_coercion():
     assert not _close({"e12": "-5/3"}, {"e12": "-5/3", "e15": 2.0}, 1e-10)
 
 
+def test_close_exact_leaves_are_equal_or_differ():
+    assert _close("-3", -3, 0.1) and _close(["1/2"], ["2/4"], 0.1)
+    assert not _close("-3", "-300000000001/100000000000", 1e-10)
+    assert not _close({"e1": "1/2"},
+                      {"e1": "1/2", "e2": "1/1000000000000"}, 1e-10)
+    # a float leaf agrees within tol relative to the larger side
+    assert _close(-3.00000000001, "-3", 1e-10)
+    assert _close(3e6 + 1e-5, 3e6, 1e-11)
+    assert not _close(3.0 + 1e-9, 3.0, 1e-10)
+
+
+@pytest.mark.parametrize("ring, code", [("exact", 1), ("float", 0)])
+def test_reproduce_sees_an_exact_drift_below_tol(capsys, monkeypatch, ring,
+                                                 code):
+    """-3 against -3 - 10**-11 in the golden: unequal exact values in the
+    exact ring; within 1e-10 relative of the float value in the float
+    ring."""
+    real = cli.load_golden
+
+    def tampered(name):
+        payload = real(name)
+        payload["einstein_constant"] = "-300000000001/100000000000"
+        return payload
+
+    monkeypatch.setattr(cli, "load_golden", tampered)
+    got, out = run_cli(capsys, "--ring", ring, "reproduce-paper", "--only",
+                       "einstein_extension")
+    assert got == code
+    assert ("[FAIL] einstein_extension.einstein_constant" in out) == \
+        (ring == "exact")
+
+
+def test_float_update_golden_is_refused_and_writes_nothing(capsys):
+    names = ["%s.json" % suite for suite in cli.SUITES]
+    before = {n: cli._golden_path(n).read_bytes() for n in names}
+    code = main(["--ring", "float", "reproduce-paper", "--update-golden"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "exact ring" in captured.err
+    assert {n: cli._golden_path(n).read_bytes() for n in names} == before
+
+
 def test_reproduce_only_table1(capsys):
     code, out = run_cli(capsys, "reproduce-paper", "--only", "table1")
     assert code == 0

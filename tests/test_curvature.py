@@ -7,7 +7,6 @@ import pytest
 
 from g2forge import catalog, linalg
 from g2forge.curvature import (CurvatureTensors, NilsolitonWitness,
-                               connection_satisfies_invariants,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
 from g2forge.exterior import (InnerProduct, KForm, basis_indices,
@@ -19,7 +18,8 @@ from g2forge.liealg import (MetricLieAlgebra, derivation_defect,
                             derivation_space, is_derivation, is_nilpotent,
                             to_float_algebra)
 from g2forge.scalars import Polynomial, is_zero
-from test_coframe import CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe
+from test_coframe import (CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe,
+                          off_diagonal)
 from test_exterior import leibniz_det
 from test_liealg import is_derivation_by_brackets
 
@@ -103,18 +103,30 @@ def besse_input(key):
 
 def test_levi_civita_examples(n28):
     abelian = euclidean("n34")
-    assert all(x == 0 for gi in levi_civita(abelian).gamma
-               for gj in gi for x in gj)
+    assert all(x == 0 for ni in levi_civita(abelian).matrices
+               for row in ni for x in row)
     m28 = MetricLieAlgebra.euclidean(n28)
-    coeffs = levi_civita(m28)
-    # nabla_{e1} e3 = -1/2 e5
-    assert coeffs.gamma[0][2][4] == Fraction(-1, 2)
-    assert all(coeffs.gamma[0][2][k] == 0 for k in range(6) if k != 4)
+    # column j of N_i is nabla_{e_i} e_j: nabla_{e1} e3 = -1/2 e5
+    n1 = levi_civita(m28).matrices[0]
+    assert n1[4][2] == Fraction(-1, 2)
+    assert all(n1[k][2] == 0 for k in range(6) if k != 4)
     ext = catalog.abelian_scaling_extension()
-    ce = levi_civita(ext)
+    n1 = levi_civita(ext).matrices[0]
     a = Polynomial.variable("a")
-    assert ce.gamma[0][0][6] == a
-    assert ce.gamma[0][6][0] == -1 * a
+    assert n1[6][0] == a
+    assert n1[0][6] == -1 * a
+
+
+def connection_satisfies_invariants(m):
+    """Metric compatibility (g N_i is antisymmetric) and torsion-freeness
+    (nabla_i e_j - nabla_j e_i = [e_i, e_j]) of the Koszul connection."""
+    n, nab = m.algebra.dim, levi_civita(m).matrices
+    c = m.algebra.structure_constants
+    lows = [linalg.mat_mul(m.metric.matrix, nm) for nm in nab]
+    return all(is_zero(low[j][k] + low[k][j])
+               for low in lows for j in range(n) for k in range(j, n)) and \
+        all(is_zero(nab[i][k][j] - nab[j][k][i] - c[k][i][j])
+            for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 
 def test_connection_invariants(n28, einstein_ext):
@@ -122,7 +134,7 @@ def test_connection_invariants(n28, einstein_ext):
     assert connection_satisfies_invariants(einstein_ext)
     assert connection_satisfies_invariants(catalog.abelian_scaling_extension())
     for m in twisted():
-        assert not m.metric.is_diagonal()
+        assert any(off_diagonal(m.metric.matrix))
         assert connection_satisfies_invariants(m)
 
 

@@ -12,9 +12,10 @@ from g2forge.g2 import (CLASS_CALIBRATED, CLASS_LCC, CLASS_LCP,
                         three_form_components, torsion_forms,
                         two_form_14_basis, two_form_components)
 from g2forge.liealg import LieAlgebra, MetricLieAlgebra, rank_one_extension
-from g2forge.linalg import mat, nullspace
+from g2forge.linalg import identity, mat, nullspace
 from g2forge.scalars import Polynomial
 from g2forge.stable_forms import metric_from_pair
+from test_exterior import standard_g2_dual
 
 
 @pytest.fixture(scope="module")
@@ -49,21 +50,21 @@ def test_b_form_examples(std_structure):
 
 def test_metric_from_phi_standard(std_structure):
     s = std_structure
-    assert s.metric.is_identity()
+    assert s.metric.matrix == identity(7)
     assert s.volume.coefficient == 1
-    assert s.star_phi == catalog.standard_g2_dual()
+    assert s.star_phi == standard_g2_dual()
     assert s.orientation_sign == 1
 
 
 def test_metric_from_phi_reversed_orientation():
     s = metric_from_phi(catalog.n28_ext_g2_form())
-    assert s.metric.is_identity()
+    assert s.metric.matrix == identity(7)
     assert s.orientation_sign == -1
 
 
 def test_metric_from_phi_ex42():
     s = metric_from_phi(catalog.abelian_ext_g2_form())
-    assert s.metric.is_identity()
+    assert s.metric.matrix == identity(7)
 
 
 def test_metric_from_phi_rescaled_coframe():
@@ -92,13 +93,13 @@ def test_type_decomposition_dimensions(std_structure):
     s = std_structure
     # 2-forms: contractions span 7, the orthogonal kernel has dimension 14
     idx2 = basis_indices(7, 2)
-    from g2forge.exterior import contract_basis, form_to_vec
-    rows = [form_to_vec(contract_basis(i, s.phi), idx2) for i in range(1, 8)]
+    from g2forge.exterior import contract_basis
+    rows = [[contract_basis(i, s.phi)[j] for j in idx2] for i in range(1, 8)]
     assert len(idx2) - len(nullspace(mat(rows))) == 7
     assert len(two_form_14_basis(s)) == 14
     # 3-forms: 1 + 7 + 27 = 35
     idx3 = basis_indices(7, 3)
-    rows7 = [form_to_vec(contract_basis(i, s.star_phi), idx3)
+    rows7 = [[contract_basis(i, s.star_phi)[j] for j in idx3]
              for i in range(1, 8)]
     assert len(idx3) - len(nullspace(mat(rows7))) == 7
     cols27 = []
@@ -106,8 +107,8 @@ def test_type_decomposition_dimensions(std_structure):
     idx7 = basis_indices(7, 7)
     for i3 in idx3:
         beta = KForm.monomial(7, i3)
-        cols27.append(form_to_vec(wedge(beta, s.phi), idx6) +
-                      form_to_vec(wedge(beta, s.star_phi), idx7))
+        cols27.append([wedge(beta, s.phi)[j] for j in idx6] +
+                      [wedge(beta, s.star_phi)[j] for j in idx7])
     constraint_rows = [[cols27[c][r] for c in range(len(idx3))]
                        for r in range(len(idx6) + len(idx7))]
     assert len(nullspace(mat(constraint_rows))) == 27
@@ -266,7 +267,7 @@ def test_product_g2_matches_reference(n28_pair, einstein_ext):
     pair = metric_from_pair(omega, sigma)
     phi, s = product_g2(pair, einstein_ext.algebra)
     assert phi == catalog.n28_ext_g2_form()
-    assert s.metric.is_identity()
+    assert s.metric.matrix == identity(7)
     e7 = KForm.monomial(7, (7,))
     assert einstein_ext.algebra.d(phi) == -1 * wedge(e7, phi)
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
 from g2forge.exterior import KForm, basis_indices, scaled, sort_index, wedge
-from g2forge.liealg import (Derivation, JacobiError, LieAlgebra,
-                            MetricLieAlgebra, NotDerivationError,
-                            StructureParseError, derivation_defect,
-                            derivation_space, is_derivation, is_nilpotent,
-                            parse_form, parse_structure_equations,
-                            rank_one_extension, render_structure_equations,
-                            restrict, specialize, to_float_algebra)
+from g2forge.liealg import (JacobiError, LieAlgebra, MetricLieAlgebra,
+                            NotDerivationError, StructureParseError,
+                            derivation_defect, derivation_space,
+                            is_derivation, is_nilpotent, parse_form,
+                            parse_structure_equations, rank_one_extension,
+                            render_structure_equations, restrict,
+                            specialize, to_float_algebra)
 from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -217,7 +217,7 @@ def test_derivation_membership(n28):
               for j in range(6)] for i in range(6)]
     assert not is_derivation(n28, d_out)
     with pytest.raises(NotDerivationError):
-        Derivation.checked(n28, d_out)
+        rank_one_extension(MetricLieAlgebra.euclidean(n28), d_out)
     # every element of the computed basis satisfies the identity
     for b in derivation_space(n28):
         assert is_derivation(n28, b)

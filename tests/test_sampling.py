@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
-from g2forge.exterior import wedge
-from g2forge.sampling import PAIRS, StableFormSampler, two_form_from_b
+from g2forge.exterior import KForm, wedge
+from g2forge.sampling import PAIRS, StableFormSampler
 from g2forge.stable_forms import (NotStableError, k_endomorphism,
                                   lambda_invariant, metric_from_pair,
                                   orientation_sign)
@@ -27,7 +27,7 @@ def test_numeric_lambda_agrees_with_exact(b_frac, c):
     # and omega ^ sigma entry by entry, which see a sign lambda cannot
     algebra = catalog.algebra("n4")
     sampler = StableFormSampler(algebra)
-    omega = two_form_from_b(b_frac)
+    omega = KForm(6, 2, dict(zip(PAIRS, b_frac)))
     sigma = Fraction(c) * algebra.d(omega)
     exact = float(lambda_invariant(sigma))
     b = np.array([float(x) for x in b_frac])
@@ -144,7 +144,7 @@ def test_pullback_matrix_is_the_loop_bit_for_bit():
 def test_orientation_sign_agrees_with_exact(b_frac):
     # the sign of the Pfaffian from the matchings vs omega^3 in exact forms
     try:
-        exact = orientation_sign(two_form_from_b(b_frac))
+        exact = orientation_sign(KForm(6, 2, dict(zip(PAIRS, b_frac))))
     except NotStableError:
         return
     sampler = StableFormSampler(catalog.algebra("n4"))

@@ -1,11 +1,29 @@
-"""The benchmark's tracer binds program names; each must still exist."""
+"""Guards on what the program binds: the benchmark's tracer targets must
+exist, and every module-level function and class of ``src/g2forge`` must
+be used by the program or named on one allowlist with its reason."""
+import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+import g2forge
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "g2forge"
+BENCHMARK = ROOT / "benchmark"
+TRACER = BENCHMARK / "tracer.py"
+
+# Definitions no command reaches, kept with their reason.
+KEPT = {
+    "product_g2": "the README's product construction phi = omega ^ e7 + sigma",
+    "standard_g2_form": "the flat model, the G2 structure every test "
+                        "compares against",
+    "specialize": "evaluates a symbolic family such as abelian_ext at a "
+                  "rational parameter",
+}
 
 
 def tracer_targets():
@@ -29,3 +47,74 @@ def test_tracer_target_resolves(span, module_name, path):
         assert attr in vars(getattr(module, owner_name)), (span, path)
     else:
         assert callable(getattr(module, attr, None)), (span, path)
+
+
+def unreferenced(sources):
+    """The module-level functions and classes of ``sources`` (module name
+    -> source text) that no AST name or attribute refers to, outside their
+    own body."""
+    defs, refs, own = {}, Counter(), Counter()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        refs.update(names_in(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = module
+                own[node.name] += names_in(node)[node.name]
+    return {"%s.%s" % (defs[name], name) for name in defs
+            if refs[name] == own[name]}
+
+
+def names_in(tree):
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def benchmark_names():
+    """What ``benchmark/*.py`` reads of the program: the names it imports
+    from g2forge modules and the attributes it reads off those modules."""
+    names = set()
+    for path in BENCHMARK.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("g2forge"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    (modules if node.module == "g2forge" else names).add(bound)
+        names.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in modules)
+    return names
+
+
+def allowlist():
+    """Each definition the program need not use, with the reason it stays."""
+    allowed = {name: "exported in g2forge.__all__" for name in g2forge.__all__}
+    allowed.update((name, "read by benchmark/*.py")
+                   for name in benchmark_names())
+    allowed.update((path.partition(".")[0], "traced by benchmark/tracer.py")
+                   for _, module, path in TARGETS
+                   if module.startswith("g2forge"))
+    allowed.update(KEPT)
+    return allowed
+
+
+def test_every_definition_is_used_or_allowed():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    unused = {name.rpartition(".")[2] for name in unreferenced(sources)}
+    allowed = allowlist()
+    assert not unused - set(allowed), sorted(unused - set(allowed))
+    # a kept definition that gained a caller leaves the list
+    assert set(KEPT) <= unused, sorted(set(KEPT) - unused)
+
+
+def test_an_unused_definition_is_flagged():
+    source = ("def used():\n    return 1\n\n\n"
+              "def unused():\n    return used()\n\n\n"
+              "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+              "class Kept:\n    pass\n\n\nKept()\n")
+    assert unreferenced({"m": source}) == {"m.unused", "m.recursive"}
