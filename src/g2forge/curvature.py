@@ -54,7 +54,7 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     integers over one denominator when g and the algebra are exact."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
-    if not g.is_positive_definite(1e-12):
+    if not g.is_positive_definite(scaled(1e-12, g.matrix)):
         raise ValueError("metric must be positive definite")
     dc, c = _cleared_constants(algebra)
     dg, gs = linalg.clear_rows(g.matrix)
@@ -146,16 +146,22 @@ def ricci_operator(m: MetricLieAlgebra,
 def einstein_constant(m: MetricLieAlgebra,
                       tensors: Optional[CurvatureTensors] = None,
                       tol: float = 1e-10) -> Optional[Scalar]:
-    """lambda with Ric = lambda g, or None."""
+    """lambda with Ric = lambda g, or None.  A float entry of Ric - lambda g
+    is zero within scaled(tol, g, g^-1, c, c) = kappa tol max|c|^2, c the
+    coefficients of the de^k and kappa = max|g| max|g^-1|: Ric is quadratic
+    in c, so the verdict does not change with the scale of c or of g."""
     if tensors is None:
         tensors = curvature_tensors(m)
     g = m.metric
     n = g.dim
     # candidate from the first diagonal entry
     lam = tensors.ricci[0][0] / g.matrix[0][0]
+    c = [f.coeffs.values() for f in m.algebra.d_coframe]
+    bound = scaled(tol, g.matrix, g.inverse, c, c) \
+        if isinstance(lam, float) else 0.0
     for i in range(n):
         for j in range(n):
-            if not is_zero(tensors.ricci[i][j] - lam * g.matrix[i][j], tol):
+            if not is_zero(tensors.ricci[i][j] - lam * g.matrix[i][j], bound):
                 return None
     return lam
 

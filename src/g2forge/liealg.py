@@ -58,7 +58,7 @@ class LieAlgebra:
         nums = iter(nums)
         object.__setattr__(self, "_cleared", (den, [
             {pair: next(nums) for pair in f.coeffs} for f in norm]))
-        object.__setattr__(self, "_nilpotency", {})   # tol -> is_nilpotent
+        object.__setattr__(self, "_nilpotency", None)   # is_nilpotent
         if check:
             bad = self.jacobi_defect(tol=tol)
             if bad is not None:
@@ -337,22 +337,18 @@ def render_structure_equations(algebra: LieAlgebra) -> str:
 # nilpotency, derivations, extensions
 # ---------------------------------------------------------------------------
 
-def _span_rank(vectors: List[Tuple[Scalar, ...]], tol: float):
-    """Reduce a spanning set to a basis (rows of the rref)."""
-    if not vectors:
-        return []
-    rows, pivots = linalg.rref([list(v) for v in vectors], tol=tol)
-    return [tuple(rows[r]) for r in range(len(pivots))]
-
-
-def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
+def is_nilpotent(algebra: LieAlgebra):
     """(True, step) when the lower central series vanishes, else (False, None).
 
     Spans are kept as rows; the row v ad_i, with (ad_i)_jk = c^k_ij, is
-    [e_i, v], so one product by the side-by-side ad_i is one step.  The
-    verdict is kept on the algebra per tol and returned first."""
-    if tol in algebra._nilpotency:
-        return algebra._nilpotency[tol]
+    [e_i, v], so one product by the side-by-side ad_i is one step.  Each
+    span is cut to a basis by ``linalg.row_basis``: Bareiss on exact rows;
+    one SVD on float rows, where a singular value counts above
+    ``scaled(1e-9, c)``, c the structure constants (the basis rows are
+    orthonormal, so a bracket is at most about max|c|).  The verdict is
+    kept on the algebra and returned first."""
+    if algebra._nilpotency is not None:
+        return algebra._nilpotency
     if algebra.is_polynomial_ring():
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")
@@ -360,18 +356,20 @@ def is_nilpotent(algebra: LieAlgebra, tol: float = 1e-9):
     c = algebra.structure_constants
     ads = linalg.Sparse([[c[k][i][j] for i in range(n) for k in range(n)]
                          for j in range(n)])
-    current, step = linalg.identity(n), 0
-    while tol not in algebra._nilpotency:
+    floor = scaled(1e-9, [f.coeffs.values() for f in algebra.d_coframe])
+    current, step, verdict = linalg.identity(n), 0, None
+    while verdict is None:
         step += 1
         brackets = linalg.mat_mul(current, ads)
-        basis = _span_rank([row[i * n:(i + 1) * n] for i in range(n)
-                            for row in brackets], tol)
+        basis = linalg.row_basis([row[i * n:(i + 1) * n] for i in range(n)
+                                  for row in brackets], floor)
         if not basis:
-            algebra._nilpotency[tol] = (True, step)
+            verdict = (True, step)
         elif len(basis) >= len(current):
-            algebra._nilpotency[tol] = (False, None)
+            verdict = (False, None)
         current = basis
-    return algebra._nilpotency[tol]
+    object.__setattr__(algebra, "_nilpotency", verdict)
+    return verdict
 
 
 def derivation_defect(algebra: LieAlgebra, matrix) -> List[Scalar]:

@@ -1,10 +1,10 @@
 """Small dense linear algebra over exact and float scalars.
 
-Matrices are tuples of tuples.  The scalars pick the method: a float entry
-anywhere sends ``solve`` and ``nullspace`` to numpy, otherwise they
-eliminate exactly.  Exact ``rref`` is Bareiss's fraction-free Gauss-Jordan
-elimination on the matrix over one denominator; a polynomial right-hand
-side eliminates with its scalars as they are.
+Matrices are tuples of tuples.  One elimination per ring: exact rows
+take ``rref``, Bareiss's fraction-free Gauss-Jordan elimination on the
+matrix over one denominator; a float entry anywhere sends ``solve``,
+``nullspace``, ``inverse`` and the rank of ``row_basis`` to numpy (least
+squares, the SVD and LAPACK's inverse).
 
 Exact kernels compute on Python ints: ``clear`` writes their inputs over
 one denominator and ``over`` divides each result once.  Floats and
@@ -183,56 +183,21 @@ def submatrix_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Scalar
     return det(tuple(tuple(m[i][j] for j in cols) for i in rows))
 
 
-def rref(rows: List[List[Scalar]], ncols: Optional[int] = None,
-         tol: float = 0.0) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form of a copy; returns (rows, pivot columns).
+def rref(rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None
+         ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form of exact rows, as Fractions: (rows, pivot
+    columns), pivots in the leading ``ncols`` columns only.  Float rows go
+    to numpy instead (``solve``, ``nullspace``, ``inverse``, ``row_basis``).
 
-    Pivot selection only divides by entries in the leading ``ncols``
-    columns, which must be invertible scalars (Fractions or floats);
-    trailing columns may hold polynomial data.  Exact rows (Fractions and
-    ints) take ``_bareiss`` and come back as Fractions.
-    """
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    if is_exact(x for row in rows for x in row):
-        return _bareiss(rows, nc)
-    pivots: List[int] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        best = None
-        for i in range(r, nr):
-            x = rows[i][c]
-            if not is_zero(x, tol):
-                if isinstance(x, float):
-                    if best is None or abs(x) > best:
-                        best, pivot_row = abs(x), i
-                else:
-                    pivot_row = i
-                    break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and not is_zero(rows[i][c], tol):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
-def _bareiss(rows: List[List[Scalar]], nc: int) -> Tuple[list, List[int]]:
-    """Exact rref of den * rows by fraction-free Gauss-Jordan (Bareiss, Math.
-    Comp. 1968): with pivot p and previous pivot prev, each other row becomes
-    (p row - f pivot_row) // prev, exactly, so the rows stay prev times the
-    rref.  Pivot rows are divided by prev, rows past the rank by prev * den."""
+    Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968)
+    on den * rows, den from ``clear``: with pivot p and previous pivot prev,
+    each other row becomes (p row - f pivot_row) // prev, exactly, so the
+    rows stay prev times the rref.  Pivot rows are divided by prev, rows
+    past the rank by prev * den."""
+    if not is_exact(chain.from_iterable(rows)):
+        raise TypeError("rref eliminates exact rows only")
     den, m = clear_rows(rows)
+    nc = ncols if ncols is not None else (len(m[0]) if m else 0)
     pivots: List[int] = []
     prev = 1
     for c in range(nc):
@@ -257,15 +222,20 @@ def _has_float(rows) -> bool:
     return any(isinstance(x, float) for row in rows for x in row)
 
 
+def _svd(a) -> Tuple[np.ndarray, List[VectorS]]:
+    """Singular values, largest first, and right singular rows of float a."""
+    _, s, vt = np.linalg.svd(to_numpy(a))
+    return s, [tuple(map(float, v)) for v in vt]
+
+
 def solve(a: Matrix, b: Sequence[Scalar],
           tol: float = 0.0) -> Optional[VectorS]:
     """One solution of a x = b, or None when the system is inconsistent.
 
-    With a float in a or b: least squares, a tuple of floats, and None when
-    the residual norm exceeds ``tol``.  Otherwise exact elimination
-    (Bareiss over one denominator when b is rational) with free variables
-    set to zero; the coefficients must be invertible scalars, b may be
-    polynomial, and then a x - b is checked.
+    With a float in a or b: numpy least squares, a tuple of floats, and
+    None when the residual norm exceeds ``tol``.  Otherwise a and b are
+    exact: ``rref`` of [a | b] with free variables set to zero, a tuple of
+    Fractions.
     """
     if _has_float(a) or _has_float([b]):
         an, bn = to_numpy(a), to_numpy([b])[0]
@@ -274,21 +244,13 @@ def solve(a: Matrix, b: Sequence[Scalar],
             return None
         return tuple(float(v) for v in x)
     nr, nc = len(a), len(a[0]) if a else 0
-    aug = [list(a[i]) + [coerce(b[i])] for i in range(nr)]
-    red, pivots = rref(aug, ncols=nc)
-    x: List[Scalar] = [Fraction(0)] * nc
+    red, pivots = rref([list(a[i]) + [b[i]] for i in range(nr)], ncols=nc)
+    # consistency: rows with zero coefficients must have zero rhs
+    if any(red[r][nc] for r in range(len(pivots), nr)):
+        return None
+    x: List[Scalar] = [_ZERO] * nc
     for r, c in enumerate(pivots):
         x[c] = red[r][nc]
-    # consistency: rows with zero coefficients must have zero rhs
-    for r in range(len(pivots), nr):
-        if not is_zero(red[r][nc]):
-            return None
-    # Bareiss is exact on a rational rhs; a polynomial one is checked
-    if any(isinstance(v, Polynomial) for v in b):
-        for i in range(nr):
-            res = sum((a[i][j] * x[j] for j in range(nc)), _ZERO) - b[i]
-            if not is_zero(res):
-                return None
     return tuple(x)
 
 
@@ -300,16 +262,14 @@ def nullspace(a: Matrix, tol: float = 0.0) -> List[VectorS]:
     one.  Otherwise the rref free-variable construction.
     """
     if _has_float(a):
-        an = to_numpy(a)
-        _, s, vt = np.linalg.svd(an)
-        rank = int((s > tol * max(an.shape) * s[0]).sum())
-        return [tuple(float(x) for x in v) for v in vt[rank:]]
-    nr, nc = len(a), len(a[0]) if a else 0
-    red, pivots = rref([list(r) for r in a], ncols=nc)
-    free = [c for c in range(nc) if c not in pivots]
+        s, vt = _svd(a)
+        rank = int((s > tol * max(len(a), len(a[0])) * s[0]).sum())
+        return vt[rank:]
+    nc = len(a[0]) if a else 0
+    red, pivots = rref(a, ncols=nc)
     basis: List[VectorS] = []
-    for f in free:
-        v: List[Scalar] = [Fraction(0)] * nc
+    for f in (c for c in range(nc) if c not in pivots):
+        v: List[Scalar] = [_ZERO] * nc
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
@@ -317,19 +277,37 @@ def nullspace(a: Matrix, tol: float = 0.0) -> List[VectorS]:
     return basis
 
 
+def row_basis(rows: Sequence[Sequence[Scalar]], floor: float) -> List[VectorS]:
+    """A basis of the span of rows: the nonzero rows of the exact ``rref``,
+    or the orthonormal right singular vectors of one SVD of float rows whose
+    singular value exceeds ``floor``, the numerical rank (Golub & Van Loan,
+    *Matrix Computations*, 5.4)."""
+    if _has_float(rows):
+        s, vt = _svd(rows)
+        return vt[:int((s > floor).sum())]
+    red, pivots = rref(rows)
+    return [tuple(row) for row in red[:len(pivots)]]
+
+
 def inverse(a: Matrix) -> Matrix:
+    """a^-1: numpy's for a float a, else ``rref`` of [a | I].  A singular a
+    raises ZeroDivisionError in both rings."""
     n = len(a)
-    aug = [list(a[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug, ncols=n)
+    if _has_float(a):
+        try:
+            return tuple(tuple(map(float, row))
+                         for row in np.linalg.inv(to_numpy(a)))
+        except np.linalg.LinAlgError:
+            raise ZeroDivisionError("matrix is singular") from None
+    red, pivots = rref([list(a[i]) + [int(i == j) for j in range(n)]
+                        for i in range(n)], ncols=n)
     if len(pivots) != n:
         raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(row[n:]) for row in red)
 
 
 def to_numpy(a: Matrix) -> np.ndarray:
-    from .scalars import as_float
-    return np.array([[as_float(x) for x in row] for row in a], dtype=float)
+    return np.array(a, dtype=float)
 
 
 def is_positive_definite(m: Matrix, tol: float = 0.0, sign: int = 1,

@@ -420,11 +420,6 @@ def snth_root(x: Scalar, n: int) -> Scalar:
     return r
 
 
-def poly_eval(p: Polynomial, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-    """Exact evaluation of a polynomial at a rational point."""
-    return p.evaluate(assignment)
-
-
 def poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
     """Polynomial square root if p is a perfect square, else None.
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import catalog
 from .liealg import LieAlgebra, render_structure_equations
 from .sampling import PAIR_COL, PAIR_ROW, StableFormSampler, generic_form
-from .scalars import Polynomial, _mono_div, poly_eval, poly_sqrt
+from .scalars import Polynomial, _mono_div, poly_sqrt
 from .stable_forms import lambda_invariant
 
 SIGN_NONNEG = "nonneg"
@@ -89,7 +89,7 @@ def _witness_search(p: Polynomial, variables: Sequence[str]
     for combo in iter_product(values, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
         assignment["c"] = Fraction(1)
-        val = poly_eval(p, assignment)
+        val = p.evaluate(assignment)
         if val > 0 and pos is None:
             pos = dict(assignment)
         elif val < 0 and neg is None:

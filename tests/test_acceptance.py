@@ -22,7 +22,7 @@ from g2forge.g2 import (CLASS_LCC, CLASS_LCP, metric_from_phi, product_g2,
 from g2forge.liealg import MetricLieAlgebra, is_derivation, \
     rank_one_extension
 from g2forge.linalg import identity
-from g2forge.scalars import Polynomial, poly_eval
+from g2forge.scalars import Polynomial
 from g2forge.stable_forms import (almost_complex, lambda_invariant,
                                   metric_from_pair, su3_predicates)
 from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
@@ -75,7 +75,7 @@ def test_criterion_02_coupled_pair_n28(n28, n28_pair, survey_rows):
                     if r.algebra_name == "n28")
     assignment = {v: Fraction(0) for v in lam_poly.variables}
     assignment.update({"c": Fraction(-1), "b15": Fraction(-1)})
-    assert poly_eval(lam_poly, assignment) == -4
+    assert lam_poly.evaluate(assignment) == -4
     pair = metric_from_pair(omega, sigma)
     assert pair.lambda_value == -4
     assert pair.normalized

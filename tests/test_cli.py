@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import g2forge
-from g2forge import catalog, cli
+from g2forge import catalog, cli, linalg
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
 from g2forge.exterior import render_form
 from g2forge.liealg import render_structure_equations
@@ -434,13 +434,13 @@ def test_metric_analyze_decides_nilpotency_once(capsys, monkeypatch):
     from g2forge import liealg
     assert liealg.is_nilpotent(catalog.algebra("n28")) == (True, 2)
     spans = []
-    original = liealg._span_rank
+    original = linalg.row_basis
 
-    def counted(vectors, tol):
+    def counted(vectors, floor):
         spans.append(len(vectors))
-        return original(vectors, tol)
+        return original(vectors, floor)
 
-    monkeypatch.setattr(liealg, "_span_rank", counted)
+    monkeypatch.setattr(linalg, "row_basis", counted)
     code, out = run_cli(capsys, "metric", "analyze", "n28", "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"

@@ -16,12 +16,12 @@ from g2forge.g2 import metric_from_phi, star_ricci, torsion_forms
 from g2forge.cli import main
 from g2forge.liealg import (MetricLieAlgebra, derivation_defect,
                             derivation_space, is_derivation, is_nilpotent,
-                            to_float_algebra)
+                            parse_structure_equations, to_float_algebra)
 from g2forge.scalars import Polynomial, is_zero
-from test_coframe import (CASES, P6_DENSE, P_DENSE, P_SHEAR, Coframe,
-                          off_diagonal)
+from test_coframe import (CASES, INPUTS, P6_DENSE, P_DENSE, P_DENSE_SHEAR,
+                          P_SHEAR, Coframe, off_diagonal)
 from test_exterior import leibniz_det
-from test_liealg import is_derivation_by_brackets
+from test_liealg import exact_entry, is_derivation_by_brackets, times
 
 
 def euclidean(name):
@@ -172,6 +172,68 @@ def test_einstein_negative_case(n28):
     assert einstein_constant(MetricLieAlgebra.euclidean(n28)) is None
     abelian = euclidean("n34")
     assert einstein_constant(abelian) == 0
+
+
+def einstein_grid():
+    """33 metric algebras: the catalog entries with the identity metric
+    (n28_ext with its own), and the P_DENSE and P_DENSE_SHEAR twists of the
+    INPUTS with the metric of phi."""
+    grid = {}
+    for name in catalog.names():
+        algebra = exact_entry(name)
+        grid[name] = (algebra, catalog.n28_einstein_extension().metric
+                      if name == "n28_ext" else
+                      InnerProduct.euclidean(algebra.dim))
+    for name, (algebra, phi) in INPUTS.items():
+        for twist, p in (("dense", P_DENSE), ("dense_shear", P_DENSE_SHEAR)):
+            c = Coframe(p)
+            grid[name, twist] = (c.algebra(algebra),
+                                 metric_from_phi(c.form(phi)).metric)
+    return grid
+
+
+@pytest.mark.parametrize("k", [-6, 0, 6])
+def test_einstein_verdicts_agree_across_rings(k):
+    """With the structure constants times 10^k, the float constant is the
+    exact one or both are None: float entries of Ric - lambda g are bounded
+    by kappa tol max|c|^2, not by the absolute tol."""
+    found = {}
+    for key, (algebra, g) in einstein_grid().items():
+        algebra = times(algebra, Fraction(10) ** k)
+        exact = einstein_constant(MetricLieAlgebra(algebra, g))
+        approx = einstein_constant(MetricLieAlgebra(to_float_algebra(algebra),
+                                                    g.to_float()))
+        assert (exact is None) == (approx is None), key
+        if exact is not None:
+            assert abs(approx - exact) <= 1e-9 * abs(exact), key
+            found[key] = exact
+    assert len(found) == 7
+    if k == 0:
+        assert found["n28_ext", "dense_shear"] == -3
+        assert found["abelian_ext", "dense_shear"] == Fraction(-8, 3)
+
+
+def test_a_small_heisenberg_metric_is_not_einstein():
+    # Ric = c^2/2 diag(-1, -1, 1) for c = 1e-6 lies within an absolute
+    # 1e-10 of -5e-13 g
+    for text in ("(0,0,1/1000000*e12)", "(0,0,0.000001*e12)"):
+        m = MetricLieAlgebra.euclidean(parse_structure_equations(text))
+        assert einstein_constant(m) is None
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10 ** 13), Fraction(10 ** 13)],
+                         ids=["1e-13", "1e13"])
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_levi_civita_accepts_a_metric_of_any_scale(ring, scale):
+    """The positivity floor scales with g: n28 with the metric t I is a
+    nilsoliton with c = -3 / t in both rings."""
+    g = InnerProduct.diagonal([scale] * 6)
+    m = MetricLieAlgebra(catalog.algebra("n28"), g)
+    if ring == "float":
+        m = MetricLieAlgebra(to_float_algebra(m.algebra), g.to_float())
+    levi_civita(m)
+    w = nilsoliton_check(m)
+    assert abs(w.constant * scale + 3) <= 1e-12
 
 
 def test_riemann_symmetries(n28, einstein_ext):

@@ -14,7 +14,7 @@ from g2forge.liealg import (JacobiError, LieAlgebra, MetricLieAlgebra,
                             parse_structure_equations, rank_one_extension,
                             render_structure_equations, restrict,
                             specialize, to_float_algebra)
-from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe
+from test_coframe import CASES, P6_DENSE, P_DENSE, Coframe, abelian_ext_at
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -97,9 +97,63 @@ def test_nilpotency():
     assert is_nilpotent(at_one) == (False, None)
 
 
+def exact_entry(name):
+    """A catalog entry in the exact ring: abelian_ext at a = 2/3, and the
+    float n9_nilsoliton with its coefficients read as Fractions."""
+    if name == "abelian_ext":
+        return abelian_ext_at(Fraction(2, 3))
+    algebra = catalog.algebra(name)
+    return LieAlgebra(algebra.dim,
+                      [f.map_coeffs(Fraction) for f in algebra.d_coframe])
+
+
+def times(algebra, s):
+    """The algebra with every structure constant multiplied by s; Jacobi
+    holds for every s, so it is not checked again."""
+    return LieAlgebra(algebra.dim, [f.map_coeffs(lambda x: x * s)
+                                    for f in algebra.d_coframe], check=False)
+
+
+def nilpotency_disagreements(algebras):
+    return [key for key, algebra in algebras
+            if is_nilpotent(algebra) != is_nilpotent(to_float_algebra(algebra))]
+
+
+def test_nilpotency_agrees_across_rings_on_scaled_catalog():
+    """135 cases: the 27 catalog entries with structure constants times
+    10^-12 ... 10^12.  The float span rank counts singular values above
+    scaled(1e-9, c), so it does not change with the scale of c."""
+    cases = [((name, k), times(exact_entry(name), Fraction(10) ** k))
+             for name in catalog.names() for k in (-12, -6, 0, 6, 12)]
+    assert len(cases) == 135
+    assert nilpotency_disagreements(cases) == []
+
+
+def test_nilpotency_agrees_across_rings_on_scaled_twists():
+    """78 cases: the 26 exact catalog entries on a dense coframe, times
+    10^-6, 1 and 10^6; every bracket span is then dense."""
+    cases = []
+    for name in catalog.names():
+        if name == "n9_nilsoliton":
+            continue
+        algebra = exact_entry(name)
+        twisted = Coframe(P6_DENSE if algebra.dim == 6 else P_DENSE
+                          ).algebra(algebra)
+        cases += [((name, k), times(twisted, Fraction(10) ** k))
+                  for k in (-6, 0, 6)]
+    assert len(cases) == 78
+    assert nilpotency_disagreements(cases) == []
+
+
+def test_a_small_bracket_is_not_nilpotent_in_either_ring():
+    # [e1, e2] = -1e-11 e1 is a nonzero bracket, whatever its size
+    for text in ("(0.00000000001*e12,0)", "(1/100000000000*e12,0)"):
+        assert is_nilpotent(parse_structure_equations(text)) == (False, None)
+
+
 def test_cached_nilpotency_verdict_is_returned_first(monkeypatch):
     """A kept verdict is returned before the structure constants or the
-    ring are read; another tol decides afresh."""
+    ring are read; a new algebra on the same equations decides afresh."""
     algebra = catalog.algebra("n34")
     assert is_nilpotent(algebra) == (True, 1)
     reads = []
@@ -114,7 +168,7 @@ def test_cached_nilpotency_verdict_is_returned_first(monkeypatch):
                         lambda self: reads.append(1) or False)
     assert is_nilpotent(algebra) == (True, 1)
     assert reads == []
-    assert is_nilpotent(algebra, tol=1e-8) == (True, 1)
+    assert is_nilpotent(catalog.algebra("n34")) == (True, 1)
     assert reads == [1, 1]
 
 

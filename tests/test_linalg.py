@@ -1,5 +1,6 @@
-"""linalg.solve and linalg.nullspace are the only solvers: a float anywhere
-in the system sends them to numpy, otherwise they eliminate exactly."""
+"""One elimination per ring: exact rows take Bareiss's ``rref``, and a float
+anywhere sends ``solve``, ``nullspace``, ``inverse`` and ``row_basis`` to
+numpy."""
 import json
 from fractions import Fraction
 from functools import reduce
@@ -154,6 +155,26 @@ def test_nullspace_float():
     k = np.array(kernel)
     assert np.abs(np.array(to_float(SINGULAR)) @ k.T).max() <= 1e-12
     assert np.allclose(k @ k.T, np.eye(2))
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_inverse_and_row_basis_in_both_rings(ring):
+    a, singular = (A, SINGULAR) if ring == "exact" else \
+        (to_float(A), to_float(SINGULAR))
+    inv = linalg.inverse(a)
+    assert {type(x) for row in inv for x in row} == \
+        ({Fraction} if ring == "exact" else {float})
+    product = np.array(to_float(linalg.mat_mul(a, inv)))
+    assert np.abs(product - np.eye(3)).max() <= (0 if ring == "exact" else 1e-14)
+    with pytest.raises(ZeroDivisionError):
+        linalg.inverse(linalg.mat_mul(linalg.transpose(singular), singular))
+    assert len(linalg.row_basis(singular, 1e-12)) == 1
+    assert len(linalg.row_basis(a, 1e-12)) == 3
+
+
+def test_rref_refuses_float_rows():
+    with pytest.raises(TypeError):
+        linalg.rref(to_float(SINGULAR))
 
 
 @pytest.mark.parametrize("name", sorted(catalog.NILPOTENT6))
@@ -354,8 +375,8 @@ def test_exact_rref_is_fraction_gauss_jordan(case):
 
 
 def solve_with_residual(a, b):
-    """The exact branch of ``linalg.solve`` as it was before the residual
-    check was kept for polynomial right-hand sides only."""
+    """Reference: the exact ``linalg.solve``, with the residual a x - b
+    re-summed after the elimination."""
     nr, nc = len(a), len(a[0]) if a else 0
     red, pivots = linalg.rref([list(a[i]) + [coerce(b[i])] for i in range(nr)],
                               ncols=nc)
@@ -385,10 +406,3 @@ def test_exact_solve_matches_the_residual_checked_solve(case):
     assert (got is None) == (want is None)
     if got is not None:
         assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
-
-
-def test_solve_with_a_polynomial_rhs():
-    x, y = Polynomial.variable("x"), Polynomial.variable("y")
-    a = linalg.mat([[1, 1], [2, 2], [0, 1]])
-    assert linalg.solve(a, [x, 2 * x + y, y]) is None
-    assert linalg.solve(a, [x + y, 2 * x + 2 * y, y]) == (x, y)

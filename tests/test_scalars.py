@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from g2forge.scalars import (ExactnessError, MissingVariableError, Polynomial,
                              RingMismatchError, _var_key, nth_root_fraction,
-                             poly_eval, poly_sqrt, render_scalar,
+                             poly_sqrt, render_scalar,
                              sqrt_fraction, ssqrt)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -20,22 +20,22 @@ def test_rational_arithmetic_examples():
     b15 = P("b15")
     assert b15 * b15 ** 3 == b15 ** 4
     p = P("c") ** 4 * b15 ** 4
-    assert poly_eval(p, {"c": -1, "b15": -1}) == 1
+    assert p.evaluate({"c": -1, "b15": -1}) == 1
 
 
 def test_poly_eval_examples():
     c, b15 = P("c"), P("b15")
     p = -4 * c ** 4 * b15 ** 4
-    assert poly_eval(p, {"c": -1, "b15": -1}) == -4
-    assert poly_eval(Polynomial.zero(), {}) == 0
+    assert p.evaluate({"c": -1, "b15": -1}) == -4
+    assert Polynomial.zero().evaluate({}) == 0
     c4 = P("c") ** 4
     q = c4 * (P("b14") ** 2 - P("b15") ** 2) ** 2
-    assert poly_eval(q, {"c": 1, "b14": 2, "b15": 1}) == 9
+    assert q.evaluate({"c": 1, "b14": 2, "b15": 1}) == 9
 
 
 def test_missing_variable():
     with pytest.raises(MissingVariableError):
-        poly_eval(P("b1") + P("b2"), {"b1": 1})
+        (P("b1") + P("b2")).evaluate({"b1": 1})
 
 
 def test_ring_mismatch():
@@ -66,8 +66,8 @@ def test_poly_product_evaluation_homomorphism(assignment, a0, a1, b0, b1):
     x, y = P("x"), P("y")
     p = a0 + a1 * x * y ** 2
     q = b0 + b1 * y + x ** 2
-    lhs = poly_eval(p * q, assignment)
-    rhs = poly_eval(p, assignment) * poly_eval(q, assignment)
+    lhs = (p * q).evaluate(assignment)
+    rhs = p.evaluate(assignment) * q.evaluate(assignment)
     assert lhs == rhs
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from g2forge import catalog
 from g2forge.sampling import generic_form
-from g2forge.scalars import Polynomial, poly_eval
+from g2forge.scalars import Polynomial
 from g2forge.stable_forms import lambda_invariant
 from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
                             SIGN_ZERO, NoCertificateError, _strip_c4,
@@ -95,9 +95,9 @@ def test_n8_regenerated_value_spot_checks():
     assignment = {v: Fraction(0) for v in lam.variables}
     assignment.update({"c": Fraction(1), "b14": Fraction(1),
                        "b15": Fraction(1)})
-    assert poly_eval(lam, assignment) == 4
+    assert lam.evaluate(assignment) == 4
     assignment["b14"] = Fraction(2)
-    assert poly_eval(lam, assignment) == 25
+    assert lam.evaluate(assignment) == 25
 
 
 def test_lambda_homogeneity_structure(survey_rows):
@@ -135,8 +135,8 @@ def test_sign_certificates(survey_rows):
             assert (cert.factor > 0) == (row.sign_class == SIGN_NONNEG)
         else:
             assert cert.kind == "witness_pair"
-            pos = poly_eval(row.lambda_poly, cert.positive_witness)
-            neg = poly_eval(row.lambda_poly, cert.negative_witness)
+            pos = row.lambda_poly.evaluate(cert.positive_witness)
+            neg = row.lambda_poly.evaluate(cert.negative_witness)
             assert pos > 0 and neg < 0
 
 
@@ -216,6 +216,6 @@ def test_n28_specialization_matches_explicit_pair(survey_rows):
                     if r.algebra_name == "n28")
     assignment = {v: Fraction(0) for v in lam_poly.variables}
     assignment.update({"c": Fraction(-1), "b15": Fraction(-1)})
-    specialized = poly_eval(lam_poly, assignment)
+    specialized = lam_poly.evaluate(assignment)
     _, sigma = catalog.n28_coupled_pair()
     assert specialized == lambda_invariant(sigma) == -4
