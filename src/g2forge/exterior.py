@@ -1,15 +1,17 @@
 """Alternating forms on an oriented n-dimensional space (n <= 8).
 
 Forms are stored sparsely as maps from strictly increasing multi-indices
-(1-based) to scalars.  Everything here is a pure function of immutable
-values: wedge, contraction, pullback by a matrix, induced inner products,
-Hodge star and the codifferential relative to a supplied differential
-operator.
+(1-based) to nonzero scalars.  ``KForm(...)`` checks outside input; the
+kernels build from forms already checked through ``KForm._of``, which only
+drops zeros.  Everything here is a pure function of immutable values:
+wedge, contraction, pullback by a matrix, induced inner products, Hodge
+star and the codifferential relative to a supplied differential operator.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,36 +75,39 @@ class KForm:
 
     __slots__ = ("dim", "degree", "coeffs")
 
-    def __init__(self, dim: int, degree: int,
-                 coeffs: Optional[Mapping[Sequence[int], Scalar]] = None):
+    def __new__(cls, dim: int, degree: int,
+                coeffs: Optional[Mapping[Sequence[int], Scalar]] = None):
+        """Outside input: every index is checked and every coefficient
+        coerced into its ring."""
         if not 0 <= degree:
             raise DegreeError("negative degree")
+        if coeffs and degree > dim:
+            raise DegreeError(
+                "a %d-form on a %d-dim space can only be zero" % (degree, dim))
         clean: Dict[Index, Scalar] = {}
-        if coeffs:
-            if degree > dim:
-                raise DegreeError(
-                    "a %d-form on a %d-dim space can only be zero" % (degree, dim))
-            for idx, c in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise DegreeError("index %r has wrong length for degree %d"
-                                      % (idx, degree))
-                _check_index(idx, dim)
-                c = coerce(c)
-                if not is_zero(c):
-                    clean[idx] = c
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
+        for idx, c in (coeffs or {}).items():
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise DegreeError("index %r has wrong length for degree %d"
+                                  % (idx, degree))
+            _check_index(idx, dim)
+            clean[idx] = coerce(c)
+        return cls._of(dim, degree, clean)
+
+    @classmethod
+    def _of(cls, dim: int, degree: int, coeffs: Dict[Index, Scalar]) -> "KForm":
+        """The one store: increasing indices and ring scalars already
+        checked, zeros dropped by truthiness (``is_zero`` at tol 0 in every
+        ring).  The kernels build through it."""
+        out = object.__new__(cls)
+        out.dim, out.degree = dim, degree
+        out.coeffs = {i: c for i, c in coeffs.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, dim: int, degree: int) -> "KForm":
-        f = cls.__new__(cls)
-        object.__setattr__(f, "dim", dim)
-        object.__setattr__(f, "degree", degree)
-        object.__setattr__(f, "coeffs", {})
-        return f
+        return cls._of(dim, degree, {})
 
     @classmethod
     def monomial(cls, dim: int, idx: Sequence[int], coeff=1) -> "KForm":
@@ -161,17 +166,12 @@ class KForm:
         self._require_same_shape(other)
         acc = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            s = acc.get(i, Fraction(0)) + c
-            if is_zero(s):
-                acc.pop(i, None)
-            else:
-                acc[i] = s
-        out = KForm.zero(self.dim, self.degree)
-        object.__setattr__(out, "coeffs", acc)
-        return out
+            acc[i] = acc[i] + c if i in acc else c
+        return KForm._of(self.dim, self.degree, acc)
 
     def __neg__(self) -> "KForm":
-        return self.map_coeffs(lambda c: -c)
+        return KForm._of(self.dim, self.degree,
+                         {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other: "KForm") -> "KForm":
         if not isinstance(other, KForm):
@@ -180,8 +180,8 @@ class KForm:
 
     def __rmul__(self, s) -> "KForm":
         s = coerce(s)
-        return KForm(self.dim, self.degree,
-                     {i: s * c for i, c in self.coeffs.items()})
+        return KForm._of(self.dim, self.degree,
+                         {i: s * c for i, c in self.coeffs.items()})
 
     __mul__ = __rmul__
 
@@ -361,15 +361,10 @@ def wedge(a: KForm, b: KForm) -> KForm:
     for ia, ca in zip(a.coeffs, nums):
         for ib, cb in right:
             sign, merged = merge_sign(ia, ib)
-            if sign == 0:
-                continue
-            val = acc.get(merged, 0) + (ca * cb) * sign
-            if is_zero(val):
-                acc.pop(merged, None)
-            else:
-                acc[merged] = val
-    return KForm(a.dim, deg, {i: linalg.over(c, den * den)
-                              for i, c in acc.items()})
+            if sign:
+                acc[merged] = acc.get(merged, 0) + (ca * cb) * sign
+    return KForm._of(a.dim, deg, {i: linalg.over(c, den * den)
+                                  for i, c in acc.items()})
 
 
 def contract(x: Vector, a: KForm) -> KForm:
@@ -390,12 +385,21 @@ def contract(x: Vector, a: KForm) -> KForm:
             rest = idx[:pos] + idx[pos + 1:]
             term = (xi * c) if pos % 2 == 0 else -(xi * c)
             acc[rest] = acc.get(rest, 0) + term
-    return KForm(a.dim, a.degree - 1, {r: linalg.over(v, den * den)
-                                       for r, v in acc.items()})
+    return KForm._of(a.dim, a.degree - 1, {r: linalg.over(v, den * den)
+                                           for r, v in acc.items()})
 
 
 def contract_basis(i: int, a: KForm) -> KForm:
-    return contract(Vector.basis(a.dim, i), a)
+    """i_{e_i} a with no arithmetic: the terms whose index holds i, without
+    i, each signed by (-1)^position of i."""
+    if a.degree < 1:
+        raise DegreeError("cannot contract a 0-form")
+    out: Dict[Index, Scalar] = {}
+    for idx, c in a.coeffs.items():
+        if i in idx:
+            pos = idx.index(i)
+            out[idx[:pos] + idx[pos + 1:]] = -c if pos % 2 else c
+    return KForm._of(a.dim, a.degree - 1, out)
 
 
 def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
@@ -442,8 +446,8 @@ def pullback(a: KForm, minors: linalg.Compound) -> KForm:
         for tgt, minor in minors.row(src).items():
             acc[tgt] = acc.get(tgt, 0) + c * minor
     den *= minors.den ** a.degree
-    return KForm(a.dim, a.degree, {j: linalg.over(c, den)
-                                   for j, c in acc.items()})
+    return KForm._of(a.dim, a.degree, {j: linalg.over(c, den)
+                                       for j, c in acc.items()})
 
 
 def hodge_star(a: KForm, g: InnerProduct, orient: Orientation) -> KForm:
@@ -459,7 +463,7 @@ def hodge_star(a: KForm, g: InnerProduct, orient: Orientation) -> KForm:
     for idx_l, total in pullback(a, g.minors).coeffs.items():
         sign, comp = complement_sign(idx_l, n)
         acc[comp] = (total * vol_coeff) * sign
-    return KForm(n, n - a.degree, acc)
+    return KForm._of(n, n - a.degree, acc)
 
 
 def codifferential(a: KForm, d: Callable[[KForm], KForm], g: InnerProduct,
@@ -489,39 +493,20 @@ def vec_to_form(dim: int, degree: int, vec: Sequence[Scalar],
 
 
 def render_form(a: KForm, mul: str = "*") -> str:
-    """Text in coframe notation, e.g. ``e123 + e145`` or ``1/2*e17``."""
+    """Text in coframe notation, e.g. ``e123+e145`` or ``1/2*e17``.  A
+    polynomial coefficient renders like a number when its text is a signed
+    bare symbol (``-a*e12``), and in parentheses otherwise."""
     if a.degree == 0:
-        c = a.coeffs.get((), Fraction(0))
-        return scalars.render_scalar(c)
+        return scalars.render_scalar(a.coeffs.get((), Fraction(0)))
     if not a.coeffs:
         return "0"
-    parts = []
+    text = ""
     for idx, c in a.items():
+        coeff = scalars.render_scalar(c)
+        if isinstance(c, Polynomial) and \
+                not re.fullmatch(r"-?[A-Za-z_]\w*", coeff):
+            coeff = "(%s)" % coeff
+        sign, coeff = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
         body = "e" + "".join(str(i) for i in idx)
-        if isinstance(c, Polynomial):
-            mono = None
-            if len(c.terms) == 1:
-                (m, q), = c.terms.items()
-                if q == 1 and len(m) == 1 and m[0][1] == 1:
-                    mono = m[0][0]
-                elif q == -1 and len(m) == 1 and m[0][1] == 1:
-                    mono = m[0][0]
-                    parts.append(("-", "%s%s%s" % (mono, mul, body)))
-                    continue
-            if mono is not None:
-                parts.append(("+", "%s%s%s" % (mono, mul, body)))
-            else:
-                parts.append(("+", "(%s)%s%s" % (c, mul, body)))
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if scalars.eq(mag, Fraction(1)) and not isinstance(mag, float):
-            frag = body
-        else:
-            frag = "%s%s%s" % (scalars.render_scalar(mag), mul, body)
-        parts.append(("-" if neg else "+", frag))
-    first_sign, first = parts[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, frag in parts[1:]:
-        text += "%s%s" % (sign, frag)
-    return text
+        text += sign + (body if coeff == "1" else coeff + mul + body)
+    return text[1:] if text[0] == "+" else text

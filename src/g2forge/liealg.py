@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       merge_sign, render_form, scaled)
+                       magnitude, merge_sign, render_form, scaled)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -49,16 +49,13 @@ class LieAlgebra:
                 raise DimensionMismatchError("each de^k must be a 2-form")
         norm = tuple(f if f.degree == 2 else KForm.zero(dim, 2)
                      for f in d_coframe)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "d_coframe", norm)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_constants", None)
+        self.dim, self.d_coframe, self.name = dim, norm, name
+        self._constants = self._nilpotency = None
         # the de^k over one denominator: (den, [{pair: den * coefficient}])
         den, nums = linalg.clear(c for f in norm for c in f.coeffs.values())
         nums = iter(nums)
-        object.__setattr__(self, "_cleared", (den, [
-            {pair: next(nums) for pair in f.coeffs} for f in norm]))
-        object.__setattr__(self, "_nilpotency", None)   # is_nilpotent
+        self._cleared = (den, [{pair: next(nums) for pair in f.coeffs}
+                               for f in norm])
         if check:
             bad = self.jacobi_defect(tol=tol)
             if bad is not None:
@@ -77,9 +74,19 @@ class LieAlgebra:
                    for f in self.d_coframe for c in f.coeffs.values())
 
     def jacobi_defect(self, tol: float = 0.0):
+        """(k, d^2 e^k) for the first nonzero d^2 e^k, else None.  In floats
+        each coefficient of d^2 e^k is bounded by tol times the sum, over
+        the terms c e^ab of de^k, of |c| (max|de^a| + max|de^b|): the size
+        of the products d^2 e^k sums."""
+        float_ring = self.is_float_ring()   # exact zero tests ignore tol
+        sizes = [magnitude(f) for f in self.d_coframe] if float_ring else ()
         for k, f in enumerate(self.d_coframe, start=1):
+            bound = tol * sum(abs(c) * (sizes[a - 1] + sizes[b - 1])
+                              for (a, b), c in f.coeffs.items()
+                              if not isinstance(c, Polynomial)) \
+                if float_ring else 0.0
             dd = self.d(f)
-            if not dd.is_zero(tol):
+            if not dd.is_zero(bound):
                 return k, dd
         return None
 
@@ -103,8 +110,8 @@ class LieAlgebra:
                     if sign:
                         acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
         den *= den_d
-        return KForm(self.dim, a.degree + 1,
-                     {i: linalg.over(c, den) for i, c in acc.items()})
+        return KForm._of(self.dim, a.degree + 1,
+                         {i: linalg.over(c, den) for i, c in acc.items()})
 
     # -- structure constants --------------------------------------------------
     @property
@@ -117,7 +124,7 @@ class LieAlgebra:
                 for (i, j), coeff in self.d_coframe[k].coeffs.items():
                     c[k][i - 1][j - 1] = -coeff
                     c[k][j - 1][i - 1] = coeff
-            object.__setattr__(self, "_constants", c)
+            self._constants = c
         return self._constants
 
     def __eq__(self, other):
@@ -368,7 +375,7 @@ def is_nilpotent(algebra: LieAlgebra):
         elif len(basis) >= len(current):
             verdict = (False, None)
         current = basis
-    object.__setattr__(algebra, "_nilpotency", verdict)
+    algebra._nilpotency = verdict
     return verdict
 
 

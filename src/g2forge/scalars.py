@@ -3,7 +3,9 @@
 A scalar is a ``Fraction``, a :class:`Polynomial` or a ``float``.  Binary
 operations stay inside one ring; the only legal promotions are
 rational -> polynomial and rational -> float.  Mixing a polynomial with a
-float raises :class:`RingMismatchError`.  All values are immutable.
+float raises :class:`RingMismatchError`.  All values are immutable.  In
+every ring a scalar is zero exactly when it is falsy (``is_zero`` at tol
+0), which is how forms and polynomials drop zero coefficients.
 """
 from __future__ import annotations
 
@@ -70,7 +72,10 @@ class Polynomial:
     """Multivariate polynomial over Q with named variables.
 
     Terms are stored as a map monomial -> Fraction with no zero
-    coefficients.  Arithmetic accepts ints and Fractions as constant
+    coefficients, by ``_of`` alone: ``Polynomial(terms)`` reads outside
+    coefficients as Fractions first, and arithmetic stores its results
+    directly.  A constant hashes as its value, which it equals.
+    Arithmetic accepts ints and Fractions as constant
     operands; floats are rejected.  A product or quotient with a constant
     scales the coefficients directly (by 1 or -1 it returns the polynomial
     or its negative, and adding 0 returns it), and the product of two
@@ -80,24 +85,26 @@ class Polynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        clean: dict = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[m] = c
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, terms: Optional[Mapping[Monomial, Fraction]] = None):
+        """Outside input: each coefficient is read as a Fraction."""
+        return cls._of({m: Fraction(c) for m, c in (terms or {}).items()})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """The one store: Fraction coefficients already checked, zeros
+        dropped by truthiness.  Arithmetic builds through it."""
+        out = object.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        value = Fraction(value)
-        return cls({(): value} if value else {})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -146,21 +153,13 @@ class Polynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m)
-            s = c if s is None else s + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", terms)
-        return out
+            terms[m] = c if s is None else s + c
+        return Polynomial._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        return out
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -181,8 +180,7 @@ class Polynomial:
                 return self
             if other == -1:
                 return -self
-            terms = {m: c * other for m, c in self.terms.items()} \
-                if other else {}
+            terms = {m: c * other for m, c in self.terms.items()}
         else:
             other = self._coerce(other)
             if other is None:
@@ -192,14 +190,8 @@ class Polynomial:
                 for m2, c2 in other.terms.items():
                     m = _mono_mul(m1, m2)
                     s = terms.get(m)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", terms)
-        return out
+                    terms[m] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._of(terms)
 
     __rmul__ = __mul__
 
@@ -245,6 +237,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as its value
+        if self.is_constant():
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     # -- evaluation --------------------------------------------------------

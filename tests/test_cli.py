@@ -146,6 +146,19 @@ def test_algebra_show_keeps_a_symbolic_algebra_symbolic_in_the_float_ring(
     assert json.loads(out)["results"]["ring"] == "polynomial"
 
 
+def test_float_algebra_show_accepts_large_structure_constants(capsys):
+    equations = "(0,0,0,e12,e14-3*e23,123456789.1*e15+370370367.3*e34)"
+    code, out = run_cli(capsys, "--ring", "float", "algebra", "show",
+                        equations, "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["nilpotent"], results["nilpotency_step"]) == (True, 4)
+    # the e34 coefficient 40% off violates Jacobi: bad input, exit 2
+    assert main(["--ring", "float", "algebra", "show",
+                 equations.replace("370370367.3", "518518514.22")]) == 2
+    assert "Jacobi" in capsys.readouterr().err
+
+
 def test_table1_md(capsys):
     code, out = run_cli(capsys, "table1", "--format", "md")
     assert code == 0

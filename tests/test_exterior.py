@@ -5,13 +5,15 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forge import catalog, linalg
-from g2forge.exterior import (InnerProduct, KForm, Orientation, Vector,
-                              basis_indices, codifferential, contract,
+from g2forge import catalog, exterior, linalg
+from g2forge.exterior import (DegreeError, InnerProduct, KForm, Orientation,
+                              Vector, basis_indices, codifferential, contract,
                               contract_basis, form_inner, hodge_star,
                               merge_sign, pullback, render_form, sort_index,
                               wedge)
 from g2forge.g2 import metric_from_phi
+from g2forge.liealg import to_float_algebra
+from g2forge.scalars import Polynomial
 from g2forge.stable_forms import metric_from_pair
 from test_coframe import (CASES, P_DENSE, Coframe, off_diagonal,
                           twisted_n28_pair)
@@ -320,6 +322,86 @@ def test_wedge_anticommutes_odd(a, b):
 @settings(max_examples=25, deadline=None)
 def test_wedge_associativity(a, b, c):
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+
+def built_forms(ring):
+    """An algebra, a 3-form, its star and a metric in one ring: the
+    P_DENSE twist of n28_ext (exact and float) and the symbolic abelian_ext
+    with a polynomial multiple of its phi."""
+    if ring == "polynomial":
+        algebra = catalog.abelian_scaling_extension().algebra
+        phi = (Polynomial.variable("b") + 1) * catalog.abelian_ext_g2_form()
+        g = InnerProduct.euclidean(7)
+    else:
+        c = Coframe(P_DENSE)
+        algebra = c.algebra(catalog.n28_einstein_extension().algebra)
+        phi = c.form(catalog.n28_ext_g2_form())
+        g = InnerProduct(linalg.mat_mul(linalg.transpose(c.p), c.p))
+        if ring == "float":
+            algebra, phi, g = to_float_algebra(algebra), phi.to_float(), \
+                g.to_float()
+    orient = Orientation.standard(7)
+    return algebra, phi, hodge_star(phi, g, orient), g, orient
+
+
+def kernel_outputs(algebra, phi, star, g, orient):
+    x = Vector(7, tuple(range(1, 8)))
+    return ([wedge(phi, star), wedge(contract_basis(1, phi), phi),
+             contract(x, phi), contract(x, star),
+             pullback(phi, g.minors), pullback(star, g.minors),
+             hodge_star(phi, g, orient), hodge_star(star, g, orient),
+             algebra.d(phi), algebra.d(star)]
+            + [contract_basis(i, a) for a in (phi, star)
+               for i in range(1, 8)])
+
+
+RINGS = ("exact", "float", "polynomial")
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_contract_basis_is_contraction_by_a_basis_vector(ring):
+    _, phi, star, _, _ = built_forms(ring)
+    for a in (phi, star, KForm.monomial(7, (3,)), KForm.zero(7, 2)):
+        for i in range(1, 8):
+            got = contract_basis(i, a)
+            reference = contract(Vector.basis(7, i), a)
+            assert (got.dim, got.degree) == (reference.dim, reference.degree)
+            assert got.coeffs == reference.coeffs
+            assert [type(c) for c in got.coeffs.values()] == \
+                [type(c) for c in reference.coeffs.values()]
+    for contraction in (contract_basis,
+                        lambda i, a: contract(Vector.basis(7, i), a)):
+        with pytest.raises(DegreeError):
+            contraction(1, KForm(7, 0, {(): 1}))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_kernels_on_built_forms_check_no_index(ring, monkeypatch):
+    inputs = built_forms(ring)
+    calls = []
+    check = exterior._check_index
+    monkeypatch.setattr(exterior, "_check_index",
+                        lambda idx, dim: calls.append(idx) or check(idx, dim))
+    outputs = kernel_outputs(*inputs)
+    assert calls == []
+    assert len(outputs) == 24
+    # the counter sees the public constructor's checks
+    KForm(7, 3, inputs[1].coeffs)
+    assert len(calls) == len(inputs[1].coeffs)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_kernel_outputs_are_what_the_public_constructor_builds(ring):
+    outputs = kernel_outputs(*built_forms(ring))
+    for out in outputs:
+        # the public constructor drops zeros, so no zero was stored
+        rebuilt = KForm(out.dim, out.degree, out.coeffs)
+        assert list(rebuilt.coeffs.items()) == list(out.coeffs.items())
+        assert [type(c) for c in rebuilt.coeffs.values()] == \
+            [type(c) for c in out.coeffs.values()]
+    kinds = {type(c) for out in outputs for c in out.coeffs.values()}
+    assert kinds == {"exact": {Fraction}, "float": {float},
+                     "polynomial": {Polynomial}}[ring]
 
 
 @given(st.lists(rationals, min_size=6, max_size=6),

@@ -34,6 +34,31 @@ def test_parse_rejects_jacobi_violations():
     assert "d^2" in str(err.value)
 
 
+# d^2 e^6 = (3a - b) e123: closed for b = 3a, so exactly at 370370367.3 in Q
+LARGE_FLOAT = "(0,0,0,e12,e14-3*e23,123456789.1*e15+%r*e34)"
+
+
+def test_float_jacobi_bound_scales_with_the_products_d2_sums():
+    """The float d^2 e^6 above is -6e-8 e123, past an absolute 1e-9, and
+    within 1e-9 times the products it sums, 3a + b."""
+    algebra = parse_structure_equations(LARGE_FLOAT % 370370367.3)
+    assert algebra.is_float_ring()
+    assert is_nilpotent(algebra) == (True, 4)
+    # negative controls: b off by 40% or by 1e-5 of itself
+    for b in (370370367.3 * 1.4, 370370367.3 * (1 + 1e-5)):
+        with pytest.raises(JacobiError):
+            parse_structure_equations(LARGE_FLOAT % b)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e12])
+def test_float_jacobi_check_accepts_a_twisted_algebra_at_any_scale(scale):
+    """The float n9_nilsoliton on the P6_DENSE coframe, its structure
+    constants times scale: d^2 e^1 was 6e-3 e123 at 1e6."""
+    twisted = Coframe(P6_DENSE).algebra(catalog.n9_nilsoliton_frame())
+    algebra = LieAlgebra(6, [scale * f for f in twisted.d_coframe])
+    assert is_nilpotent(algebra) == (True, 4)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(StructureParseError) as err:
         parse_structure_equations("(0,0,0,0,e13-,e14)")

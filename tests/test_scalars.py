@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from g2forge.exterior import KForm
 from g2forge.scalars import (ExactnessError, MissingVariableError, Polynomial,
                              RingMismatchError, _var_key, nth_root_fraction,
                              poly_sqrt, render_scalar,
@@ -13,6 +14,15 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 def P(name):
     return Polynomial.variable(name)
+
+
+def test_a_constant_polynomial_hashes_as_the_value_it_equals():
+    two = Polynomial.constant(2)
+    assert two == Fraction(2) and hash(two) == hash(Fraction(2))
+    assert Polynomial.zero() == 0 and hash(Polynomial.zero()) == hash(0)
+    assert hash(P("a")) != hash(Fraction(1))
+    assert len({KForm(3, 1, {(1,): two}), KForm(3, 1, {(1,): Fraction(2)})}) == 1
+    assert len({two, Fraction(2), 2}) == 1
 
 
 def test_rational_arithmetic_examples():

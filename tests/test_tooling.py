@@ -1,6 +1,7 @@
 """Guards on what the program binds: the benchmark's tracer targets must
-exist, and every module-level function and class of ``src/g2forge`` must
-be used by the program or named on one allowlist with its reason."""
+exist, every module-level function and class of ``src/g2forge`` must be
+used by the program or named on one allowlist with its reason, and forms
+and polynomials are stored only by their trusted constructors."""
 import ast
 import importlib
 import importlib.util
@@ -118,3 +119,62 @@ def test_an_unused_definition_is_flagged():
               "def recursive(n):\n    return recursive(n - 1)\n\n\n"
               "class Kept:\n    pass\n\n\nKept()\n")
     assert unreferenced({"m": source}) == {"m.unused", "m.recursive"}
+
+
+# The one place each value type is stored without its public checks.
+TRUSTED = {"KForm": "_of", "Polynomial": "_of"}
+
+
+def untrusted_builds(sources):
+    """The ``__new__`` and ``object.__setattr__`` calls of ``sources``
+    (module name -> source text) that build a KForm or Polynomial outside
+    its trusted constructor, as module.scope.  A call builds one when it
+    sits in a method of the type or names the type."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Call) and raw_build(child.func):
+                types = {scope[0]} if scope else set()
+                types |= set(names_in(child))
+                for name in set(TRUSTED) & types:
+                    if scope != (name, TRUSTED[name]):
+                        found.add(".".join((module,) + scope))
+            visit(child, module, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, ())
+    return found
+
+
+def raw_build(func):
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "__new__" or func.attr == "__setattr__"
+        and isinstance(func.value, ast.Name) and func.value.id == "object")
+
+
+def test_forms_and_polynomials_are_stored_by_their_trusted_constructor():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert untrusted_builds(sources) == set()
+
+
+def test_an_untrusted_build_is_flagged():
+    source = ("class KForm:\n"
+              "    @classmethod\n"
+              "    def _of(cls, dim, degree, coeffs):\n"
+              "        out = object.__new__(cls)\n"
+              "        object.__setattr__(out, 'coeffs', coeffs)\n"
+              "        return out\n\n"
+              "    def zero(cls, dim, degree):\n"
+              "        f = cls.__new__(cls)\n"
+              "        return f\n\n\n"
+              "class Vector:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'components', ())\n\n\n"
+              "def add(a, b):\n"
+              "    out = Polynomial.__new__(Polynomial)\n"
+              "    object.__setattr__(out, 'terms', {})\n"
+              "    return out\n")
+    assert untrusted_builds({"m": source}) == {"m.KForm.zero", "m.add"}
