@@ -1,31 +1,40 @@
 """Curvature of left-invariant metrics on Lie algebras.
 
 The Levi-Civita connection comes from the Koszul formula on invariant
-fields, as n matrices: N_i is the matrix of nabla_{e_i}, whose column j is
-nabla_{e_i} e_j.  Curvature is then
+fields, as n matrices over one denominator: N_i is the matrix of
+nabla_{e_i}, whose column j is nabla_{e_i} e_j.  Curvature is then
 R(e_i, e_j) = [N_i, N_j] - N_[e_i,e_j], the matrix of
 Z -> nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, and
-Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k).  These choices are anchored to
-the worked nilsoliton example (see the test suite).
+Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k) = (t N_j)_k
+- sum_{x,y} (N_j[x][y] + c^x_yj) N_x[y][k], t_a = sum_i N_i[i][a], with no
+product N_i N_j; those are made on the first read of riemann.  These
+choices are anchored to the worked nilsoliton example (see the test suite).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import linalg
 from .exterior import scaled
-from .liealg import MetricLieAlgebra, derivation_defect, is_nilpotent
+from .liealg import (MetricLieAlgebra, derivation_defect, is_nilpotent,
+                     structure_rows)
 from .scalars import Scalar, is_zero
 
 
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """matrices[i] is N_i, the matrix of nabla_{e_i} (0-based): column j
-    holds nabla_{e_i} e_j."""
+class ConnectionCoeffs(NamedTuple):
+    """stacked[i*n + a][b] = den N_i[a][b] (0-based); matrices are the N_i."""
 
-    matrices: Tuple[linalg.Matrix, ...]
+    den: int
+    stacked: Tuple[tuple, ...]
+
+    @property
+    def matrices(self) -> Tuple[linalg.Matrix, ...]:
+        n = len(self.stacked[0])
+        return tuple(tuple(tuple(linalg.over(x, self.den) for x in row)
+                           for row in self.stacked[i * n:(i + 1) * n])
+                     for i in range(n))
 
 
 class CurvatureTensors:
@@ -42,80 +51,70 @@ class CurvatureTensors:
         return self._riemann
 
 
-def _cleared_constants(algebra) -> Tuple[int, list]:
-    # (den, rows) with rows[k][a*n + b] = den * c^k_ab
-    return linalg.clear_rows([[x for row in plane for x in row]
-                              for plane in algebra.structure_constants])
-
-
 def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     """Koszul formula 2 g(nabla_i e_j, e_k) = g([e_i,e_j],e_k)
-    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields, on
-    integers over one denominator when g and the algebra are exact."""
+    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields: den N_i,
+    integers on exact input; on float input den = 2, an exact scale."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     if not g.is_positive_definite(scaled(1e-12, g.matrix)):
         raise ValueError("metric must be positive definite")
-    dc, c = _cleared_constants(algebra)
+    dc, c = structure_rows(algebra)
     dg, gs = linalg.clear_rows(g.matrix)
     # low[k][a*n + b] = g([e_a, e_b], e_k) dg dc: every bracket in one product
     low = linalg.mat_mul(gs, c)
     # koszul[k][i*n + j] = 2 g(nabla_i e_j, e_k) dg dc
     koszul = [[low[k][i * n + j] - low[i][j * n + k] + low[j][k * n + i]
                for i in range(n) for j in range(n)] for k in range(n)]
-    # raising k: flat[k][i*n + j] = N_i[k][j] den
+    # raising k: flat[a][i*n + b] = N_i[a][b] den
     di, ginv = linalg.clear_rows(g.inverse)
     flat, den = linalg.mat_mul(ginv, koszul), 2 * dg * dc * di
-    return ConnectionCoeffs(tuple(
-        tuple(tuple(linalg.over(x, den) for x in row[i * n:(i + 1) * n])
-              for row in flat) for i in range(n)))
+    return ConnectionCoeffs(den, tuple(row[i * n:(i + 1) * n]
+                                       for i in range(n) for row in flat))
 
 
-def curvature_tensors(m: MetricLieAlgebra,
-                      coeffs: Optional[ConnectionCoeffs] = None
-                      ) -> CurvatureTensors:
-    """On exact input the products run on integers: N_i over their common
-    denominator dn, c over dc, and R(e_i, e_j) and Ricci over dc dn^2."""
+def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
+    """Ricci in two products, on integers over dc dn^2 on exact input (N_i
+    over dn, c over dc); riemann is built on its first read."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
-    if coeffs is None:
-        coeffs = levi_civita(m)
-    dn, stacked = linalg.clear_rows([r for nm in coeffs.matrices for r in nm])
+    dn, stacked = levi_civita(m)
     nab = [stacked[i * n:(i + 1) * n] for i in range(n)]
-    dc, c = _cleared_constants(algebra)
+    dc, c = structure_rows(algebra)
     dg, gs = linalg.clear_rows(g.matrix)
-    # sums start from a zero of the inputs' ring, so an entry no term
-    # reaches is 0.0 in floats
-    zero = linalg.ring_zero(gs, stacked)
-    # prod[i*n + a][j*n + b] = (N_i N_j)[a][b]: the stacked N_i times the
-    # side-by-side N_j, every product in one mat_mul
-    prod = linalg.mat_mul(stacked, [[x for nm in nab for x in nm[a]]
-                                    for a in range(n)])
-    pairs = list(combinations(range(n), 2))
-    ricci = [[zero] * n for _ in range(n)]
-    curv = []
-    for i, j in pairs:
-        # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m, subtracting
-        # at the nonzero entries of each term only
-        r = [[dc * x for x in row[j * n:(j + 1) * n]]
-             for row in prod[i * n:(i + 1) * n]]
-        terms = [(a, b, dc * y) for a, row in enumerate(prod[j * n:(j + 1) * n])
-                 for b, y in enumerate(row[i * n:(i + 1) * n]) if y]
-        terms += [(a, b, dn * (c[mm][i * n + j] * y))
-                  for mm, nm in enumerate(nab) if c[mm][i * n + j]
-                  for a, row in enumerate(nm) for b, y in enumerate(row) if y]
-        for a, b, y in terms:
-            r[a][b] = r[a][b] - y
-        for k in range(n):
-            # Ric(e_j, e_k) += e^i(R(e_i, e_j) e_k), and R(e_j, e_i) = -R
-            ricci[j][k] = ricci[j][k] + r[i][k]
-            ricci[i][k] = ricci[i][k] - r[j][k]
-        curv.append(r)
+    zero = linalg.ring_zero(gs, stacked)     # Polynomial() in that ring
+    # Ricci: t = sum_i N_i[i] times side[a][j*n + b] = N_j[a][b], and the
+    # N_x[y] summed against coupled[j][x*n + y] = N_j[x][y] + c^x_yj
+    side = [[x for nm in nab for x in nm[a]] for a in range(n)]
+    trace = [list(map(sum, zip(*stacked[::n + 1])))]
+    coupled = [[dc * nab[j][x][y] + dn * c[x][y * n + j] for x in range(n)
+                for y in range(n)] for j in range(n)]
+    (tn,), sq = linalg.mat_mul(trace, side), linalg.mat_mul(coupled, stacked)
+    ricci = [[zero + (dc * tn[j * n + k] - sq[j][k]) for k in range(n)]
+             for j in range(n)]
     den = dc * dn * dn
 
     def lower() -> dict:
-        # on the first read of riemann: low[l][p*n + k] = g(R(e_i, e_j) e_k,
-        # e_l) dg den for the p-th pair (i, j), all lowered in one product
+        # prod[i*n + a][j*n + b] = (N_i N_j)[a][b], all in one mat_mul
+        prod = linalg.mat_mul(stacked, side)
+        pairs = list(combinations(range(n), 2))
+        curv = []
+        for i, j in pairs:
+            # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m, subtracting
+            # at the nonzero entries of each term only
+            r = [[dc * x for x in row[j * n:(j + 1) * n]]
+                 for row in prod[i * n:(i + 1) * n]]
+            terms = [(a, b, dc * y)
+                     for a, row in enumerate(prod[j * n:(j + 1) * n])
+                     for b, y in enumerate(row[i * n:(i + 1) * n]) if y]
+            terms += [(a, b, dn * (c[mm][i * n + j] * y))
+                      for mm, nm in enumerate(nab) if c[mm][i * n + j]
+                      for a, row in enumerate(nm) for b, y in enumerate(row)
+                      if y]
+            for a, b, y in terms:
+                r[a][b] = r[a][b] - y
+            curv.append(r)
+        # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) dg den, p-th pair (i, j)
         low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
                                   for a in range(n)])
         riemann = {}
@@ -129,10 +128,8 @@ def curvature_tensors(m: MetricLieAlgebra,
     di, ginv = linalg.clear_rows(g.inverse)
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if ricci[j][k]), zero)
-    return CurvatureTensors(
-        riemann=lower,
-        ricci=tuple(tuple(linalg.over(x, den) for x in row) for row in ricci),
-        scal=linalg.over(scal, di * den))
+    ricci = tuple(tuple(linalg.over(x, den) for x in row) for row in ricci)
+    return CurvatureTensors(lower, ricci, linalg.over(scal, di * den))
 
 
 def ricci_operator(m: MetricLieAlgebra,

@@ -35,8 +35,7 @@ class NotDerivationError(ValueError):
 class LieAlgebra:
     """dim + the coframe differentials; d extends as an anti-derivation."""
 
-    __slots__ = ("dim", "d_coframe", "name", "_constants", "_cleared",
-                 "_nilpotency")
+    __slots__ = ("dim", "d_coframe", "name", "_cleared", "_nilpotency")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
                  name: Optional[str] = None, check: bool = True,
@@ -50,7 +49,7 @@ class LieAlgebra:
         norm = tuple(f if f.degree == 2 else KForm.zero(dim, 2)
                      for f in d_coframe)
         self.dim, self.d_coframe, self.name = dim, norm, name
-        self._constants = self._nilpotency = None
+        self._nilpotency = None
         # the de^k over one denominator: (den, [{pair: den * coefficient}])
         den, nums = linalg.clear(c for f in norm for c in f.coeffs.values())
         nums = iter(nums)
@@ -112,20 +111,6 @@ class LieAlgebra:
         den *= den_d
         return KForm._of(self.dim, a.degree + 1,
                          {i: linalg.over(c, den) for i, c in acc.items()})
-
-    # -- structure constants --------------------------------------------------
-    @property
-    def structure_constants(self):
-        """c[k][i][j] with [e_i, e_j] = sum_k c^k_ij e_k (0-based indices)."""
-        if self._constants is None:
-            n = self.dim
-            c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for (i, j), coeff in self.d_coframe[k].coeffs.items():
-                    c[k][i - 1][j - 1] = -coeff
-                    c[k][j - 1][i - 1] = coeff
-            self._constants = c
-        return self._constants
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
@@ -349,10 +334,10 @@ def is_nilpotent(algebra: LieAlgebra):
 
     Spans are kept as rows; the row v ad_i, with (ad_i)_jk = c^k_ij, is
     [e_i, v], so one product by the side-by-side ad_i is one step.  Each
-    span is cut to a basis by ``linalg.row_basis``: Bareiss on exact rows;
-    one SVD on float rows, where a singular value counts above
-    ``scaled(1e-9, c)``, c the structure constants (the basis rows are
-    orthonormal, so a bracket is at most about max|c|).  The verdict is
+    span is cut to a basis by ``linalg.row_basis``: exact spans, and c,
+    stay integer rows, as a span needs no scale; float rows take one SVD,
+    where a singular value counts above ``scaled(1e-9, c)`` (the basis rows
+    are orthonormal, so a bracket is at most about max|c|).  The verdict is
     kept on the algebra and returned first."""
     if algebra._nilpotency is not None:
         return algebra._nilpotency
@@ -360,11 +345,12 @@ def is_nilpotent(algebra: LieAlgebra):
         raise ValueError("nilpotency over the polynomial ring is not decided "
                          "here; specialize the symbols first")
     n = algebra.dim
-    c = algebra.structure_constants
-    ads = linalg.Sparse([[c[k][i][j] for i in range(n) for k in range(n)]
+    _, c = structure_rows(algebra)
+    ads = linalg.Sparse([[c[k][i * n + j] for i in range(n) for k in range(n)]
                          for j in range(n)])
     floor = scaled(1e-9, [f.coeffs.values() for f in algebra.d_coframe])
-    current, step, verdict = linalg.identity(n), 0, None
+    current, step, verdict = [[int(i == j) for j in range(n)]
+                              for i in range(n)], 0, None
     while verdict is None:
         step += 1
         brackets = linalg.mat_mul(current, ads)
@@ -377,6 +363,17 @@ def is_nilpotent(algebra: LieAlgebra):
         current = basis
     algebra._nilpotency = verdict
     return verdict
+
+
+def structure_rows(algebra: LieAlgebra) -> Tuple[int, List[list]]:
+    """(den, c), c[k][a*n + b] = den c^k_ab with [e_a, e_b] = sum c^k_ab e_k
+    (0-based): c^k_ab = -y and c^k_ba = y for the e^ab coefficient y of de^k."""
+    n, (den, planes) = algebra.dim, algebra._cleared
+    c = [[0] * (n * n) for _ in range(n)]
+    for row, plane in zip(c, planes):
+        for (a, b), y in plane.items():
+            row[(a - 1) * n + b - 1], row[(b - 1) * n + a - 1] = -y, y
+    return den, c
 
 
 def derivation_defect(algebra: LieAlgebra, matrix) -> List[Scalar]:

@@ -183,24 +183,16 @@ def submatrix_det(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Scalar
     return det(tuple(tuple(m[i][j] for j in cols) for i in rows))
 
 
-def rref(rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None
-         ) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form of exact rows, as Fractions: (rows, pivot
-    columns), pivots in the leading ``ncols`` columns only.  Float rows go
-    to numpy instead (``solve``, ``nullspace``, ``inverse``, ``row_basis``).
-
-    Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968)
-    on den * rows, den from ``clear``: with pivot p and previous pivot prev,
-    each other row becomes (p row - f pivot_row) // prev, exactly, so the
-    rows stay prev times the rref.  Pivot rows are divided by prev, rows
-    past the rank by prev * den."""
-    if not is_exact(chain.from_iterable(rows)):
-        raise TypeError("rref eliminates exact rows only")
+def _bareiss(rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None):
+    """(den, m, pivots, prev): Bareiss's fraction-free Gauss-Jordan
+    elimination (Math. Comp. 22, 1968) of m = den * rows, den from
+    ``clear``, on the leading ``ncols`` columns.  With pivot p and previous
+    pivot prev, each other row becomes (p row - f pivot_row) // prev,
+    exactly, so the rows stay prev times the rref."""
     den, m = clear_rows(rows)
-    nc = ncols if ncols is not None else (len(m[0]) if m else 0)
     pivots: List[int] = []
     prev = 1
-    for c in range(nc):
+    for c in range(ncols if ncols is not None else (len(m[0]) if m else 0)):
         r = len(pivots)
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
@@ -213,6 +205,18 @@ def rref(rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None
                 m[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
         prev = piv
+    return den, m, pivots, prev
+
+
+def rref(rows: Sequence[Sequence[Scalar]], ncols: Optional[int] = None
+         ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form of exact rows, as Fractions: (rows, pivot
+    columns), pivots in the leading ``ncols`` columns only.  Float rows go
+    to numpy instead (``solve``, ``nullspace``, ``inverse``, ``row_basis``).
+    ``_bareiss``, then each pivot row over prev and each other over prev den."""
+    if not is_exact(chain.from_iterable(rows)):
+        raise TypeError("rref eliminates exact rows only")
+    den, m, pivots, prev = _bareiss(rows, ncols)
     rank = len(pivots)
     return [[over(x, prev if i < rank else prev * den) for x in row]
             for i, row in enumerate(m)], pivots
@@ -278,15 +282,17 @@ def nullspace(a: Matrix, tol: float = 0.0) -> List[VectorS]:
 
 
 def row_basis(rows: Sequence[Sequence[Scalar]], floor: float) -> List[VectorS]:
-    """A basis of the span of rows: the nonzero rows of the exact ``rref``,
-    or the orthonormal right singular vectors of one SVD of float rows whose
-    singular value exceeds ``floor``, the numerical rank (Golub & Van Loan,
-    *Matrix Computations*, 5.4)."""
+    """A basis of the span of rows: the pivot rows of exact ``_bareiss``,
+    each divided by its gcd (primitive integer rows), or the orthonormal
+    right singular vectors of one SVD of float rows whose singular value
+    exceeds ``floor``, the numerical rank (Golub & Van Loan, *Matrix
+    Computations*, 5.4)."""
     if _has_float(rows):
         s, vt = _svd(rows)
         return vt[:int((s > floor).sum())]
-    red, pivots = rref(rows)
-    return [tuple(row) for row in red[:len(pivots)]]
+    _, m, pivots, _ = _bareiss(rows)
+    return [tuple(x // g for x in row) for row in m[:len(pivots)]
+            for g in [math.gcd(*row)]]
 
 
 def inverse(a: Matrix) -> Matrix:

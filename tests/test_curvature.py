@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from g2forge import catalog, linalg
+from g2forge import catalog, curvature, linalg
 from g2forge.curvature import (CurvatureTensors, NilsolitonWitness,
                                curvature_tensors, einstein_constant,
                                levi_civita, nilsoliton_check, ricci_operator)
@@ -21,7 +21,8 @@ from g2forge.scalars import Polynomial, is_zero
 from test_coframe import (CASES, INPUTS, P6_DENSE, P_DENSE, P_DENSE_SHEAR,
                           P_SHEAR, Coframe, off_diagonal)
 from test_exterior import leibniz_det
-from test_liealg import exact_entry, is_derivation_by_brackets, times
+from test_liealg import (exact_entry, is_derivation_by_brackets,
+                         structure_constants, times)
 
 
 def euclidean(name):
@@ -59,7 +60,7 @@ def besse_ricci(m, quarter=Fraction(1, 4)):
     connection: only the structure constants and g enter.
     """
     g, ginv = m.metric.matrix, m.metric.inverse
-    c = m.algebra.structure_constants      # [e_i, e_j] = sum_k c[k][i][j] e_k
+    c = structure_constants(m.algebra)      # [e_i, e_j] = sum_k c[k][i][j] e_k
     r = range(m.algebra.dim)
     # low[a][b][x] = g([e_a, e_b], e_x); up raises a and b
     low = [[[sum(c[k][a][b] * g[k][x] for k in r) for x in r] for b in r]
@@ -121,7 +122,7 @@ def connection_satisfies_invariants(m):
     """Metric compatibility (g N_i is antisymmetric) and torsion-freeness
     (nabla_i e_j - nabla_j e_i = [e_i, e_j]) of the Koszul connection."""
     n, nab = m.algebra.dim, levi_civita(m).matrices
-    c = m.algebra.structure_constants
+    c = structure_constants(m.algebra)
     lows = [linalg.mat_mul(m.metric.matrix, nm) for nm in nab]
     return all(is_zero(low[j][k] + low[k][j])
                for low in lows for j in range(n) for k in range(j, n)) and \
@@ -383,7 +384,7 @@ def test_ricci_matches_besse_formula(key):
     assert besse_ricci(m) == ricci
     # negative control: the 1/4 term with its sign flipped must not match
     # unless the algebra is abelian, where every term vanishes
-    abelian = not any(x for plane in m.algebra.structure_constants
+    abelian = not any(x for plane in structure_constants(m.algebra)
                       for row in plane for x in row)
     assert (besse_ricci(m, Fraction(-1, 4)) == ricci) == abelian
 
@@ -395,7 +396,7 @@ def curvature_by_pairs(m, bracket_term=True):
     c^m_ij N_m term, for the negative control."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
-    nab, c = levi_civita(m).matrices, algebra.structure_constants
+    nab, c = levi_civita(m).matrices, structure_constants(algebra)
     zero = linalg.ring_zero(g.matrix, *nab)
     riemann = {}
     ricci = [[zero] * n for _ in range(n)]
@@ -441,10 +442,21 @@ def float_copy(m):
 @pytest.mark.parametrize("ring", ["exact", "float"])
 @pytest.mark.parametrize("key", BESSE_INPUTS)
 def test_batched_curvature_matches_pairs(key, ring):
+    """Exact tensors equal the pairs reference, types included, and so does
+    the float Riemann tensor.  Float Ricci is contracted directly, in its
+    own order of sums: it and scal are within 1e-13 max|Ric| of the exact
+    ring's values."""
     m = besse_input(key)
-    if ring == "float":
-        m = float_copy(m)
-    assert typed(curvature_tensors(m)) == typed(curvature_by_pairs(m))
+    if ring == "exact":
+        assert typed(curvature_tensors(m)) == typed(curvature_by_pairs(m))
+        return
+    exact, t = curvature_tensors(m), curvature_tensors(float_copy(m))
+    assert typed(t)[0] == typed(curvature_by_pairs(float_copy(m)))[0]
+    bound = 1e-13 * max(abs(x) for row in exact.ricci for x in row)
+    got = [x for row in t.ricci for x in row] + [t.scal]
+    want = [x for row in exact.ricci for x in row] + [exact.scal]
+    assert all(type(x) is float and abs(x - y) <= bound
+               for x, y in zip(got, want))
 
 
 def test_batched_curvature_matches_pairs_on_polynomial_family():
@@ -452,6 +464,21 @@ def test_batched_curvature_matches_pairs_on_polynomial_family():
     t = curvature_tensors(m)
     assert typed(t) == typed(curvature_by_pairs(m))
     assert all(type(x) is Polynomial for row in t.ricci for x in row)
+
+
+def test_direct_ricci_needs_the_bracket_term(monkeypatch):
+    """Negative control: with the connection of n28 but no c^x_yj, on the
+    abelian algebra of its dimension, the direct Ricci is not the exact
+    reference."""
+    m = euclidean("n28")
+    ricci = curvature_tensors(m).ricci
+    assert ricci == besse_ricci(m)
+    coeffs = levi_civita(m)
+    monkeypatch.setattr(curvature, "levi_civita", lambda _: coeffs)
+    flat = MetricLieAlgebra(euclidean("n34").algebra, m.metric)
+    dropped = curvature_tensors(flat).ricci
+    # nonzero: the n28 connection was used, as the abelian one is 0
+    assert any(x for row in dropped for x in row) and dropped != ricci
 
 
 def test_pairs_reference_needs_the_bracket_term():
@@ -482,27 +509,28 @@ def count_mat_mul(monkeypatch):
 @pytest.mark.parametrize("key", ["n28", "n28_einstein_extension",
                                  "n28_ext-dense"])
 def test_curvature_makes_a_fixed_number_of_products(monkeypatch, key):
-    # one product for every N_i N_j, and on the first read of riemann one
-    # lowering of every R(e_i, e_j), in dimension 6 and 7 alike, where the
-    # pairs took 3 C(n, 2)
+    # Ricci takes t times the side-by-side N_j and one contraction of the
+    # stacked N_x; the first read of riemann adds every N_i N_j in one
+    # product and one lowering of every R(e_i, e_j), in dimension 6 and 7
+    # alike, where the pairs took 3 C(n, 2)
     m = besse_input(key)
-    coeffs = levi_civita(m)
     calls = count_mat_mul(monkeypatch)
-    t = curvature_tensors(m, coeffs)
+    t = curvature_tensors(m)
     n = m.algebra.dim
-    assert calls == [(n * n, n, n * n)]
+    # levi_civita lowers the brackets and raises the Koszul sums
+    koszul = [(n, n, n * n)] * 2
+    ricci = [(1, n, n * n), (n, n * n, n)]
+    assert calls == koszul + ricci
     riemann = t.riemann
-    assert calls == [(n * n, n, n * n), (n, n, n * n * (n - 1) // 2)]
-    assert t.riemann is riemann and len(calls) == 2
-    calls.clear()
-    curvature_tensors(m)
-    assert len(calls) == 3      # and two in levi_civita
+    assert calls[4:] == [(n * n, n, n * n), (n, n, n * n * (n - 1) // 2)]
+    assert t.riemann is riemann and len(calls) == 6
 
 
 def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
-    """metric analyze reads Ricci only: no 90-row L and no lowering of the
-    R(e_i, e_j), the product by g with n C(n, 2) columns; g2 analyze lowers
-    them once, for star-Ricci."""
+    """metric analyze reads Ricci only: no 90-row L, no N_i N_j (the
+    (n^2, n, n^2) product) and no lowering of the R(e_i, e_j), the product
+    by g with n C(n, 2) columns; g2 analyze makes each once, for
+    star-Ricci."""
     built = []
     init = linalg.Sparse.__init__
 
@@ -516,13 +544,16 @@ def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
     def lowerings():
         return [b for a, b, cols in calls
                 if a == b and b > 1 and cols == b * b * (b - 1) // 2]
+
+    def block_products():
+        return [b for a, b, cols in calls if a == cols == b * b and b > 1]
     for ring in ("exact", "float"):
         for name in ("n28", "n24", "n34"):
             assert main(["--ring", ring, "metric", "analyze", name]) in (0, 1)
-    assert 90 not in built and not lowerings()
+    assert 90 not in built and not lowerings() and not block_products()
     phi = render_form(catalog.n28_ext_g2_form())
     assert main(["g2", "analyze", "n28_ext", "--phi", phi]) == 0
-    assert 90 not in built and lowerings() == [7]
+    assert 90 not in built and lowerings() == [7] and block_products() == [7]
 
 
 def test_nilpotency_takes_one_product_per_step(monkeypatch):
@@ -586,7 +617,7 @@ def derivation_map_on_fraction_zeros(algebra):
     n = algebra.dim
     row_of = {p: r * n for r, p in enumerate(combinations(range(n), 2))}
     rows = [[Fraction(0)] * (n * n) for _ in range(len(row_of) * n)]
-    c = algebra.structure_constants
+    c = structure_constants(algebra)
     for k, a, b in product(range(n), repeat=3):
         x = c[k][a][b]
         if not x:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forge import catalog
+from g2forge import catalog, linalg
 from g2forge.exterior import KForm, basis_indices, scaled, sort_index, wedge
 from g2forge.liealg import (JacobiError, LieAlgebra, MetricLieAlgebra,
                             NotDerivationError, StructureParseError,
@@ -177,24 +177,40 @@ def test_a_small_bracket_is_not_nilpotent_in_either_ring():
 
 
 def test_cached_nilpotency_verdict_is_returned_first(monkeypatch):
-    """A kept verdict is returned before the structure constants or the
-    ring are read; a new algebra on the same equations decides afresh."""
+    """A kept verdict is returned before the ring is read or a bracket
+    taken; a new algebra on the same equations decides afresh."""
     algebra = catalog.algebra("n34")
     assert is_nilpotent(algebra) == (True, 1)
     reads = []
-    constants = LieAlgebra.structure_constants
-
-    def counted(self):
-        reads.append(1)
-        return constants.fget(self)
-
-    monkeypatch.setattr(LieAlgebra, "structure_constants", property(counted))
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul",
+                        lambda a, b: reads.append(1) or mat_mul(a, b))
     monkeypatch.setattr(LieAlgebra, "is_polynomial_ring",
                         lambda self: reads.append(1) or False)
     assert is_nilpotent(algebra) == (True, 1)
     assert reads == []
     assert is_nilpotent(catalog.algebra("n34")) == (True, 1)
     assert reads == [1, 1]
+
+
+def test_exact_nilpotency_multiplies_integer_rows(monkeypatch):
+    """Exact spans and the ad_i reach every product as Python ints, on
+    rational constants and on a non-nilpotent algebra too."""
+    algebras = [times(catalog.algebra(name), Fraction(1, 3))
+                for name in sorted(catalog.NILPOTENT6)]
+    algebras.append(catalog.n28_einstein_extension().algebra)
+    types = set()
+    mat_mul = linalg.mat_mul
+
+    def recorded(a, b):
+        types.update(type(x) for f in (a, b)
+                     for row in getattr(f, "matrix", f) for x in row)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", recorded)
+    verdicts = [is_nilpotent(algebra)[0] for algebra in algebras]
+    assert verdicts == [True] * len(catalog.NILPOTENT6) + [False]
+    assert types == {int}
 
 
 def test_ce_differential_examples(n28):
@@ -302,9 +318,20 @@ def test_derivation_membership(n28):
         assert is_derivation(n28, b)
 
 
+def structure_constants(algebra):
+    """c[k][i][j] with [e_i, e_j] = sum_k c^k_ij e_k (0-based): c^k_ij = -y
+    and c^k_ji = y for the e^ij coefficient y of de^k, i < j."""
+    n = algebra.dim
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for k, f in enumerate(algebra.d_coframe):
+        for (i, j), y in f.coeffs.items():
+            c[k][i - 1][j - 1], c[k][j - 1][i - 1] = -y, y
+    return c
+
+
 def bracket(algebra, x, y):
     """Reference: [x, y] = sum_k c^k_ij x_i y_j e_k, vector by vector."""
-    c = algebra.structure_constants
+    c = structure_constants(algebra)
     n = algebra.dim
     pairs = [(i, j) for i in range(n) if x[i] for j in range(n) if y[j]]
     return [sum((c[k][i][j] * x[i] * y[j] for i, j in pairs), Fraction(0))
@@ -455,7 +482,7 @@ def test_derivation_basis_passes_both_tests(name):
     # a basis element fail both tests
     if name == "n34":
         return
-    c = algebra.structure_constants
+    c = structure_constants(algebra)
     i = next(i for i in range(n) for j in range(n) for k in range(n)
              if c[k][i][j] != 0)
     bumped = [list(row) for row in basis[0]]
