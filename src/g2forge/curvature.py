@@ -13,6 +13,7 @@ choices are anchored to the worked nilsoliton example (see the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple, Optional, Tuple
 
@@ -38,17 +39,22 @@ class ConnectionCoeffs(NamedTuple):
 
 
 class CurvatureTensors:
-    """ricci, scal and riemann, (i,j,k,l) -> g(R(e_i,e_j)e_k, e_l) 1-based:
-    the dict, or a function that builds it on first read."""
+    """ricci, scal and riemann, (i,j,k,l) -> g(R(e_i,e_j)e_k, e_l) 1-based,
+    read off lowered = (den, den * riemann), integer sums on exact input:
+    the riemann dict over den 1, or a function that builds it on first read."""
 
     def __init__(self, riemann, ricci: linalg.Matrix, scal: Scalar):
-        self._riemann, self.ricci, self.scal = riemann, ricci, scal
+        self._lower = riemann if callable(riemann) else lambda: (1, riemann)
+        self.ricci, self.scal = ricci, scal
 
-    @property
+    @cached_property
+    def lowered(self) -> Tuple[int, dict]:
+        return self._lower()
+
+    @cached_property
     def riemann(self) -> dict:
-        if callable(self._riemann):
-            self._riemann = self._riemann()
-        return self._riemann
+        den, sums = self.lowered
+        return {key: linalg.over(x, den) for key, x in sums.items()}
 
 
 def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
@@ -94,7 +100,7 @@ def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
              for j in range(n)]
     den = dc * dn * dn
 
-    def lower() -> dict:
+    def lower() -> Tuple[int, dict]:
         # prod[i*n + a][j*n + b] = (N_i N_j)[a][b], all in one mat_mul
         prod = linalg.mat_mul(stacked, side)
         pairs = list(combinations(range(n), 2))
@@ -117,14 +123,14 @@ def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
         # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) dg den, p-th pair (i, j)
         low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
                                   for a in range(n)])
-        riemann = {}
+        sums = {}
         for p, (i, j) in enumerate(pairs):
             for k, l in product(range(n), repeat=2):
-                if low[l][p * n + k]:
-                    x = linalg.over(low[l][p * n + k], dg * den)
-                    riemann[(i + 1, j + 1, k + 1, l + 1)] = x
-                    riemann[(j + 1, i + 1, k + 1, l + 1)] = -x
-        return riemann
+                x = low[l][p * n + k]
+                if x:
+                    sums[(i + 1, j + 1, k + 1, l + 1)] = x
+                    sums[(j + 1, i + 1, k + 1, l + 1)] = -x
+        return dg * den, sums
     di, ginv = linalg.clear_rows(g.inverse)
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if ricci[j][k]), zero)

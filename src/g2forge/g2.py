@@ -332,9 +332,9 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
             up.setdefault((j, i), {})[t] = -c
     # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} = A_{kl,s} phi^{kl}_m,
     # on integers over dr du^2 for exact R and phi
-    dr, riemann = linalg.clear(tensors.riemann.values())
+    dr, riemann = tensors.lowered
     contracted: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for (i, j, k, l), r in zip(tensors.riemann, riemann):
+    for (i, j, k, l), r in riemann.items():
         for ss, c in up.get((i, j), {}).items():
             row = contracted.setdefault((k, l), {})
             row[ss] = row.get(ss, 0) + r * c

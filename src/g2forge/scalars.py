@@ -71,16 +71,17 @@ def _mono_degree(m: Monomial) -> int:
 class Polynomial:
     """Multivariate polynomial over Q with named variables.
 
-    Terms are stored as a map monomial -> Fraction with no zero
+    Terms are stored as a map monomial -> int or Fraction with no zero
     coefficients, by ``_of`` alone: ``Polynomial(terms)`` reads outside
-    coefficients as Fractions first, and arithmetic stores its results
-    directly.  A constant hashes as its value, which it equals.
-    Arithmetic accepts ints and Fractions as constant
-    operands; floats are rejected.  A product or quotient with a constant
-    scales the coefficients directly (by 1 or -1 it returns the polynomial
-    or its negative, and adding 0 returns it), and the product of two
-    monomials is memoized (``_mono_mul``), so repeated products do not
-    re-sort.  Values are immutable, so returning an operand is safe.
+    coefficients as Fractions, symbols, powers and arithmetic store theirs
+    directly (integer products stay ints, which compare and hash as the equal
+    Fractions), and ``leading_term``, ``constant_value`` and ``evaluate`` hand
+    out Fractions.  A constant hashes as its value.  Arithmetic accepts ints
+    and Fractions as constant operands; floats are rejected.  A product or
+    quotient with a constant scales the coefficients directly (by 1 or -1 it
+    returns the polynomial or its negative, and adding 0 returns it), and the
+    product of two monomials is memoized (``_mono_mul``), so repeated products
+    do not re-sort.  Values are immutable, so returning an operand is safe.
     """
 
     __slots__ = ("terms",)
@@ -91,8 +92,8 @@ class Polynomial:
 
     @classmethod
     def _of(cls, terms: dict) -> "Polynomial":
-        """The one store: Fraction coefficients already checked, zeros
-        dropped by truthiness.  Arithmetic builds through it."""
+        """The one store: int or Fraction coefficients already checked,
+        zeros dropped by truthiness.  Arithmetic builds through it."""
         out = object.__new__(cls)
         out.terms = {m: c for m, c in terms.items() if c}
         return out
@@ -104,7 +105,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): 1})
+        return cls._of({((name, 1),): 1})
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -132,7 +133,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %s" % self)
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     # -- ring operations ---------------------------------------------------
     def _coerce(self, other):
@@ -198,7 +199,7 @@ class Polynomial:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial exponent must be a non-negative int")
-        result = Polynomial.constant(1)
+        result = Polynomial._of({(): 1})
         base = self
         while exp:
             if exp & 1:
@@ -266,7 +267,7 @@ class Polynomial:
             return ((), Fraction(0))
         var_order = self.variables
         m = max(self.terms, key=lambda mm: self._grlex_key(mm, var_order))
-        return (m, self.terms[m])
+        return (m, Fraction(self.terms[m]))
 
     def sorted_terms(self) -> list:
         var_order = self.variables

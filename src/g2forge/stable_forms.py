@@ -1,10 +1,12 @@
 """Stable 2- and 3-forms in dimension six and the structures they induce.
 
 For a 3-form s the endomorphism K_s(w) = A((i_w s) ^ s) is expressed in
-units of a reference volume form; its quartic invariant lambda = tr(K^2)/6
-decides stability, and J = K / sqrt(|lambda|) is an almost complex
-structure when lambda < 0.  A compatible stable pair (omega, sigma) then
-induces the bilinear form h = omega(J., .).
+units of a reference volume form; it is quadratic in s, read off a
+polarization table with one product s_I s_J per pair of 3-indices (at most
+100).  Its quartic invariant lambda = tr(K^2)/6, 21 products, decides
+stability, and J = K / sqrt(|lambda|) is an almost complex structure when
+lambda < 0.  A compatible stable pair (omega, sigma) then induces h =
+omega(J., .).
 
 Orientation matters: J flips sign with the orientation.  The metric of a
 pair is computed in the orientation that makes omega^3 positive, which is
@@ -12,12 +14,15 @@ the one for which positive pairs give positive-definite h.
 """
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from functools import lru_cache
+from itertools import combinations, product
+from typing import Optional
 
 from . import linalg, scalars
-from .exterior import (InnerProduct, KForm, Orientation, contract_basis,
+from .exterior import (InnerProduct, KForm, Orientation, merge_sign,
                        pullback, scaled, wedge)
 from .liealg import LieAlgebra
 from .scalars import Polynomial, Scalar, is_zero
@@ -44,36 +49,55 @@ class StablePair:
     positive: bool
 
 
+@lru_cache(maxsize=None)
+def _k_table() -> tuple:
+    """K polarized: v0 K[m][j] = sum coef s_I s_J (m, j 0-based), as
+    (I, J, ((6m + j, coef), ...)) over the 100 pairs I < J of 3-indices
+    with |I & J| <= 1, 150 entries; from i_{e_j} e^I = (-1)^pos e^(I - j)
+    and A(e^(full - m)) = (-1)^(m-1) e_m."""
+    table: dict = defaultdict(Counter)
+    for a, b in product(combinations(range(1, 7), 3), repeat=2):
+        for pos, j in enumerate(a):
+            sign, merged = merge_sign(a[:pos] + a[pos + 1:], b)
+            if sign:
+                (m,) = {1, 2, 3, 4, 5, 6}.difference(merged)
+                table[min(a, b), max(a, b)][6 * m + j - 7] += \
+                    sign * (-1) ** (pos + m - 1)
+    return tuple((a, b, tuple((mj, x) for mj, x in e.items() if x))
+                 for (a, b), e in table.items())
+
+
 def k_endomorphism(sigma: KForm, orient: Optional[Orientation] = None
                    ) -> linalg.Matrix:
-    """Matrix of w -> A((i_w sigma) ^ sigma) in units of the reference volume.
-
-    A inverts the contraction pairing between vectors and 5-forms:
-    A(gamma) = w with i_w(vol) = gamma.
-    """
-    n = sigma.dim
-    if n != 6:
+    """Matrix of w -> A((i_w sigma) ^ sigma) in units of the reference
+    volume, A(gamma) = w with i_w(vol) = gamma.  Read off ``_k_table``:
+    each s_I s_J of a present pair is made once (at most 100, where a wedge
+    per column made 240), on integers over one denominator when sigma is
+    exact, and spread with its integer coefficients; each entry is divided
+    once."""
+    if sigma.dim != 6:
         raise ValueError("stable-form machinery lives in dimension 6")
-    if orient is None:
-        orient = Orientation.standard(6)
-    v0 = orient.coefficient
-    cols: List[List[Scalar]] = []
-    full = tuple(range(1, 7))
-    for j in range(1, 7):
-        gamma = wedge(contract_basis(j, sigma), sigma)
-        w = [Fraction(0)] * 6
-        for idx, c in gamma.coeffs.items():
-            (missing,) = set(full) - set(idx)
-            sign = -1 if (missing - 1) % 2 else 1
-            w[missing - 1] = (c * sign) / v0
-        cols.append(w)
-    return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
+    v0 = (orient or Orientation.standard(6)).coefficient
+    den, nums = linalg.clear(sigma.coeffs.values())
+    s = dict(zip(sigma.coeffs, nums))
+    acc = [0] * 36
+    for a, b, entries in _k_table():
+        if a in s and b in s:
+            p = s[a] * s[b]
+            for mj, coef in entries:
+                acc[mj] += coef * p
+    zero = Fraction(0)
+    k = tuple(tuple(linalg.over(x, den * den) if x else zero
+                    for x in acc[m:m + 6]) for m in range(0, 36, 6))
+    return k if v0 == 1 else tuple(tuple(x / v0 if x else x for x in row)
+                                   for row in k)
 
 
 def _quartic(k: linalg.Matrix) -> Scalar:
-    """tr(K^2)/6."""
-    return sum((k[i][j] * k[j][i] for i in range(6) for j in range(6)),
-               Fraction(0)) / 6
+    """tr(K^2)/6 = (sum_i K_ii^2 + 2 sum_{i<j} K_ij K_ji)/6: 21 products."""
+    off = sum((k[i][j] * k[j][i] for i, j in combinations(range(6), 2)),
+              Fraction(0))
+    return sum((k[i][i] * k[i][i] for i in range(6)), 2 * off) / 6
 
 
 def _complex_structure(k: linalg.Matrix, lam: Scalar) -> linalg.Matrix:

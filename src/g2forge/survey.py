@@ -59,16 +59,15 @@ class SurveyRow:
 
 
 def generic_lambda(algebra: LieAlgebra) -> Polynomial:
-    """lambda of sigma = c d(omega) for the generic omega, as an exact quartic."""
+    """lambda of sigma = c d(omega) for the generic omega, as an exact
+    quartic: K is quadratic in sigma, so lambda(c s) = c^4 lambda(s), and
+    the product with c^4 is made once, on lambda(d omega)."""
     if algebra.dim != 6:
         raise ValueError("the survey runs on six-dimensional algebras")
     if algebra.is_float_ring():
         raise ValueError("generic lambda needs exact structure constants")
-    sigma = Polynomial.variable("c") * algebra.d(generic_form(2, "b"))
-    lam = lambda_invariant(sigma)
-    if not isinstance(lam, Polynomial):
-        lam = Polynomial.constant(lam)
-    return lam
+    return Polynomial.variable("c") ** 4 * lambda_invariant(
+        algebra.d(generic_form(2, "b")))
 
 
 def _strip_c4(p: Polynomial) -> Polynomial:

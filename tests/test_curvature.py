@@ -795,3 +795,27 @@ def test_star_ricci_on_integers_matches_the_fraction_contraction(scale, ring):
     want = star_ricci_by_fractions(m, phi)
     assert [[bits(x) for x in row] for row in got] == \
         [[bits(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_star_ricci_reads_the_riemann_sums_over_their_denominator(ring):
+    """star_ricci contracts the lowered sums, integers on exact input: it
+    builds no Fraction view of riemann, and gives the bits it gives on
+    that view.  The float denominator is 4, an exact scale."""
+    algebra, phi = dense_twist(8)
+    if ring == "float":
+        algebra, phi = to_float_algebra(algebra), phi.to_float()
+    s = metric_from_phi(phi)
+    m = MetricLieAlgebra(algebra, s.metric)
+    tensors = curvature_tensors(m)
+    got = star_ricci(m, phi, s, tensors=tensors).matrix
+    assert "riemann" not in vars(tensors)
+    den, sums = tensors.lowered
+    assert den == 4 if ring == "float" else den > 1
+    assert {type(x) for x in sums.values()} == \
+        ({int} if ring == "exact" else {float})
+    view = CurvatureTensors(tensors.riemann, tensors.ricci, tensors.scal)
+    assert view.lowered == (1, tensors.riemann)
+    want = star_ricci(m, phi, s, tensors=view).matrix
+    assert [[bits(x) for x in row] for row in got] == \
+        [[bits(x) for x in row] for row in want]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2forge.exterior import KForm
+from g2forge.reproduce import payload
 from g2forge.scalars import (ExactnessError, MissingVariableError, Polynomial,
                              RingMismatchError, _var_key, nth_root_fraction,
                              poly_sqrt, render_scalar,
@@ -23,6 +24,36 @@ def test_a_constant_polynomial_hashes_as_the_value_it_equals():
     assert hash(P("a")) != hash(Fraction(1))
     assert len({KForm(3, 1, {(1,): two}), KForm(3, 1, {(1,): Fraction(2)})}) == 1
     assert len({two, Fraction(2), 2}) == 1
+
+
+def test_symbols_and_powers_keep_int_coefficients():
+    p = 2 * P("x") ** 2 * P("y") - 3 * P("x") * P("y")
+    assert {type(c) for c in p.terms.values()} == {int}
+    assert {type(c) for c in (p / 2).terms.values()} == {Fraction}
+    assert {type(c) for c in Polynomial({(): 2}).terms.values()} == {Fraction}
+
+
+def test_an_int_coefficient_polynomial_is_its_fraction_twin():
+    """Equal, hashed alike and rendered alike, constants included."""
+    for p in (2 * P("x") ** 2 * P("y") - 3 * P("x") * P("y"), P("x") ** 0,
+              -P("b15") ** 4 * 4, P("c")):
+        twin = Polynomial({m: Fraction(c) for m, c in p.terms.items()})
+        assert {type(c) for c in twin.terms.values()} == {Fraction}
+        assert p == twin and hash(p) == hash(twin)
+        assert str(p) == str(twin) and render_scalar(p) == render_scalar(twin)
+        assert payload(p) == payload(twin)
+
+
+def test_what_a_polynomial_hands_out_is_a_fraction():
+    """leading_term, constant_value and evaluate give Fractions on int
+    coefficients, so a payload renders "2", never the number 2."""
+    p = 2 * P("x") ** 2 * P("y") + 3
+    lead = p.leading_term()
+    assert lead == ((("x", 2), ("y", 1)), 2) and type(lead[1]) is Fraction
+    values = (p.evaluate({"x": 1, "y": 1}), (P("x") ** 0 * 2).constant_value(),
+              Polynomial.zero().constant_value(), lead[1])
+    assert all(type(v) is Fraction for v in values)
+    assert [payload(v) for v in values] == ["5", "2", "0", "2"]
 
 
 def test_rational_arithmetic_examples():

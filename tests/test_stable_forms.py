@@ -1,15 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2forge import catalog, linalg
-from g2forge.exterior import KForm, basis_indices, pullback
+from g2forge import catalog, linalg, stable_forms
+from g2forge.exterior import (KForm, basis_indices, contract_basis, pullback,
+                              wedge)
 from g2forge.liealg import to_float_algebra
+from g2forge.sampling import generic_form
+from g2forge.scalars import Polynomial
 from g2forge.stable_forms import (IncompatiblePairError, NotStableError,
-                                  almost_complex, coupling_constant,
+                                  _quartic, almost_complex, coupling_constant,
                                   k_endomorphism, lambda_invariant,
                                   metric_from_pair, orientation_sign,
                                   su3_predicates)
@@ -225,3 +229,123 @@ def test_verdicts_do_not_change_with_scale(name, ring, t):
     h_t = metric_from_pair(omega_t, sigma_t).metric.matrix
     assert all(close(x_t, t ** 2 * x) or abs(x_t - t ** 2 * x) <= 1e-12 * t ** 2
                for r_t, r in zip(h_t, h) for x_t, x in zip(r_t, r))
+
+
+def k_by_wedge(sigma):
+    """Reference: column j of K is A(i_{e_j} sigma ^ sigma), one generic
+    wedge per column, with A(e^(full - m)) = (-1)^(m-1) e_m and zero
+    entries Fraction(0)."""
+    cols = []
+    for j in range(1, 7):
+        w = [Fraction(0)] * 6
+        for idx, c in wedge(contract_basis(j, sigma), sigma).coeffs.items():
+            (m,) = set(range(1, 7)) - set(idx)
+            w[m - 1] = c * (-1) ** (m - 1)
+        cols.append(w)
+    return tuple(tuple(cols[j][i] for j in range(6)) for i in range(6))
+
+
+def typed(k):
+    return [(type(x), x) for row in k for x in row]
+
+
+def random_sigma(rng, value):
+    """A 3-form on a random subset of the 20 triples, with coefficients
+    value(rng)."""
+    triples = rng.sample(basis_indices(6, 3), rng.randint(0, 20))
+    return KForm(6, 3, {t: value(rng) for t in triples})
+
+
+def rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def exact_sigmas():
+    """The survey sigmas d(omega) and c d(omega) at the generic omega on the
+    24 algebras, the symbolic abelian_ext pair's sigma times its parameter
+    a, random rational sigmas and the generic 20-symbol sigma."""
+    domega = [catalog.algebra(name).d(generic_form(2, "b"))
+              for name in catalog.TABLE_ORDER]
+    c = Polynomial.variable("c")
+    phi = catalog.abelian_ext_g2_form()
+    abelian = KForm(6, 3, {idx: x for idx, x in phi.coeffs.items()
+                           if 7 not in idx})
+    rng = random.Random(25)
+    return (domega + [c * s for s in domega]
+            + [Polynomial.variable("a") * abelian, abelian]
+            + [random_sigma(rng, rational) for _ in range(40)]
+            + [generic_form(3, "s")])
+
+
+def test_k_from_the_polarization_table_is_the_wedge_route():
+    """Exact and polynomial sigma: the same entries, types included."""
+    for sigma in exact_sigmas():
+        assert typed(k_endomorphism(sigma)) == typed(k_by_wedge(sigma))
+
+
+def test_float_k_from_the_table_is_within_rounding_of_the_wedge_route():
+    """The table sums each entry in its own order: within 1e-13 max|K| of
+    the wedge route, and bitwise on integer-valued coefficients."""
+    rng = random.Random(7)
+    for _ in range(100):
+        sigma = random_sigma(rng, lambda r: r.uniform(-10, 10))
+        got, want = k_endomorphism(sigma), k_by_wedge(sigma)
+        bound = 1e-13 * max([abs(x) for row in want for x in row] + [1.0])
+        assert all(type(x) is float or x == 0 for row in got for x in row)
+        assert all(abs(x - y) <= bound for rg, rw in zip(got, want)
+                   for x, y in zip(rg, rw))
+        ints = random_sigma(rng, lambda r: float(r.randint(-9, 9)))
+        assert typed(k_endomorphism(ints)) == typed(k_by_wedge(ints))
+    for sigma in (catalog.n28_coupled_pair()[1], catalog.n9_coupled_pair()[1]):
+        sigma = sigma.to_float()
+        assert typed(k_endomorphism(sigma)) == typed(k_by_wedge(sigma))
+
+
+def test_a_flipped_table_entry_breaks_the_match(monkeypatch):
+    """Negative control: the sign of any one of the 150 entries matters."""
+    table = stable_forms._k_table()
+    assert len(table) == 100 and sum(len(e) for _, _, e in table) == 150
+    rng = random.Random(3)
+    sigma = KForm(6, 3, {t: Fraction(rng.choice([-2, -1, 1, 2, 3]))
+                         for t in basis_indices(6, 3)})
+    want = k_by_wedge(sigma)
+    assert k_endomorphism(sigma) == want
+    for p, (a, b, entries) in enumerate(table):
+        for e, (mj, coef) in enumerate(entries):
+            flipped = entries[:e] + ((mj, -coef),) + entries[e + 1:]
+            bad = table[:p] + ((a, b, flipped),) + table[p + 1:]
+            monkeypatch.setattr(stable_forms, "_k_table", lambda: bad)
+            assert k_endomorphism(sigma) != want
+
+
+def count_products(monkeypatch):
+    """Record each product of two polynomials."""
+    calls = []
+    original = Polynomial.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Polynomial):
+            calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+def test_k_and_lambda_make_each_product_once(monkeypatch):
+    """K makes each s_I s_J of a present pair once, at most 100 (the wedge
+    route made 240 on the generic sigma), and lambda 21 of the K_ij K_ji."""
+    calls = count_products(monkeypatch)
+    generic = generic_form(3, "s")
+    k = k_endomorphism(generic)
+    assert len(calls) == 100
+    del calls[:]
+    _quartic(k)
+    assert len(calls) == 21
+    for name in catalog.TABLE_ORDER:
+        del calls[:]
+        k = k_endomorphism(catalog.algebra(name).d(generic_form(2, "b")))
+        assert len(calls) <= 100
+        del calls[:]
+        _quartic(k)
+        assert len(calls) <= 21

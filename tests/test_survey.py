@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2forge import catalog
+from g2forge.reproduce import payload
 from g2forge.sampling import generic_form
 from g2forge.scalars import Polynomial
 from g2forge.stable_forms import lambda_invariant
@@ -151,6 +152,27 @@ def test_sign_certificate_examples():
     assert cls == SIGN_ZERO
     with pytest.raises(NoCertificateError):
         sign_certificate(P("b1"))
+
+
+def test_a_certificate_factor_is_a_fraction(survey_rows):
+    """On int coefficients too: the factor renders "-4", not the number."""
+    _, cert = sign_certificate(-4 * P("c") ** 4 * P("b15") ** 4)
+    assert (type(cert.factor), cert.factor) == (Fraction, -4)
+    assert payload(cert.factor) == "-4"
+    factors = [r.certificate.factor for r in survey_rows
+               if r.certificate.kind == "scaled_square"]
+    assert factors and all(type(f) is Fraction for f in factors)
+
+
+def test_generic_lambda_is_c4_times_lambda_of_d_omega():
+    """lambda(c s) = c^4 lambda(s): the survey quartic equals lambda of
+    c d(omega) computed directly, on every algebra of the table."""
+    c = P("c")
+    for name in catalog.TABLE_ORDER:
+        algebra = catalog.algebra(name)
+        direct = lambda_invariant(c * algebra.d(generic_form(2, "b")))
+        lam = generic_lambda(algebra)
+        assert type(lam) is Polynomial and lam == direct
 
 
 def test_strip_c4_keeps_monomials_in_variable_order():
