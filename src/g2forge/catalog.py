@@ -7,6 +7,7 @@ programmatically.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -48,8 +49,9 @@ NILPOTENT6: Dict[str, str] = {
 TABLE_ORDER: Tuple[str, ...] = tuple(NILPOTENT6)
 
 
+@functools.lru_cache(maxsize=None)
 def algebra(name: str) -> LieAlgebra:
-    """Fetch a catalog algebra by name (fresh immutable instance)."""
+    """The catalog algebra by name: one shared instance, built on first use."""
     if name in NILPOTENT6:
         return parse_structure_equations(NILPOTENT6[name], name=name)
     if name == "n9_nilsoliton":

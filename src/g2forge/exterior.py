@@ -251,9 +251,7 @@ class InnerProduct:
             raise ValueError("metric matrix must be square")
         if not linalg.is_symmetric(self.matrix, scaled(1e-12, self.matrix)):
             raise ValueError("metric matrix must be symmetric")
-        self._inverse = None
-        self._minors = None
-        self._sqrt_det = None
+        self._inverse = self._minors = self._sqrt_det = None
 
     @property
     def dim(self) -> int:
@@ -261,7 +259,11 @@ class InnerProduct:
 
     @classmethod
     def euclidean(cls, n: int) -> "InnerProduct":
-        return cls(linalg.identity(n))
+        """The identity, unchecked: it is symmetric and its own inverse."""
+        ip = cls.__new__(cls)
+        ip.matrix = ip._inverse = linalg.identity(n)
+        ip._minors = ip._sqrt_det = None
+        return ip
 
     @classmethod
     def diagonal(cls, entries) -> "InnerProduct":

@@ -33,9 +33,11 @@ class NotDerivationError(ValueError):
 
 
 class LieAlgebra:
-    """dim + the coframe differentials; d extends as an anti-derivation."""
+    """dim + the coframe differentials; d extends as an anti-derivation.
+    Immutable but for the nilpotency verdict and float twin it keeps."""
 
-    __slots__ = ("dim", "d_coframe", "name", "_cleared", "_nilpotency")
+    __slots__ = ("dim", "d_coframe", "name", "_cleared", "_nilpotency",
+                 "_float")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
                  name: Optional[str] = None, check: bool = True,
@@ -49,7 +51,7 @@ class LieAlgebra:
         norm = tuple(f if f.degree == 2 else KForm.zero(dim, 2)
                      for f in d_coframe)
         self.dim, self.d_coframe, self.name = dim, norm, name
-        self._nilpotency = None
+        self._nilpotency = self._float = None
         # the de^k over one denominator: (den, [{pair: den * coefficient}])
         den, nums = linalg.clear(c for f in norm for c in f.coeffs.values())
         nums = iter(nums)
@@ -474,5 +476,9 @@ def specialize(algebra: LieAlgebra, assignment: Dict[str, Fraction],
 
 
 def to_float_algebra(algebra: LieAlgebra) -> LieAlgebra:
-    forms = [f.to_float() for f in algebra.d_coframe]
-    return LieAlgebra(algebra.dim, forms, name=algebra.name, check=False)
+    """The float twin, built on the first call and kept on the algebra."""
+    if algebra._float is None:
+        forms = [f.to_float() for f in algebra.d_coframe]
+        algebra._float = LieAlgebra(algebra.dim, forms, name=algebra.name,
+                                    check=False)
+    return algebra._float

@@ -149,7 +149,7 @@ def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]
 def suite_coupled_n9(tol: float = 1e-10) -> Dict[str, Any]:
     omega, sigma = catalog.n9_coupled_pair()
     su3, pair = analyze_su3(catalog.algebra("n9"), omega, sigma, tol)
-    frame = catalog.n9_nilsoliton_frame()
+    frame = catalog.algebra("n9_nilsoliton")
     soliton = analyze_metric(frame, InnerProduct.euclidean(frame.dim),
                              max(tol, 1e-8))
     return {

@@ -451,7 +451,7 @@ def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
     finds.  200 starts take about 1 s on one x86-64 core.
     """
     if frame == "nilsoliton":
-        algebra = catalog.n9_nilsoliton_frame()
+        algebra = catalog.algebra("n9_nilsoliton")
         claimed = True
     elif frame == "standard":
         algebra = catalog.algebra("n9")

@@ -12,7 +12,8 @@ import g2forge
 from g2forge import catalog, cli, linalg
 from g2forge.cli import Report, _close, main, parse_scenario, render_report
 from g2forge.exterior import render_form
-from g2forge.liealg import render_structure_equations
+from g2forge.liealg import (parse_structure_equations,
+                            render_structure_equations)
 from test_coframe import CASES, GENERIC, P6_DENSE, P_DENSE, Coframe
 
 
@@ -443,9 +444,12 @@ def test_commands_compute_curvature_once(capsys, curvature_calls, argv):
 
 def test_metric_analyze_decides_nilpotency_once(capsys, monkeypatch):
     # the lower central series takes one rank reduction per step; n28 has
-    # step 2, and the command and the nilsoliton check share one verdict
+    # step 2, and the command and the nilsoliton check share one verdict,
+    # which the shared catalog instance keeps for a second run
     from g2forge import liealg
-    assert liealg.is_nilpotent(catalog.algebra("n28")) == (True, 2)
+    fresh = liealg.parse_structure_equations(catalog.NILPOTENT6["n28"])
+    assert liealg.is_nilpotent(fresh) == (True, 2)
+    catalog.algebra.cache_clear()
     spans = []
     original = linalg.row_basis
 
@@ -454,10 +458,118 @@ def test_metric_analyze_decides_nilpotency_once(capsys, monkeypatch):
         return original(vectors, floor)
 
     monkeypatch.setattr(linalg, "row_basis", counted)
-    code, out = run_cli(capsys, "metric", "analyze", "n28", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"
-    assert len(spans) == 2
+    for runs in (1, 2):
+        code, out = run_cli(capsys, "metric", "analyze", "n28", "--format",
+                            "json")
+        assert code == 0
+        assert json.loads(out)["results"]["nilsoliton"]["c"] == "-3"
+        assert len(spans) == 2, runs
+
+
+def test_catalog_algebras_are_shared():
+    from g2forge.reproduce import to_ring
+    for name in catalog.names():
+        algebra = catalog.algebra(name)
+        assert algebra is catalog.algebra(name), name
+        assert to_ring(algebra, "float") is to_ring(algebra, "float"), name
+
+
+def test_float_metric_analyze_decides_nilpotency_once_per_process(
+        capsys, monkeypatch):
+    # both runs read the float twin kept on the shared n9, so the SVD spans
+    # of its lower central series are taken by the first run alone
+    from g2forge import liealg
+    fresh = liealg.parse_structure_equations(catalog.NILPOTENT6["n9"])
+    nilp, step = liealg.is_nilpotent(fresh)
+    assert nilp and step > 1
+    catalog.algebra.cache_clear()
+    spans = []
+    original = linalg.row_basis
+
+    def counted(vectors, floor):
+        spans.append(all(isinstance(x, float) for v in vectors for x in v))
+        return original(vectors, floor)
+
+    monkeypatch.setattr(linalg, "row_basis", counted)
+    for _ in range(2):
+        code, _ = run_cli(capsys, "--ring", "float", "metric", "analyze",
+                          "n9", "--format", "json")
+        assert code == 0
+    assert spans == [True] * step
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_structure_text_is_parsed_on_every_load(ring):
+    # negative control for the sharing: only catalog names are kept
+    text = catalog.NILPOTENT6["n28"]
+    first, second = (cli._load_algebra(text, ring) for _ in range(2))
+    assert first is not second and first == second
+    assert first is not cli._load_algebra("n28", ring)
+
+
+def fresh_catalog_algebra(name):
+    """The catalog algebra of that name built anew, not the shared one."""
+    if name in catalog.NILPOTENT6:
+        return parse_structure_equations(catalog.NILPOTENT6[name], name=name)
+    return {"n9_nilsoliton": catalog.n9_nilsoliton_frame,
+            "n28_ext": lambda: catalog.n28_einstein_extension().algebra,
+            "abelian_ext": lambda: catalog.abelian_scaling_extension().algebra,
+            }[name]()
+
+
+def shared_catalog_faults():
+    """(name, what) for each shared catalog algebra that differs from a
+    fresh build: in its rendering or typed coefficients, in its float twin,
+    or in a nilpotency verdict it keeps."""
+    from g2forge.liealg import is_nilpotent, to_float_algebra
+    from g2forge.reproduce import to_ring
+
+    def coeffs(algebra):
+        return [[(i, type(c), c) for i, c in f.items()]
+                for f in algebra.d_coframe]
+
+    faults = []
+    for name in catalog.names():
+        shared, fresh = catalog.algebra(name), fresh_catalog_algebra(name)
+        if (render_structure_equations(shared)
+                != render_structure_equations(fresh)
+                or coeffs(shared) != coeffs(fresh)):
+            faults.append((name, "structure"))
+        if shared.is_polynomial_ring():
+            continue
+        twin, fresh_twin = to_ring(shared, "float"), to_float_algebra(fresh)
+        if coeffs(twin) != coeffs(fresh_twin):
+            faults.append((name, "float twin"))
+        if (is_nilpotent(shared), is_nilpotent(twin)) != (
+                is_nilpotent(fresh), is_nilpotent(fresh_twin)):
+            faults.append((name, "nilpotency"))
+    return faults
+
+
+def test_catalog_commands_leave_the_shared_algebras_as_built(capsys):
+    """The catalog workload's commands, in process and in both rings, do
+    not change a shared algebra, its float twin or its kept verdicts; a
+    changed coefficient is seen (negative control)."""
+    for ring in ("exact", "float"):
+        runs = [["reproduce-paper", "--only", suite] for suite in cli.SUITES
+                if suite != "obstructions"]
+        runs += [["metric", "analyze", name] for name in catalog.NILPOTENT6]
+        for argv in runs:
+            code, _ = run_cli(capsys, "--ring", ring, "--format", "json",
+                              *argv)
+            assert code == 0, argv
+    assert shared_catalog_faults() == []
+    form = catalog.algebra("n28").d_coframe[4]
+    try:
+        form.coeffs[(1, 3)] = Fraction(2)
+        faults = shared_catalog_faults()
+        assert ("n28", "structure") in faults
+        # n28_ext differs too: a fresh one is built on the changed n28
+        assert {name for name, _ in faults} == {"n28", "n28_ext"}
+    finally:
+        form.coeffs[(1, 3)] = Fraction(1)
+        catalog.algebra.cache_clear()
+    assert shared_catalog_faults() == []
 
 
 def test_scenario_computes_curvature_once(tmp_path, capsys, curvature_calls):

@@ -557,7 +557,8 @@ def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
 
 
 def test_nilpotency_takes_one_product_per_step(monkeypatch):
-    algebras = {name: catalog.algebra(name) for name in catalog.NILPOTENT6}
+    algebras = {name: parse_structure_equations(text)
+                for name, text in catalog.NILPOTENT6.items()}
     calls = count_mat_mul(monkeypatch)
     for name, algebra in sorted(algebras.items()):
         calls.clear()

@@ -70,6 +70,25 @@ def test_contract_examples():
     assert contract_basis(1, phi) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_euclidean_metric_equals_the_checked_identity(n):
+    """The unchecked identity reads like InnerProduct(I), whose inverse
+    is eliminated: typed inverse, every minor row, sqrt det, positivity."""
+    def typed(rows):
+        return [[(type(x), x) for x in row] for row in rows]
+
+    g, checked = InnerProduct.euclidean(n), InnerProduct(linalg.identity(n))
+    assert typed(g.matrix) == typed(checked.matrix)
+    assert typed(g.inverse) == typed(checked.inverse)
+    assert g.minors.den == checked.minors.den
+    for k in range(n + 1):
+        for idx in combinations(range(1, n + 1), k):
+            assert g.minors.row(idx) == checked.minors.row(idx), idx
+    assert g.sqrt_det == checked.sqrt_det
+    assert type(g.sqrt_det) is type(checked.sqrt_det)
+    assert g.is_positive_definite() and checked.is_positive_definite()
+
+
 def test_form_inner_examples():
     g = InnerProduct.euclidean(6)
     e12 = KForm.monomial(6, (1, 2))

@@ -189,7 +189,8 @@ def test_cached_nilpotency_verdict_is_returned_first(monkeypatch):
                         lambda self: reads.append(1) or False)
     assert is_nilpotent(algebra) == (True, 1)
     assert reads == []
-    assert is_nilpotent(catalog.algebra("n34")) == (True, 1)
+    fresh = parse_structure_equations(catalog.NILPOTENT6["n34"])
+    assert is_nilpotent(fresh) == (True, 1)
     assert reads == [1, 1]
 
 
