@@ -259,11 +259,10 @@ class InnerProduct:
 
     @classmethod
     def euclidean(cls, n: int) -> "InnerProduct":
-        """The identity, unchecked: it is symmetric and its own inverse."""
-        ip = cls.__new__(cls)
-        ip.matrix = ip._inverse = linalg.identity(n)
-        ip._minors = ip._sqrt_det = None
-        return ip
+        """The identity, kept as its own inverse: no elimination."""
+        g = cls(linalg.identity(n))
+        g._inverse = g.matrix
+        return g
 
     @classmethod
     def diagonal(cls, entries) -> "InnerProduct":

@@ -72,8 +72,9 @@ def test_contract_examples():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_euclidean_metric_equals_the_checked_identity(n):
-    """The unchecked identity reads like InnerProduct(I), whose inverse
-    is eliminated: typed inverse, every minor row, sqrt det, positivity."""
+    """The identity kept as its own inverse reads like InnerProduct(I),
+    whose inverse is eliminated: typed inverse, every minor row, sqrt
+    det, positivity."""
     def typed(rows):
         return [[(type(x), x) for x in row] for row in rows]
 
