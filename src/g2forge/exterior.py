@@ -427,8 +427,9 @@ def form_inner(a: KForm, b: KForm, g: InnerProduct) -> Scalar:
     return linalg.over(total, den * den * minors.den ** a.degree)
 
 
+@functools.lru_cache(maxsize=None)
 def complement_sign(idx: Index, dim: int) -> Tuple[int, Index]:
-    """Complementary index and the sign of e^idx ^ e^comp = sign * vol."""
+    """Complement and sign of e^idx ^ e^comp = sign * vol; cached, 2**dim."""
     comp = tuple(i for i in range(1, dim + 1) if i not in idx)
     sign, merged = merge_sign(idx, comp)
     return sign, comp

@@ -105,9 +105,10 @@ class LieAlgebra:
         for idx, c in zip(a.coeffs, nums):
             for pos, i in enumerate(idx):
                 signed = c if pos % 2 == 0 else -c
+                others = idx[:pos] + idx[pos + 1:]
                 for pair, cd in d_coframe[i - 1].items():
                     # pair moves past idx[:pos] by an even permutation
-                    sign, merged = merge_sign(pair, idx[:pos] + idx[pos + 1:])
+                    sign, merged = merge_sign(pair, others)
                     if sign:
                         acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
         den *= den_d

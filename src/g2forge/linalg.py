@@ -11,16 +11,17 @@ one denominator and ``over`` divides each result once.  Floats and
 polynomials pass through over den 1, so every ring takes the same path.
 
 Every minor comes from one place, the compound cache ``Compound``: the
-integer rows of the compound matrices C_k(den m), built by Laplace
-expansion.  ``det`` is its full-degree entry over den**n, exact positivity
-reads the signs of its nested principal minors, and ``exterior`` reads the
-pullback and the Hodge star from it.
+integer rows of the compound matrices C_k(den m), built by Laplace expansion
+on insertion tables made once per column set.  ``det`` is its full-degree
+entry over den**n, exact positivity reads the signs of its nested principal
+minors, and ``exterior`` reads the pullback and the Hodge star from it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -104,12 +105,12 @@ class Sparse:
 
 def mat_mul(a, b) -> Matrix:
     """a b, either factor a matrix or its ``Sparse``.  Each entry adds its
-    nonzero terms in increasing k to the ring's zero: 0.0 when a factor
-    holds a float, 0.0 too, so a float product holds no exact 0; 0 when
-    both hold Python ints only; Fraction(0) otherwise."""
+    nonzero terms in increasing k to a zero: 0.0 when a factor holds a float,
+    0.0 too, so a float product holds no exact 0; Fraction(0) when a factor
+    holds a Fraction; 0 otherwise (Python ints and polynomials)."""
     a, b = (m if isinstance(m, Sparse) else Sparse(m) for m in (a, b))
     types = a.types | b.types
-    zero = 0.0 if float in types else 0 if types <= {int} else Fraction(0)
+    zero = 0.0 if float in types else Fraction(0) if Fraction in types else 0
     cols = range(len(b.matrix[0]) if len(b.matrix) else 0)
     out = []
     for r in a.rows:
@@ -127,6 +128,14 @@ def is_symmetric(m: Matrix, tol: float = 0.0) -> bool:
                for i in range(n) for j in range(i + 1, n))
 
 
+@lru_cache(maxsize=None)
+def _insertions(rest: Tuple[int, ...], n: int) -> tuple:
+    """Per column j = 1..n: None if j is in rest, else (the merged set, the
+    parity of j's place in it); cached, at most 2**n keys in dimension n."""
+    return tuple(None if j in rest else (tuple(sorted(rest + (j,))),
+                 bisect_left(rest, j) % 2) for j in range(1, n + 1))
+
+
 class Compound:
     """The minors of one square matrix m, one row of C_k(m) at a time.
 
@@ -135,9 +144,9 @@ class Compound:
     ``row(idx)[J] / den**k``, k = len(idx), and den is 1 in float and
     polynomial m.  Index sets are 1-based increasing tuples, as forms use
     them.  A row is built once, by Laplace expansion along idx[0] from the
-    row of idx[1:]: division-free, so polynomial entries work, and a
-    diagonal m costs one product per row.  The dict returned is the cached
-    row itself: read it, do not change it."""
+    row of idx[1:], column j joining each J' there as ``_insertions(J')``
+    says: division-free, so polynomial entries work, and a diagonal m costs
+    one product per row.  The dict returned is the cached row: read only."""
 
     __slots__ = ("matrix", "den", "_cleared", "_rows")
 
@@ -153,18 +162,16 @@ class Compound:
         return row
 
     def _expand(self, idx: Tuple[int, ...]) -> dict:
-        first = [(j, x) for j, x in enumerate(self._cleared[idx[0] - 1],
-                                              start=1) if x]
+        first = [(j, x) for j, x in enumerate(self._cleared[idx[0] - 1]) if x]
         acc: dict = {}
         for rest, minor in self.row(idx[1:]).items():
+            table = _insertions(rest, len(self.matrix))  # by 0-based j
             for j, x in first:
-                # column j moves to position pos of the merged column set
-                pos = bisect_left(rest, j)
-                if pos < len(rest) and rest[pos] == j:
-                    continue
-                col = rest[:pos] + (j,) + rest[pos:]
-                term = x * minor
-                acc[col] = acc.get(col, 0) + (-term if pos % 2 else term)
+                hit = table[j]
+                if hit is not None:
+                    col, odd = hit
+                    term = x * minor
+                    acc[col] = acc.get(col, 0) + (-term if odd else term)
         return {j: c for j, c in acc.items() if c}
 
     def det(self) -> Scalar:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from g2forge import catalog, linalg, scalars
+from g2forge import catalog, exterior, linalg, scalars
 from g2forge.curvature import curvature_tensors
 from g2forge import g2
 from g2forge.exterior import (KForm, basis_indices, contract_basis, form_inner,
@@ -175,6 +175,27 @@ def test_dense_twist_reads_each_minor_once(monkeypatch):
     assert pair.normalized and pair.positive
     assert rows and max(rows.values()) == 1
     assert outside == []
+
+
+def test_index_tables_hold_one_key_per_index_set():
+    """The insertion table of the compound cache and complement_sign are
+    keyed by index sets, never by matrix values: after the dense-twist
+    analyses they hold at most 2**n keys per dimension n, so memory stays
+    flat whatever the input."""
+    tables = (linalg._insertions, exterior.complement_sign)
+    for table in tables:
+        table.cache_clear()
+    algebra, phi = CASES["n28_ext"]
+    for p in (P_DENSE, P_DENSE_SHEAR):
+        c = Coframe(p)
+        t = torsion_forms(c.algebra(algebra), c.form(phi))
+        assert t.class_label == "locally_conformal_calibrated"
+        assert all(0 < table.cache_info().currsize <= 2 ** 7
+                   for table in tables)
+    _, omega, sigma = twisted_n28_pair()
+    assert metric_from_pair(omega, sigma).positive
+    assert all(table.cache_info().currsize <= 2 ** 7 + 2 ** 6
+               for table in tables)
 
 
 def test_metric_from_phi_reads_det_and_positivity_from_one_compound(

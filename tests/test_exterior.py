@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -177,12 +178,19 @@ def dense_metric(dim):
     return InnerProduct(linalg.inverse(linalg.mat_mul(linalg.transpose(m), m)))
 
 
+@lru_cache(maxsize=None)
+def signed_permutations(k):
+    """(perm, (-1)**inversions) for every permutation of range(k)."""
+    return [(perm, (-1) ** sum(1 for a, b in combinations(perm, 2) if a > b))
+            for perm in permutations(range(k))]
+
+
 def leibniz_det(m, rows, cols):
-    """det m[rows, cols] as a sum over permutations: no cache, no recursion."""
+    """det m[rows, cols] as a sum over permutations: no compound cache, no
+    recursion."""
     total = Fraction(0)
-    for perm in permutations(range(len(cols))):
-        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
-        term = Fraction(-1) ** inversions
+    for perm, sign in signed_permutations(len(cols)):
+        term = Fraction(sign)
         for r, p in zip(rows, perm):
             term = term * m[r - 1][cols[p] - 1]
         total = total + term
@@ -245,6 +253,75 @@ def test_compound_rows_of_a_complex_structure_are_its_minors():
     assert not linalg.is_symmetric(j)
     assert_rows_are_minors(linalg.Compound(j), j)
     assert linalg.det(j) == leibniz_det(j, range(1, 7), range(1, 7)) == 1
+
+
+COLUMN_SETS = [c for k in range(8) for c in combinations(range(1, 8), k)]
+
+# dense, integer and not symmetric: every entry is nonzero
+DENSE7 = linalg.mat([[3, 1, 3, -1, -1, -2, -3],
+                     [-3, -1, 2, -1, -1, -1, 1],
+                     [-2, -2, -2, 1, -3, 3, 3],
+                     [2, 3, -3, 2, 1, 1, 3],
+                     [-3, 3, 1, -1, -3, 3, 1],
+                     [-1, -2, 2, -1, 2, 3, -2],
+                     [3, 2, -2, -3, 1, -1, 3]])
+
+
+def test_insertion_table_is_the_merge_sign():
+    """Column j joins a column set where e^j ^ e^rest puts it: the table
+    holds the merged set and the parity of merge_sign((j,), rest), or None
+    when j is already in rest."""
+    assert len(COLUMN_SETS) == 2 ** 7
+    for rest in COLUMN_SETS:
+        table = linalg._insertions(rest, 7)
+        assert len(table) == 7
+        for j in range(1, 8):
+            sign, merged = merge_sign((j,), rest)
+            assert table[j - 1] == ((merged, int(sign < 0)) if sign else None)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_complement_sign_is_its_definition(dim):
+    """e^idx ^ e^comp = sign * e^(1..dim), comp the indices not in idx."""
+    vol = KForm.monomial(dim, tuple(range(1, dim + 1)))
+    for k in range(dim + 1):
+        for idx in basis_indices(dim, k):
+            sign, comp = exterior.complement_sign(idx, dim)
+            assert comp == tuple(i for i in range(1, dim + 1) if i not in idx)
+            assert sign == sort_index(idx + comp)[0]
+            assert wedge(KForm.monomial(dim, idx),
+                         KForm.monomial(dim, comp)) == sign * vol
+
+
+def mismatched_rows(minors, m, degrees):
+    """Rows of C_k of the compound cache, k in degrees, that differ from the
+    Leibniz minors."""
+    n = len(m)
+    return [ia for k in degrees for ia in basis_indices(n, k)
+            if any(minors_of(minors, ia).get(ib, 0) != leibniz_det(m, ia, ib)
+                   for ib in basis_indices(n, k))]
+
+
+def test_dense_integer_compound_rows_are_leibniz_minors(monkeypatch):
+    """Every row of C_k(m), k = 0..7, for a dense 7x7 m; the Hypothesis test
+    above stops at n = 4.  Negative control: one insertion with its parity
+    flipped, column 4 joining {2, 5}, makes a row of C_3 disagree."""
+    minors = linalg.Compound(DENSE7)
+    assert minors.den == 1
+    assert mismatched_rows(minors, DENSE7, range(8)) == []
+    table = linalg._insertions
+
+    def flipped(rest, n):
+        row = table(rest, n)
+        if rest != (2, 5):
+            return row
+        col, odd = row[3]       # column 4 lands between 2 and 5
+        return row[:3] + ((col, 1 - odd),) + row[4:]
+
+    monkeypatch.setattr(linalg, "_insertions", flipped)
+    minors = linalg.Compound(DENSE7)
+    assert mismatched_rows(minors, DENSE7, range(3)) == []
+    assert (1, 2, 5) in mismatched_rows(minors, DENSE7, [3])
 
 
 def test_minors_of_the_inverse_metric_exact_and_float():

@@ -69,10 +69,10 @@ RING_ZEROS = {"exact": Fraction(0), "int": 0, "float": 0.0,
 
 def nonzero_product(a, b):
     """sum(a[i][k] b[k][j]) over the nonzero factors only, in increasing k,
-    from 0.0 when a factor holds a float, from 0 when both hold Python ints
-    only and from Fraction(0) otherwise."""
+    from 0.0 when a factor holds a float, from Fraction(0) when a factor
+    holds a Fraction and from 0 otherwise (Python ints and polynomials)."""
     types = {type(x) for m in (a, b) for row in m for x in row}
-    zero = 0.0 if float in types else 0 if types == {int} else Fraction(0)
+    zero = 0.0 if float in types else Fraction(0) if Fraction in types else 0
     return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))
                             if not is_zero(a[i][k]) and not is_zero(b[k][j])),
                            zero) for j in range(len(b[0])))
@@ -118,6 +118,15 @@ def test_mat_mul_of_zero_factors_keeps_the_ring():
                for x in linalg.mat_mul(ones, ((0.0,), (-0.0,)))[0])
     poly_zero = ((Polynomial(), Polynomial()),)
     assert all(type(x) is Fraction for x in linalg.mat_mul(poly_zero, ones)[0])
+    # polynomials times Python ints, as in the symbolic Levi-Civita product:
+    # a zero entry is an int 0, never a Fraction
+    a = Polynomial.variable("a")
+    product = linalg.mat_mul(((a, 0), (0, 0)), ((2, 0), (0, 3)))
+    assert product == ((2 * a, 0), (0, 0))
+    assert [[type(x) for x in row] for row in product] == \
+        [[Polynomial, int], [int, int]]
+    assert [type(x) for x in linalg.mat_mul(poly_zero, ((1,), (2,)))[0]] == \
+        [int]
 
 
 ZERO_TEST_VALUES = st.one_of(
