@@ -454,9 +454,10 @@ def poly_sqrt(p: Polynomial) -> Optional[Polynomial]:
 
 
 def render_scalar(x: Scalar) -> str:
-    """Canonical text: rationals as p/q, polynomials via str, floats with
-    the digits of repr in positional notation, which parses back to them."""
-    if isinstance(x, Polynomial):
+    """Canonical text: rationals as p/q (ints and Fractions by str, bools
+    and numpy ints through Fraction), polynomials via str, floats with the
+    digits of repr in positional notation, which parses back to them."""
+    if type(x) in (int, Fraction, Polynomial):
         return str(x)
     if isinstance(x, float):
         if not math.isfinite(x):

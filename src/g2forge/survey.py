@@ -181,31 +181,27 @@ class NullVectorReport:
         return self.confirmed == self.trials
 
 
-def _draw_fraction(rng: Random, lo: int = -6, hi: int = 6,
-                   max_den: int = 4) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
-
-
 def draw_admissible_coefficients(rng: Random) -> Tuple[List[Fraction], Fraction, int]:
-    """Rational draw with b15 != 0 and b15(b12+b13) > b14^2 (so lambda < 0).
+    """Rational draw with c != 0, b15 != 0 and b15(b12+b13) > b14^2 (so
+    lambda < 0).
 
-    Degenerate draws (b15 = 0 or the inequality failing) are rejected and
-    resampled; the rejection count is reported.
+    Each of b1..b15, then c, is p/q with p uniform in -6..6, drawn before
+    q uniform in 1..4.  The tests run on the integers, the inequality
+    multiplied through by q12 q13 q14^2 q15 > 0, and Fractions are built
+    for the accepted draw only.  Rejected draws are resampled; the
+    rejection count is reported.
     """
     rejected = 0
     while True:
-        b = [_draw_fraction(rng) for _ in range(15)]
-        c = _draw_fraction(rng)
-        if c == 0:
-            rejected += 1
-            continue
-        if b[_B15] == 0:
-            rejected += 1
-            continue
-        if not b[_B15] * (b[_B12] + b[_B13]) > b[_B14] ** 2:
-            rejected += 1
-            continue
-        return b, c, rejected
+        pq = [(rng.randrange(13) - 6, rng.randrange(4) + 1)
+              for _ in range(16)]
+        (p12, q12), (p13, q13), (p14, q14), (p15, q15) = pq[_B12:_B15 + 1]
+        if (pq[15][0] != 0 and p15 != 0
+                and p15 * (p12 * q13 + p13 * q12) * q14 * q14
+                > p14 * p14 * q12 * q13 * q15):
+            *b, c = (Fraction(p, q) for p, q in pq)
+            return b, c, rejected
+        rejected += 1
 
 
 def n4_obstruction_sample(trials: int, seed: int,
@@ -246,8 +242,8 @@ def n4_obstruction_sample(trials: int, seed: int,
             gn = float(np.linalg.norm(g))
             if gn <= 1e-13:
                 break
-            jac = jac[:, list(_ADJUSTABLE)]
-            _, _, piv = qr(jac, pivoting=True)
+            jac = jac[:, :len(_ADJUSTABLE)]
+            piv = qr(jac, mode="r", pivoting=True)[1]
             subset = [_ADJUSTABLE[p] for p in piv[:4]]
             step = np.linalg.lstsq(jac[:, piv[:4]], -g, rcond=None)[0]
             scale = 1.0

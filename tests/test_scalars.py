@@ -161,6 +161,27 @@ def test_render_float_positional():
     assert float(render_scalar(1e-300)) == 1e-300
 
 
+def rebuilt_fraction_render(x):
+    # the rational branch of render_scalar before ints and Fractions were
+    # printed by str: every leaf rebuilt as a Fraction
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return "%d/%d" % (x.numerator, x.denominator)
+
+
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+                 st.fractions(), rationals))
+def test_rational_render_is_the_rebuilt_fraction_text(x):
+    assert render_scalar(x) == rebuilt_fraction_render(x)
+
+
+def test_bools_and_numpy_ints_render_as_rationals():
+    import numpy as np
+    assert render_scalar(True) == "1" and render_scalar(False) == "0"
+    assert render_scalar(np.int64(-7)) == "-7"
+
+
 # The sort-and-Fraction(0) product and sum that the scalar fast path and the
 # memoized monomial product replaced, on the terms of constants promoted to
 # polynomials as before.
