@@ -128,22 +128,28 @@ def _load_form(args, name: str, algebra: LieAlgebra, degree: int) -> KForm:
 
 
 def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
+    """Rows split at ';' and entries at ','; a malformed entry is bad input
+    named with its row and column."""
     if text is None or text.strip() == "identity":
         return InnerProduct.euclidean(dim)
     rows = []
-    for row_text in text.split(";"):
+    for i, row_text in enumerate(text.split(";"), start=1):
         row = []
-        for cell in row_text.split(","):
+        for j, cell in enumerate(row_text.split(","), start=1):
             cell = cell.strip()
-            if "/" in cell:
-                num, den = (int(x) for x in cell.split("/"))
-                if den == 0:
-                    raise ValueError("metric entry %s divides by zero" % cell)
-                row.append(Fraction(num, den))
-            elif "." in cell or "e" in cell.lower():
-                row.append(float(cell))
-            else:
-                row.append(Fraction(int(cell)))
+            try:
+                if "/" in cell:
+                    num, _, den = cell.partition("/")
+                    row.append(Fraction(int(num), int(den)))
+                elif "." in cell or "e" in cell.lower():
+                    row.append(float(cell))
+                else:
+                    row.append(Fraction(int(cell)))
+            except (ValueError, ZeroDivisionError) as exc:
+                zero = isinstance(exc, ZeroDivisionError)
+                raise ValueError("metric entry %r at row %d, column %d %s" % (
+                    cell, i, j, "divides by zero" if zero
+                    else "is not an integer, p/q or decimal")) from None
         rows.append(row)
     return InnerProduct(rows)
 

@@ -110,11 +110,11 @@ class KForm:
         return cls._of(dim, degree, {})
 
     @classmethod
-    def monomial(cls, dim: int, idx: Sequence[int], coeff=1) -> "KForm":
+    def monomial(cls, dim: int, idx: Sequence[int]) -> "KForm":
         sign, sidx = sort_index(idx)
         if sign == 0:
             return cls.zero(dim, len(idx))
-        return cls(dim, len(sidx), {sidx: coerce(coeff) * sign})
+        return cls(dim, len(sidx), {sidx: sign})
 
     @classmethod
     def from_terms(cls, dim: int, degree: int, *terms) -> "KForm":
@@ -487,14 +487,7 @@ def basis_indices(dim: int, degree: int) -> List[Index]:
     return list(combinations(range(1, dim + 1), degree))
 
 
-def vec_to_form(dim: int, degree: int, vec: Sequence[Scalar],
-                indices: Optional[List[Index]] = None) -> KForm:
-    if indices is None:
-        indices = basis_indices(dim, degree)
-    return KForm(dim, degree, dict(zip(indices, vec)))
-
-
-def render_form(a: KForm, mul: str = "*") -> str:
+def render_form(a: KForm) -> str:
     """Text in coframe notation, e.g. ``e123+e145`` or ``1/2*e17``.  A
     polynomial coefficient renders like a number when its text is a signed
     bare symbol (``-a*e12``), and in parentheses otherwise."""
@@ -510,5 +503,5 @@ def render_form(a: KForm, mul: str = "*") -> str:
             coeff = "(%s)" % coeff
         sign, coeff = ("-", coeff[1:]) if coeff[0] == "-" else ("+", coeff)
         body = "e" + "".join(str(i) for i in idx)
-        text += sign + (body if coeff == "1" else coeff + mul + body)
+        text += sign + (body if coeff == "1" else coeff + "*" + body)
     return text[1:] if text[0] == "+" else text

@@ -19,7 +19,7 @@ from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, Vector,
                        basis_indices, codifferential, complement_sign,
                        contract, contract_basis, form_inner, hodge_star,
-                       magnitude, pullback, scaled, vec_to_form, wedge)
+                       magnitude, pullback, scaled, wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -106,7 +106,7 @@ def b_form(phi: KForm) -> linalg.Matrix:
     return linalg.mat(rows)
 
 
-def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
+def metric_from_phi(phi: KForm) -> G2Structure:
     """Extract (g, dV, *phi) from a positive 3-form.
 
     g = B det(B)^(-1/9) in the reference coframe; the defining relation
@@ -122,9 +122,9 @@ def metric_from_phi(phi: KForm, tol: float = 1e-12) -> G2Structure:
     # float zero tests are relative to the size of B: phi -> c^3 phi scales
     # B by c^9 and det B by c^63.  det B only has to be told from 0 here (a
     # dense B may have |det B| far below max|B|^7); the eigenvalues in the
-    # positivity test decide near-degenerate forms.  Exact tests ignore tol;
-    # a float det B or tolerance past the float range (inf) decides nothing.
-    b_tol = scaled(tol, b) if isinstance(det_b, float) else 0.0
+    # positivity test decide near-degenerate forms.  Exact tests ignore the
+    # 1e-12; a float det B or bound past the float range decides nothing.
+    b_tol = scaled(1e-12, b) if isinstance(det_b, float) else 0.0
     det_tol = math.prod([b_tol] * 7)
     if isinstance(det_b, float) and not math.isfinite(det_b + det_tol):
         raise OverflowError("det B of phi is past the float range")
@@ -209,15 +209,15 @@ def three_form_components(a: KForm, s: G2Structure, tol: float = 1e-10
     return {"1": p1, "7": p7, "27": p27}, t, x
 
 
-def two_form_14_basis(s: G2Structure, tol: float = 1e-10) -> List[KForm]:
+def two_form_14_basis(s: G2Structure) -> List[KForm]:
     """Exact basis of the 14-dimensional piece: kernel of beta ^ *phi."""
     idx2 = basis_indices(7, 2)
     wedges = [wedge(KForm(7, 2, {i2: Fraction(1)}), s.star_phi).coeffs
               for i2 in idx2]
     rows = [[w.get(i6, Fraction(0)) for w in wedges]
             for i6 in basis_indices(7, 6)]
-    kernel = linalg.nullspace(linalg.mat(rows), tol)
-    return [vec_to_form(7, 2, v, idx2) for v in kernel]
+    kernel = linalg.nullspace(linalg.mat(rows), 1e-10)
+    return [KForm(7, 2, dict(zip(idx2, v))) for v in kernel]
 
 
 def torsion_forms(algebra: LieAlgebra, phi: KForm,
@@ -359,22 +359,18 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
                      symmetric=symmetric)
 
 
-def product_g2(pair: StablePair, ext: LieAlgebra,
-               base: Optional[LieAlgebra] = None,
-               tol: float = 1e-10) -> Tuple[KForm, G2Structure]:
+def product_g2(pair: StablePair, ext: LieAlgebra
+               ) -> Tuple[KForm, G2Structure]:
     """phi = omega ^ e7 + sigma on a rank-one extension with closed e7.
 
-    The pair must be coupled on the six-dimensional factor; the caller
-    analyzes the result with torsion_forms.
+    The pair must be coupled on the six-dimensional factor, the first six
+    directions of ext; the caller analyzes the result with torsion_forms.
     """
     if ext.dim != 7:
         raise ValueError("extension must be 7-dimensional")
     if ext.d_coframe[6].coeffs:
         raise ValueError("the new coframe direction must be closed")
-    if base is None:
-        base = restrict(ext, 6)
-    c = coupling_constant(base, pair.omega, pair.sigma, tol=tol)
-    if c is None:
+    if coupling_constant(restrict(ext, 6), pair.omega, pair.sigma) is None:
         raise ValueError("the pair is not coupled on the base algebra")
     lift_omega = KForm(7, 2, dict(pair.omega.coeffs))
     lift_sigma = KForm(7, 3, dict(pair.sigma.coeffs))

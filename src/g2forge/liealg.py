@@ -40,8 +40,7 @@ class LieAlgebra:
                  "_float")
 
     def __init__(self, dim: int, d_coframe: Sequence[KForm],
-                 name: Optional[str] = None, check: bool = True,
-                 tol: float = 1e-9):
+                 name: Optional[str] = None, check: bool = True):
         d_coframe = tuple(d_coframe)
         if len(d_coframe) != dim:
             raise DimensionMismatchError("need one de^k per coframe element")
@@ -58,7 +57,7 @@ class LieAlgebra:
         self._cleared = (den, [{pair: next(nums) for pair in f.coeffs}
                                for f in norm])
         if check:
-            bad = self.jacobi_defect(tol=tol)
+            bad = self.jacobi_defect(tol=1e-9)
             if bad is not None:
                 k, defect = bad
                 raise JacobiError(
@@ -293,8 +292,8 @@ def parse_form(text: str, dim: int, degree: Optional[int] = None) -> KForm:
     return form
 
 
-def parse_structure_equations(text: str, name: Optional[str] = None,
-                              check: bool = True) -> LieAlgebra:
+def parse_structure_equations(text: str, name: Optional[str] = None
+                              ) -> LieAlgebra:
     """Parse the tuple notation, e.g. ``(0,0,0,0,e13-e24,e14+e23)``.
 
     The k-th entry is de^k.  Coefficients may be rationals ``p/q``,
@@ -321,7 +320,7 @@ def parse_structure_equations(text: str, name: Optional[str] = None,
             raise StructureParseError(str(exc).rsplit(" (at position", 1)[0],
                                       offset + exc.position) from None
         offset += len(piece) + 1
-    return LieAlgebra(dim, forms, name=name, check=check)
+    return LieAlgebra(dim, forms, name=name)
 
 
 def render_structure_equations(algebra: LieAlgebra) -> str:
@@ -404,15 +403,16 @@ def derivation_defect(algebra: LieAlgebra, matrix) -> List[Scalar]:
     return [linalg.over(x, den_c * den_d) for x in acc]
 
 
-def is_derivation(algebra: LieAlgebra, matrix, tol: float = 1e-9) -> bool:
+def is_derivation(algebra: LieAlgebra, matrix) -> bool:
     """A zero ``derivation_defect``, each entry within
-    ``scaled(tol, D, c)`` in floats, c the structure constants."""
+    ``scaled(1e-9, D, c)`` in floats, c the structure constants."""
     matrix = linalg.mat(matrix)
-    bound = scaled(tol, matrix, [f.coeffs.values() for f in algebra.d_coframe])
+    bound = scaled(1e-9, matrix,
+                   [f.coeffs.values() for f in algebra.d_coframe])
     return all(is_zero(x, bound) for x in derivation_defect(algebra, matrix))
 
 
-def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Matrix]:
+def derivation_space(algebra: LieAlgebra) -> List[linalg.Matrix]:
     """Basis of the space of derivations, as n x n matrices: the kernel of
     L, whose columns are the defects of the unit matrices (``nullspace``)."""
     n = algebra.dim
@@ -420,12 +420,11 @@ def derivation_space(algebra: LieAlgebra, tol: float = 1e-10) -> List[linalg.Mat
              for u in range(n * n))
     return [tuple(tuple(v[p * n + q] for q in range(n)) for p in range(n))
             for v in linalg.nullspace(linalg.transpose(
-                [derivation_defect(algebra, e) for e in units]), tol)]
+                [derivation_defect(algebra, e) for e in units]), 1e-10)]
 
 
 def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,
-                       tol: float = 1e-9, name: Optional[str] = None
-                       ) -> MetricLieAlgebra:
+                       name: Optional[str] = None) -> MetricLieAlgebra:
     """Adjoin a unit direction H acting on the old algebra by a derivation.
 
     The new coframe satisfies de^k = old de^k + (sum_q D_kq e^q) ^ e^(n+1)
@@ -433,7 +432,7 @@ def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,
     """
     algebra = metric_algebra.algebra
     matrix = linalg.mat(matrix)
-    if not is_derivation(algebra, matrix, tol=tol):
+    if not is_derivation(algebra, matrix):
         raise NotDerivationError("extension requires a derivation")
     n = algebra.dim
     new_dim = n + 1
@@ -451,29 +450,29 @@ def rank_one_extension(metric_algebra: MetricLieAlgebra, matrix,
     rows = [list(g[i]) + [Fraction(0)] for i in range(n)]
     rows.append([Fraction(0)] * n + [Fraction(1)])
     return MetricLieAlgebra(
-        LieAlgebra(new_dim, new_coframe, name=name, tol=tol),
+        LieAlgebra(new_dim, new_coframe, name=name),
         InnerProduct(rows))
 
 
-def restrict(algebra: LieAlgebra, m: int, name: Optional[str] = None) -> LieAlgebra:
+def restrict(algebra: LieAlgebra, m: int) -> LieAlgebra:
     """Sub-coframe algebra on the first m directions (terms beyond m dropped)."""
     forms = []
     for k in range(m):
         kept = {idx: c for idx, c in algebra.d_coframe[k].coeffs.items()
                 if all(i <= m for i in idx)}
         forms.append(KForm(m, 2, kept))
-    return LieAlgebra(m, forms, name=name)
+    return LieAlgebra(m, forms)
 
 
-def specialize(algebra: LieAlgebra, assignment: Dict[str, Fraction],
-               name: Optional[str] = None) -> LieAlgebra:
+def specialize(algebra: LieAlgebra, assignment: Dict[str, Fraction]
+               ) -> LieAlgebra:
     """Substitute rational values for the symbols of a polynomial-ring algebra."""
     def conv(c: Scalar) -> Scalar:
         if isinstance(c, Polynomial):
             return c.evaluate(assignment)
         return c
     forms = [f.map_coeffs(conv) for f in algebra.d_coframe]
-    return LieAlgebra(algebra.dim, forms, name=name)
+    return LieAlgebra(algebra.dim, forms)
 
 
 def to_float_algebra(algebra: LieAlgebra) -> LieAlgebra:

@@ -23,7 +23,7 @@ from .liealg import LieAlgebra, MetricLieAlgebra, is_nilpotent, \
     render_structure_equations, to_float_algebra
 from .scalars import ExactnessError, Polynomial, RingMismatchError
 from .stable_forms import StablePair, su3_predicates
-from .survey import build_table, n4_obstruction_sample, \
+from .survey import N4_NULL_BOUND, build_table, n4_obstruction_sample, \
     n9_nilsoliton_obstruction_sample, sign_partition
 
 
@@ -200,14 +200,13 @@ def suite_lcp_extension(tol: float = 1e-10) -> Dict[str, Any]:
     return out
 
 
-def suite_obstructions(seed: int = 1, n4_trials: int = 100,
-                       n9_starts: int = 200) -> Dict[str, Any]:
-    n4 = n4_obstruction_sample(n4_trials, seed)
-    n9 = n9_nilsoliton_obstruction_sample(n9_starts, seed)
+def suite_obstructions(seed: int = 1) -> Dict[str, Any]:
+    n4 = n4_obstruction_sample(100, seed)
+    n9 = n9_nilsoliton_obstruction_sample(200, seed)
     return {
         "n4_trials": n4.trials,
         "n4_all_confirmed": n4.all_confirmed,
-        "n4_null_below_tolerance": n4.max_null_value <= 1e-9,
+        "n4_null_below_tolerance": n4.max_null_value <= N4_NULL_BOUND,
         "n9_starts": n9.starts,
         "n9_feasible_found": n9.feasible_found,
         "seed": seed,

@@ -74,7 +74,8 @@ def k_endomorphism(sigma: KForm, orient: Optional[Orientation] = None
     each s_I s_J of a present pair is made once (at most 100, where a wedge
     per column made 240), on integers over one denominator when sigma is
     exact, and spread with its integer coefficients; each entry is divided
-    once."""
+    once.  ``orient`` = v0 e^{1..6} divides K by v0: the reversed
+    orientation negates K and J, and the pair metric never passes one."""
     if sigma.dim != 6:
         raise ValueError("stable-form machinery lives in dimension 6")
     v0 = (orient or Orientation.standard(6)).coefficient
@@ -111,9 +112,9 @@ def _complex_structure(k: linalg.Matrix, lam: Scalar) -> linalg.Matrix:
     return tuple(tuple(x / root for x in row) for row in k)
 
 
-def lambda_invariant(sigma: KForm, orient: Optional[Orientation] = None) -> Scalar:
+def lambda_invariant(sigma: KForm) -> Scalar:
     """tr(K^2)/6; quartic in the coefficients, negative on definite forms."""
-    return _quartic(k_endomorphism(sigma, orient))
+    return _quartic(k_endomorphism(sigma))
 
 
 def almost_complex(sigma: KForm, orient: Optional[Orientation] = None
@@ -143,20 +144,21 @@ def orientation_sign(omega: KForm) -> int:
     return 1 if top > 0 else -1
 
 
-def metric_from_pair(omega: KForm, sigma: KForm,
-                     orient: Optional[Orientation] = None,
-                     tol: float = 1e-10) -> StablePair:
+def metric_from_pair(omega: KForm, sigma: KForm) -> StablePair:
     """Assemble the structure induced by a compatible stable pair.
 
     Checks stability of both forms and compatibility (omega ^ sigma = 0),
     then records whether the pair is normalized
     (J*sigma ^ sigma = (2/3) omega^3) and whether h is positive definite.
+    J and h are always taken in the orientation that makes omega^3
+    positive, and float zero tests use the fixed relative tolerance 1e-10.
     """
     if omega.dim != 6 or sigma.dim != 6:
         raise ValueError("pairs live in dimension 6")
+    tol = 1e-10
     if not wedge(omega, sigma).is_zero(scaled(tol, omega, sigma)):
         raise IncompatiblePairError("omega ^ sigma != 0")
-    k = k_endomorphism(sigma, orient)
+    k = k_endomorphism(sigma)
     return _pair_structure(omega, sigma, k, _quartic(k), tol)
 
 

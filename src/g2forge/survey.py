@@ -155,6 +155,11 @@ def sign_partition(rows: Sequence[SurveyRow]) -> Dict[str, int]:
 _ADJUSTABLE = tuple(range(11))
 _B12, _B13, _B14, _B15 = 11, 12, 13, 14
 
+# the fixed bounds of the two samplers; --tol does not reach them
+N4_NULL_BOUND = 1e-9
+N9_RESIDUAL_TOL = 1e-9
+N9_LAMBDA_CUT = -1e-6
+
 
 @dataclass(frozen=True)
 class NullVectorTrial:
@@ -204,8 +209,7 @@ def draw_admissible_coefficients(rng: Random) -> Tuple[List[Fraction], Fraction,
         rejected += 1
 
 
-def n4_obstruction_sample(trials: int, seed: int,
-                          tol: float = 1e-9) -> NullVectorReport:
+def n4_obstruction_sample(trials: int, seed: int) -> NullVectorReport:
     """Sampled version of the degenerate-metric argument on the first
     obstruction algebra.
 
@@ -215,8 +219,8 @@ def n4_obstruction_sample(trials: int, seed: int,
     adjustment of four of b1..b11.  Those coefficients never enter the
     quartic lambda, so the drawn sign of lambda and the predicted null
     vector v = e4 - (b14/b15) e5 + (b13/b15) e6 are untouched.  Every
-    trial must end with |h(v,v)| below tolerance and h not positive
-    definite.
+    trial must end with |h(v,v)| and the residual at most
+    ``N4_NULL_BOUND`` and h not positive definite.
     """
     from scipy.linalg import qr
 
@@ -274,7 +278,8 @@ def n4_obstruction_sample(trials: int, seed: int,
         null_val = float(v @ h @ v)
         hs = 0.5 * (h + h.T)
         min_eig = float(np.linalg.eigvalsh(hs).min())
-        ok = (abs(null_val) <= tol and residual <= tol and min_eig <= tol)
+        ok = (abs(null_val) <= N4_NULL_BOUND and residual <= N4_NULL_BOUND
+              and min_eig <= N4_NULL_BOUND)
         if ok:
             confirmed += 1
         else:
@@ -305,8 +310,8 @@ class SearchStart:
 @dataclass(frozen=True)
 class InfeasibilityReport:
     """best_residual and best_lambda are taken over the end points with
-    lambda <= lambda_cut only (inf and nan when there is none), so that a
-    degenerate end point at lambda -> 0- cannot stand in for the claim;
+    lambda <= ``N9_LAMBDA_CUT`` only (inf and nan when there is none), so
+    that a degenerate end point at lambda -> 0- cannot stand in for the claim;
     best_objective and its lambda are taken over every end point."""
     starts: int
     seed: int
@@ -375,8 +380,7 @@ def _isotropy_terms(sampler: StableFormSampler,
 
 
 def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
-                     claimed: bool, residual_tol: float,
-                     lambda_cut: float) -> InfeasibilityReport:
+                     claimed: bool) -> InfeasibilityReport:
     """One L-BFGS-B run per start on ``terms``; the end point of each is
     re-read from ``terms``.  A claimed search raises on a feasible point."""
     from scipy.optimize import minimize
@@ -387,11 +391,11 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
 
     # scipy's default tolerances stop a start that converges on a zero
     # residual at 1e-9 to 1e-8, too early to tell a feasible point from a
-    # near miss: stop only once a step gains far less than residual_tol and
-    # the gradient, about sqrt(residual) near a minimum, is far below
-    # sqrt(residual_tol)
-    options = {"maxiter": 200, "ftol": 1e-3 * residual_tol,
-               "gtol": 1e-2 * math.sqrt(residual_tol)}
+    # near miss: stop only once a step gains far less than N9_RESIDUAL_TOL
+    # and the gradient, about sqrt(residual) near a minimum, is far below
+    # sqrt(N9_RESIDUAL_TOL)
+    options = {"maxiter": 200, "ftol": 1e-3 * N9_RESIDUAL_TOL,
+               "gtol": 1e-2 * math.sqrt(N9_RESIDUAL_TOL)}
     detail = []
     best_resid, best_lambda = math.inf, math.nan
     best_obj, best_obj_lambda = math.inf, math.nan
@@ -405,12 +409,12 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
                                   lambda_value=lam, residual=resid))
         if value < best_obj:
             best_obj, best_obj_lambda = value, lam
-        if lam > lambda_cut:
+        if lam > N9_LAMBDA_CUT:
             continue
         if resid < best_resid:
             best_resid, best_lambda = resid, lam
             best_point = tuple(float(z) for z in res.x)
-        if resid <= residual_tol:
+        if resid <= N9_RESIDUAL_TOL:
             feasible = True
             if claimed:
                 raise ObstructionFailure(
@@ -426,9 +430,7 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
 
 
 def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
-                                     frame: str = "nilsoliton",
-                                     residual_tol: float = 1e-9,
-                                     lambda_cut: float = -1e-6
+                                     frame: str = "nilsoliton"
                                      ) -> InfeasibilityReport:
     """Multi-start search for a coupled pair inducing a multiple of the
     identity on the distinguished n9 frame.
@@ -438,9 +440,10 @@ def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
     penalty.  Each start is one L-BFGS-B run on the squared residuals
     with their exact gradient (``_isotropy_terms``), from a point drawn
     uniformly in [-1.5, 1.5]^15.  An end point is feasible when its
-    residual is at most ``residual_tol`` and its lambda at most
-    ``lambda_cut``; ``best_residual`` is the least residual among end
-    points below the cut.  On the soliton frame no feasible point may
+    residual is at most ``N9_RESIDUAL_TOL`` (1e-9) and its lambda at most
+    ``N9_LAMBDA_CUT`` (-1e-6), fixed constants that --tol does not reach;
+    ``best_residual`` is the least residual among end points below the
+    cut.  On the soliton frame no feasible point may
     appear (that would contradict the classification): feasibility in any
     start raises ObstructionFailure.  With frame="standard" the same
     search runs as an uncontrolled experiment and only reports what it
@@ -458,5 +461,4 @@ def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
     rng = Random(seed)
     x0s = [np.array([rng.uniform(-1.5, 1.5) for _ in range(15)])
            for _ in range(starts)]
-    return _isotropy_search(_isotropy_terms(sampler), x0s, seed, claimed,
-                            residual_tol, lambda_cut)
+    return _isotropy_search(_isotropy_terms(sampler), x0s, seed, claimed)

@@ -604,6 +604,19 @@ def test_failures_map_to_exit_codes(capsys, argv, code):
     assert ("rerun with --ring float" in err) == (code == 3)
 
 
+@pytest.mark.parametrize("metric, message", [
+    ("1/2/3", "'1/2/3' at row 1, column 1"),
+    (" ; ", "'' at row 1, column 1"),
+    ("x", "'x' at row 1, column 1"),
+    ("1;2,x", "'x' at row 2, column 2"),
+])
+def test_malformed_metric_entry_is_named(capsys, metric, message):
+    assert main(["metric", "analyze", "n28", "--metric", metric]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: metric entry %s is not an integer, "
+                                 "p/q or decimal\n" % message)
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["global", "subcommand"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tolerance_outside_its_domain_is_bad_input(capsys, tol, before):

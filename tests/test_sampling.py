@@ -12,7 +12,8 @@ from g2forge.sampling import PAIRS, StableFormSampler
 from g2forge.stable_forms import (NotStableError, k_endomorphism,
                                   lambda_invariant, metric_from_pair,
                                   orientation_sign)
-from g2forge.survey import (_isotropy_search, _isotropy_terms,
+from g2forge.survey import (N9_LAMBDA_CUT, N9_RESIDUAL_TOL,
+                            _isotropy_search, _isotropy_terms,
                             draw_admissible_coefficients,
                             n4_obstruction_sample,
                             n9_nilsoliton_obstruction_sample)
@@ -153,7 +154,7 @@ def test_n4_sampler_zero_trials():
 def test_n9_search_smoke():
     report = n9_nilsoliton_obstruction_sample(starts=5, seed=3)
     assert not report.feasible_found
-    assert report.best_residual > 1e-9
+    assert report.best_residual > N9_RESIDUAL_TOL
 
 
 def test_n9_zero_starts_vacuous():
@@ -172,10 +173,11 @@ def test_n9_control_frame_reports_only():
 def test_n9_best_residual_is_over_admissible_end_points():
     report = n9_nilsoliton_obstruction_sample(starts=20, seed=1)
     assert len(report.starts_detail) == report.starts == 20
-    below = [d for d in report.starts_detail if d.lambda_value <= -1e-6]
+    below = [d for d in report.starts_detail
+             if d.lambda_value <= N9_LAMBDA_CUT]
     assert below
     assert report.best_residual == min(d.residual for d in below)
-    assert report.best_lambda <= -1e-6
+    assert report.best_lambda <= N9_LAMBDA_CUT
     assert report.best_objective <= report.best_residual \
         + (report.best_lambda + 1.0) ** 2
     for d in report.starts_detail:
@@ -291,14 +293,12 @@ def test_isotropy_search_finds_a_planted_feasible_point():
     assert abs(lam + 1.0) < 1e-12 and resid < 1e-20
     rng = np.random.default_rng(8)
     starts = [b + 0.2 * rng.standard_normal(15) for _ in range(5)]
-    report = _isotropy_search(terms, starts, seed=8, claimed=False,
-                              residual_tol=1e-9, lambda_cut=-1e-6)
+    report = _isotropy_search(terms, starts, seed=8, claimed=False)
     assert report.feasible_found
-    assert report.best_residual <= 1e-9
+    assert report.best_residual <= N9_RESIDUAL_TOL
     # the identity target from the same starts finds nothing
     report = _isotropy_search(_isotropy_terms(sampler), starts, seed=8,
-                              claimed=False, residual_tol=1e-9,
-                              lambda_cut=-1e-6)
+                              claimed=False)
     assert not report.feasible_found
 
 
@@ -307,5 +307,5 @@ def test_claimed_search_raises_on_a_feasible_point():
     sampler, b, h = n9_pair_at_unit_lambda()
     with pytest.raises(ObstructionFailure) as err:
         _isotropy_search(_isotropy_terms(sampler, target=h), [b], seed=0,
-                         claimed=True, residual_tol=1e-9, lambda_cut=-1e-6)
+                         claimed=True)
     assert "escalate, do not suppress" in str(err.value)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog, linalg, stable_forms
-from g2forge.exterior import (KForm, basis_indices, contract_basis, pullback,
-                              wedge)
+from g2forge.exterior import (KForm, Orientation, basis_indices,
+                              contract_basis, pullback, wedge)
 from g2forge.liealg import to_float_algebra
 from g2forge.sampling import generic_form
 from g2forge.scalars import Polynomial
@@ -94,6 +94,18 @@ def test_j_scale_invariance(t):
 def test_almost_complex_requires_negative_lambda():
     with pytest.raises(NotStableError):
         almost_complex(KForm.monomial(6, (1, 2, 3)))
+
+
+def test_orientation_divides_k_and_flips_j(n28_pair):
+    # the orientation argument that remains, as benchmark/checks.py
+    # n4_metric passes it: K is in units of the volume coefficient v0
+    _, sigma = n28_pair
+    vol = Orientation.standard(6).volume
+    k, j = k_endomorphism(sigma), almost_complex(sigma)
+    assert k_endomorphism(sigma, Orientation(2 * vol)) == \
+        tuple(tuple(x / 2 for x in row) for row in k)
+    assert almost_complex(sigma, Orientation(-1 * vol)) == \
+        tuple(tuple(-x for x in row) for row in j)
 
 
 def test_n28_pair_structure(n28_pair, n28):

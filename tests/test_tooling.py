@@ -1,7 +1,9 @@
 """Guards on what the program binds: the benchmark's tracer targets must
-exist, every module-level function and class of ``src/g2forge`` must be
-used by the program or named on one allowlist with its reason, and forms
-and polynomials are stored only by their trusted constructors."""
+exist; every module-level function and class of ``src/g2forge`` must be
+used by the program, and every defaulted parameter set by some call of
+the program or the benchmark, or be named on an allowlist with its
+reason; and forms and polynomials are stored only by their trusted
+constructors."""
 import ast
 import importlib
 import importlib.util
@@ -119,6 +121,104 @@ def test_an_unused_definition_is_flagged():
               "def recursive(n):\n    return recursive(n - 1)\n\n\n"
               "class Kept:\n    pass\n\n\nKept()\n")
     assert unreferenced({"m": source}) == {"m.unused", "m.recursive"}
+
+
+# Defaulted parameters that no call of the program sets, kept with their
+# reason.
+KEPT_DEFAULTS = {
+    "survey._isotropy_terms(target)": "the planted target of the n9 "
+                                      "search's positive control in "
+                                      "tests/test_sampling.py",
+}
+
+
+def defaulted(source):
+    """(qualified name, def name, enclosing class or None, self offset,
+    parameter, position) for each defaulted parameter in ``source``; the
+    offset is 1 for a method
+    that takes self or cls, and the position counts it and is None for a
+    keyword-only parameter."""
+    found = []
+
+    def visit(node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                where = (".".join(scope + (child.name,)), child.name, cls,
+                         int(cls is not None and not static))
+                found.extend(where + (p.arg, i)
+                             for i, p in enumerate(positional) if i >= first)
+                found.extend(where + (k.arg, None) for k, d in
+                             zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None)
+                visit(child, scope + (child.name,), None)
+
+    visit(ast.parse(source), (), None)
+    return found
+
+
+def unset_defaults(sources, callers):
+    """The defaulted parameters of ``sources`` (module name -> source text),
+    as module.qualname(param), that no call in ``callers`` (source texts)
+    passes by keyword or by position.  Calls are matched by name, as
+    ``unreferenced`` matches.  ``C(...)`` calls ``C.__init__`` and
+    ``C.__new__`` with self or cls filled in, as does a method called as an
+    attribute.  ``*args`` passes every later position, ``**kwargs`` every
+    parameter."""
+    calls = [node for text in callers for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)]
+    unset = set()
+    for module, text in sources.items():
+        for qualname, name, cls, offset, param, position in defaulted(text):
+            ctor = name in ("__init__", "__new__")
+            if not any(passes(call, cls if ctor else name, ctor, offset,
+                              param, position) for call in calls):
+                unset.add("%s.%s(%s)" % (module, qualname, param))
+    return unset
+
+
+def passes(call, target, ctor, offset, param, position):
+    """Whether ``call`` calls ``target`` and passes ``param``."""
+    func = call.func
+    attr = isinstance(func, ast.Attribute)
+    if (func.attr if attr else getattr(func, "id", None)) != target:
+        return False
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    first = offset if ctor or attr else 0   # where the call's args begin
+    starred = [i for i, a in enumerate(call.args)
+               if isinstance(a, ast.Starred)]
+    return position < first + len(call.args) or \
+        bool(starred) and position >= first + starred[0]
+
+
+def test_every_default_is_set_or_allowed():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    callers = list(sources.values()) + [path.read_text()
+                                        for path in BENCHMARK.glob("*.py")]
+    unset = unset_defaults(sources, callers)
+    assert unset <= set(KEPT_DEFAULTS), sorted(unset - set(KEPT_DEFAULTS))
+    # a kept default that gained a caller leaves the list
+    assert set(KEPT_DEFAULTS) <= unset, sorted(set(KEPT_DEFAULTS) - unset)
+
+
+def test_an_unset_default_is_flagged():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n"
+              "class C:\n"
+              "    def __init__(self, x, y=0):\n        self.x = x\n\n"
+              "    def m(self, p, q=0, r=0):\n        return p\n\n\n"
+              "def g(*args, z=0):\n    return f(*args)\n\n\n"
+              "f(1, 2, d=4)\nC(1).m(0, 1)\ng(**{})\n")
+    assert unset_defaults({"m": source}, [source]) == {
+        "m.f(c)", "m.C.__init__(y)", "m.C.m(r)"}
 
 
 # The one place each value type is stored without its public checks.
