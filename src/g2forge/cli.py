@@ -145,6 +145,8 @@ def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
                     row.append(float(cell))
                 else:
                     row.append(Fraction(int(cell)))
+                if "_" in cell or abs(row[-1]) == math.inf:
+                    raise ValueError(cell)
             except (ValueError, ZeroDivisionError) as exc:
                 zero = isinstance(exc, ZeroDivisionError)
                 raise ValueError("metric entry %r at row %d, column %d %s" % (
@@ -339,6 +341,8 @@ def _close(a: Any, b: Any, tol: float) -> bool:
     if isinstance(a, dict) and isinstance(b, dict):
         return all(_close(a.get(k, 0), b.get(k, 0), tol)
                    for k in set(a) | set(b))
+    if a == b:      # equal leaves agree unparsed, equal infinities too
+        return True
     na, nb = _numeric(a), _numeric(b)
     if na is None or nb is None:
         return a == b

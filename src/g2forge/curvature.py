@@ -7,14 +7,16 @@ R(e_i, e_j) = [N_i, N_j] - N_[e_i,e_j], the matrix of
 Z -> nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, and
 Ric(e_j, e_k) = sum_i e^i(R(e_i, e_j) e_k) = (t N_j)_k
 - sum_{x,y} (N_j[x][y] + c^x_yj) N_x[y][k], t_a = sum_i N_i[i][a], with no
-product N_i N_j; those are made on the first read of riemann.  These
+product N_i N_j.  riemann reads R_ijkl = P[l][k] - P[k][l] - sum_m c^m_ij
+M_m[l][k], P = M_i N_j, at i < j and k < l, from the antisymmetric
+M_i = g N_i (Milnor 1976): (M_j N_i)[l][k] = (M_i N_j)[k][l].  These
 choices are anchored to the worked nilsoliton example (see the test suite).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
 from . import linalg
@@ -25,10 +27,13 @@ from .scalars import Scalar, is_zero
 
 
 class ConnectionCoeffs(NamedTuple):
-    """stacked[i*n + a][b] = den N_i[a][b] (0-based); matrices are the N_i."""
+    """stacked[i*n + a][b] = den N_i[a][b] (0-based); matrices are the N_i.
+    lowered[i*n + l][k] = dk M_i[l][k] = dk g(nabla_i e_k, e_l)."""
 
     den: int
     stacked: Tuple[tuple, ...]
+    dk: int
+    lowered: Tuple[tuple, ...]
 
     @property
     def matrices(self) -> Tuple[linalg.Matrix, ...]:
@@ -40,27 +45,31 @@ class ConnectionCoeffs(NamedTuple):
 
 class CurvatureTensors:
     """ricci, scal and riemann, (i,j,k,l) -> g(R(e_i,e_j)e_k, e_l) 1-based,
-    read off lowered = (den, den * riemann), integer sums on exact input:
-    the riemann dict over den 1, or a function that builds it on first read."""
+    in its four signs from lowered = (den, den * R_ijkl) at i<j and k<l only,
+    integer sums on exact input, which lower() returns on first read."""
 
-    def __init__(self, riemann, ricci: linalg.Matrix, scal: Scalar):
-        self._lower = riemann if callable(riemann) else lambda: (1, riemann)
-        self.ricci, self.scal = ricci, scal
+    def __init__(self, lower, ricci: linalg.Matrix, scal: Scalar):
+        self._lower, self.ricci, self.scal = lower, ricci, scal
 
     @cached_property
     def lowered(self) -> Tuple[int, dict]:
+        """(den, {(i, j, k, l): den R_ijkl}) at i < j and k < l, nonzero."""
         return self._lower()
 
     @cached_property
     def riemann(self) -> dict:
-        den, sums = self.lowered
-        return {key: linalg.over(x, den) for key, x in sums.items()}
+        (den, sums), full = self.lowered, {}
+        for (i, j, k, l), x in sums.items():
+            r = linalg.over(x, den)
+            full[i, j, k, l] = full[j, i, l, k] = r
+            full[j, i, k, l] = full[i, j, l, k] = -r
+        return full
 
 
 def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     """Koszul formula 2 g(nabla_i e_j, e_k) = g([e_i,e_j],e_k)
-    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields: den N_i,
-    integers on exact input; on float input den = 2, an exact scale."""
+    - g([e_j,e_k],e_i) + g([e_k,e_i],e_j) on left-invariant fields: den N_i
+    and dk M_i, integers on exact input; on float input den = dk = 2."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     if not g.is_positive_definite(scaled(1e-12, g.matrix)):
@@ -75,8 +84,9 @@ def levi_civita(m: MetricLieAlgebra) -> ConnectionCoeffs:
     # raising k: flat[a][i*n + b] = N_i[a][b] den
     di, ginv = linalg.clear_rows(g.inverse)
     flat, den = linalg.mat_mul(ginv, koszul), 2 * dg * dc * di
-    return ConnectionCoeffs(den, tuple(row[i * n:(i + 1) * n]
-                                       for i in range(n) for row in flat))
+    nab, low = (tuple(row[i * n:(i + 1) * n] for i in range(n) for row in x)
+                for x in (flat, koszul))
+    return ConnectionCoeffs(den, nab, 2 * dg * dc, low)
 
 
 def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
@@ -84,11 +94,10 @@ def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
     over dn, c over dc); riemann is built on its first read."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
-    dn, stacked = levi_civita(m)
+    dn, stacked, dk, lowered = levi_civita(m)
     nab = [stacked[i * n:(i + 1) * n] for i in range(n)]
     dc, c = structure_rows(algebra)
-    dg, gs = linalg.clear_rows(g.matrix)
-    zero = linalg.ring_zero(gs, stacked)     # Polynomial() in that ring
+    zero = linalg.ring_zero(stacked)     # Polynomial() in that ring
     # Ricci: t = sum_i N_i[i] times side[a][j*n + b] = N_j[a][b], and the
     # N_x[y] summed against coupled[j][x*n + y] = N_j[x][y] + c^x_yj
     side = [[x for nm in nab for x in nm[a]] for a in range(n)]
@@ -101,36 +110,21 @@ def curvature_tensors(m: MetricLieAlgebra) -> CurvatureTensors:
     den = dc * dn * dn
 
     def lower() -> Tuple[int, dict]:
-        # prod[i*n + a][j*n + b] = (N_i N_j)[a][b], all in one mat_mul
-        prod = linalg.mat_mul(stacked, side)
-        pairs = list(combinations(range(n), 2))
-        curv = []
-        for i, j in pairs:
-            # R(e_i, e_j) = N_i N_j - N_j N_i - sum_m c^m_ij N_m, subtracting
-            # at the nonzero entries of each term only
-            r = [[dc * x for x in row[j * n:(j + 1) * n]]
-                 for row in prod[i * n:(i + 1) * n]]
-            terms = [(a, b, dc * y)
-                     for a, row in enumerate(prod[j * n:(j + 1) * n])
-                     for b, y in enumerate(row[i * n:(i + 1) * n]) if y]
-            terms += [(a, b, dn * (c[mm][i * n + j] * y))
-                      for mm, nm in enumerate(nab) if c[mm][i * n + j]
-                      for a, row in enumerate(nm) for b, y in enumerate(row)
-                      if y]
-            for a, b, y in terms:
-                r[a][b] = r[a][b] - y
-            curv.append(r)
-        # low[l][p*n + k] = g(R(e_i, e_j) e_k, e_l) dg den, p-th pair (i, j)
-        low = linalg.mat_mul(gs, [[x for r in curv for x in r[a]]
-                                  for a in range(n)])
-        sums = {}
-        for p, (i, j) in enumerate(pairs):
-            for k, l in product(range(n), repeat=2):
-                x = low[l][p * n + k]
-                if x:
-                    sums[(i + 1, j + 1, k + 1, l + 1)] = x
-                    sums[(j + 1, i + 1, k + 1, l + 1)] = -x
-        return dg * den, sums
+        # R_ijkl dc dk dn = dc (P[l][k] - P[k][l]) - dn sum_m c^m_ij M_m[l][k]
+        sums, low = {}, [lowered[i * n:(i + 1) * n] for i in range(n)]
+        for i in range(n - 1):
+            # prod[l][(j - i - 1) n + k] = (M_i N_j)[l][k] dk dn for all j > i
+            prod = linalg.mat_mul(low[i], [r[(i + 1) * n:] for r in side])
+            for j in range(i + 1, n):
+                q = (j - i - 1) * n
+                terms = [(c[mm][i * n + j], low[mm]) for mm in range(n)
+                         if c[mm][i * n + j]]
+                for k, l in combinations(range(n), 2):
+                    x = dc * (prod[l][q + k] - prod[k][q + l]) - dn * sum(
+                        cm * lm[l][k] for cm, lm in terms)
+                    if x:
+                        sums[(i + 1, j + 1, k + 1, l + 1)] = x
+        return dc * dk * dn, sums
     di, ginv = linalg.clear_rows(g.inverse)
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if ricci[j][k]), zero)

@@ -70,6 +70,15 @@ def merge_sign(a: Index, b: Index) -> Tuple[int, Optional[Index]]:
     return (-1 if inversions % 2 else 1), merged
 
 
+@functools.lru_cache(maxsize=None)
+def merge_table(others: Index, n: int) -> dict:
+    """Per pair a < b disjoint from others: (the merged index, the sign of
+    e^ab ^ e^others); cached, at most 2**n keys in dimension n, so it reads
+    merge_sign uncached."""
+    return {pair: (merged, sign) for pair in combinations(range(1, n + 1), 2)
+            for sign, merged in [merge_sign.__wrapped__(pair, others)] if sign}
+
+
 class KForm:
     """A k-form; coefficients live in one of the scalar rings."""
 

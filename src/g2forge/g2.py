@@ -308,8 +308,9 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
     pullback of i_{e_s} phi by the minors of g^-1 (``exterior.pullback``).
     So rho* is a bilinear form like g, on any coframe: ``trace`` is
     tr(g^-1 rho*) and star-Einstein means rho* = (trace/7) g.  In an
-    orthonormal coframe this is R_{ijkl} phi_{ijs} phi_{klm}.  ``tensors``
-    reuses the curvature of m when the caller has it.
+    orthonormal coframe this is R_{ijkl} phi_{ijs} phi_{klm}.  Both pairs
+    are antisymmetric, so the sum is 4 times its part at i<j and k<l, where
+    ``tensors.lowered`` holds R.  ``tensors`` reuses the curvature of m.
     """
     s = structure if structure is not None else metric_from_phi(phi)
     if not all(scalars.eq(a, b, tol)
@@ -324,13 +325,12 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
               for t in range(1, n + 1)]
     du, nums = linalg.clear(c for r in raised for c in r.values())
     nums = iter(nums)
-    # up[(i, j)][t] = du phi^{ij}_t, for both orders of (i, j)
+    # up[(i, j)][t] = du phi^{ij}_t, i < j
     up: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
     for t, r in enumerate(raised, start=1):
-        for (i, j), c in zip(r, nums):
-            up.setdefault((i, j), {})[t] = c
-            up.setdefault((j, i), {})[t] = -c
-    # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} = A_{kl,s} phi^{kl}_m,
+        for ij, c in zip(r, nums):
+            up.setdefault(ij, {})[t] = c
+    # A_{kl,s} = R_{ijkl} phi^{ij}_s, then rho*_{sm} / 4 = A_{kl,s} phi^{kl}_m
     # on integers over dr du^2 for exact R and phi
     dr, riemann = tensors.lowered
     contracted: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
@@ -346,7 +346,7 @@ def star_ricci(m: MetricLieAlgebra, phi: KForm,
             for ss, c1 in row.items():
                 rows[ss - 1][mm - 1] = rows[ss - 1][mm - 1] + c1 * c2
     den = dr * du * du
-    matrix = tuple(tuple(linalg.over(x, den) for x in row) for row in rows)
+    matrix = tuple(tuple(linalg.over(4 * x, den) for x in row) for row in rows)
     trace: Scalar = sum((ginv[i][j] * matrix[i][j] for i in range(n)
                          for j in range(n) if not is_zero(ginv[i][j])),
                         Fraction(0))

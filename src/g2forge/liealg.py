@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       magnitude, merge_sign, render_form, scaled)
+                       magnitude, merge_table, render_form, scaled)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -104,10 +104,10 @@ class LieAlgebra:
         for idx, c in zip(a.coeffs, nums):
             for pos, i in enumerate(idx):
                 signed = c if pos % 2 == 0 else -c
-                others = idx[:pos] + idx[pos + 1:]
+                table = merge_table(idx[:pos] + idx[pos + 1:], self.dim)
                 for pair, cd in d_coframe[i - 1].items():
                     # pair moves past idx[:pos] by an even permutation
-                    sign, merged = merge_sign(pair, others)
+                    merged, sign = table.get(pair, (None, 0))
                     if sign:
                         acc[merged] = acc.get(merged, 0) + signed * (cd * sign)
         den *= den_d

@@ -318,6 +318,35 @@ def test_close_exact_leaves_are_equal_or_differ():
     assert not _close(3.0 + 1e-9, 3.0, 1e-10)
 
 
+def close_leaves_by_parsing(a, b, tol):
+    """Reference: _close on two leaves as it was before equal leaves
+    short-circuited, every leaf read by _numeric first."""
+    na, nb = cli._numeric(a), cli._numeric(b)
+    if na is None or nb is None:
+        return a == b
+    if isinstance(na, float) or isinstance(nb, float):
+        return abs(na - nb) <= tol * max(1.0, abs(na), abs(nb))
+    return na == nb
+
+
+LEAVES = ["1/2", "2/4", "-5/3", 1, 1.0, 0.5, True, False, 0, 0.0, -0.0,
+          float("nan"), -1.6666666666666665, "x", None, "1/0", float("inf")]
+
+
+def test_close_on_equal_leaves_keeps_the_parsed_verdicts():
+    """Equal p/q, "1/2" and "2/4", int and float, bool and int, NaN, and a
+    float against a p/q string: every verdict is the parsed one, but for
+    two equal infinities, which now agree (inf - inf is NaN to the parse)."""
+    nan = float("nan")
+    for a in LEAVES:
+        for b in LEAVES:
+            want = close_leaves_by_parsing(a, b, 1e-10)
+            assert _close(a, b, 1e-10) == (want or a == b == float("inf"))
+    assert _close("1/2", "2/4", 0.0) and _close(True, 1, 0.0)
+    assert not _close(nan, nan, 1e-10) and not _close([nan], [nan], 1e-10)
+    assert _close("-5/3", -1.6666666666666665, 1e-10)
+
+
 @pytest.mark.parametrize("ring, code", [("exact", 1), ("float", 0)])
 def test_reproduce_sees_an_exact_drift_below_tol(capsys, monkeypatch, ring,
                                                  code):
@@ -609,6 +638,10 @@ def test_failures_map_to_exit_codes(capsys, argv, code):
     (" ; ", "'' at row 1, column 1"),
     ("x", "'x' at row 1, column 1"),
     ("1;2,x", "'x' at row 2, column 2"),
+    ("1_0", "'1_0' at row 1, column 1"),
+    ("1,1/2_0", "'1/2_0' at row 1, column 2"),
+    ("1e999", "'1e999' at row 1, column 1"),
+    ("1;2,-1e999", "'-1e999' at row 2, column 2"),
 ])
 def test_malformed_metric_entry_is_named(capsys, metric, message):
     assert main(["metric", "analyze", "n28", "--metric", metric]) == 2

@@ -2,6 +2,7 @@ import functools
 import hashlib
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -392,8 +393,9 @@ def test_ricci_matches_besse_formula(key):
 def curvature_by_pairs(m, bracket_term=True):
     """Reference: R(e_i, e_j) one pair at a time, with two products
     N_i N_j and N_j N_i, the c^m_ij N_m term subtracted from every entry,
-    and one lowering by g per pair.  ``bracket_term=False`` drops the
-    c^m_ij N_m term, for the negative control."""
+    and one lowering by g per pair, every (k, l) kept.  ``bracket_term=False``
+    drops the c^m_ij N_m term, for the negative control.  riemann, ricci and
+    scal, as a CurvatureTensors has them."""
     algebra, g = m.algebra, m.metric
     n = algebra.dim
     nab, c = levi_civita(m).matrices, structure_constants(algebra)
@@ -422,7 +424,30 @@ def curvature_by_pairs(m, bracket_term=True):
     ginv = g.inverse
     scal = sum((ginv[j][k] * ricci[j][k] for j in range(n) for k in range(n)
                 if not is_zero(ricci[j][k])), zero)
-    return CurvatureTensors(riemann=riemann, ricci=ricci, scal=scal)
+    return SimpleNamespace(riemann=riemann, ricci=ricci, scal=scal)
+
+
+def riemann_by_blocks(m, bracket_term=True, swapped=False):
+    """Reference: R_ijkl = P[l][k] - P[k][l] - sum_m c^m_ij M_m[l][k] with
+    P = M_i N_j and M_i = g N_i, at i < j and k < l, on the scalars of the
+    connection, then in all four signs.  ``bracket_term=False`` drops the
+    c^m_ij M_m term and ``swapped=True`` takes P[k][l] - P[l][k], for the
+    negative controls."""
+    n = m.algebra.dim
+    nab, c = levi_civita(m).matrices, structure_constants(m.algebra)
+    low = [linalg.mat_mul(m.metric.matrix, ni) for ni in nab]
+    riemann = {}
+    for i, j in combinations(range(n), 2):
+        p = linalg.mat_mul(low[i], nab[j])
+        for k, l in combinations(range(n), 2):
+            x = p[k][l] - p[l][k] if swapped else p[l][k] - p[k][l]
+            if bracket_term:
+                x = x - sum(c[mm][i][j] * low[mm][l][k] for mm in range(n))
+            if not is_zero(x):
+                for key, y in (((i, j, k, l), x), ((j, i, l, k), x),
+                               ((j, i, k, l), -x), ((i, j, l, k), -x)):
+                    riemann[tuple(a + 1 for a in key)] = y
+    return riemann
 
 
 def typed(t):
@@ -442,16 +467,19 @@ def float_copy(m):
 @pytest.mark.parametrize("ring", ["exact", "float"])
 @pytest.mark.parametrize("key", BESSE_INPUTS)
 def test_batched_curvature_matches_pairs(key, ring):
-    """Exact tensors equal the pairs reference, types included, and so does
-    the float Riemann tensor.  Float Ricci is contracted directly, in its
-    own order of sums: it and scal are within 1e-13 max|Ric| of the exact
-    ring's values."""
+    """Exact tensors equal the pairs reference, types included.  Float
+    entries of Riemann are within 1e-13 max|R| of the exact ring's (1.4e-14
+    at worst, on n28_ext-dense; N_i N_j lowered by g strayed 8.6e-13 there),
+    and float Ricci and scal within 1e-13 max|Ric|."""
     m = besse_input(key)
     if ring == "exact":
         assert typed(curvature_tensors(m)) == typed(curvature_by_pairs(m))
         return
     exact, t = curvature_tensors(m), curvature_tensors(float_copy(m))
-    assert typed(t)[0] == typed(curvature_by_pairs(float_copy(m)))[0]
+    bound = 1e-13 * max(map(abs, exact.riemann.values()), default=0)
+    assert all(type(x) is float for x in t.riemann.values())
+    assert all(abs(t.riemann.get(ix, 0.0) - exact.riemann.get(ix, 0))
+               <= bound for ix in set(t.riemann) | set(exact.riemann))
     bound = 1e-13 * max(abs(x) for row in exact.ricci for x in row)
     got = [x for row in t.ricci for x in row] + [t.scal]
     want = [x for row in exact.ricci for x in row] + [exact.scal]
@@ -464,6 +492,32 @@ def test_batched_curvature_matches_pairs_on_polynomial_family():
     t = curvature_tensors(m)
     assert typed(t) == typed(curvature_by_pairs(m))
     assert all(type(x) is Polynomial for row in t.ricci for x in row)
+
+
+@pytest.mark.parametrize("key", BESSE_INPUTS + ["polynomial"])
+def test_koszul_rows_are_g_times_the_connection_and_antisymmetric(key):
+    """levi_civita's lowered rows over dk are M_i = g N_i, antisymmetric
+    exactly, in the rational and the polynomial ring."""
+    m = catalog.abelian_scaling_extension() if key == "polynomial" \
+        else besse_input(key)
+    coeffs, n = levi_civita(m), m.algebra.dim
+    for i, ni in enumerate(coeffs.matrices):
+        mi = [[linalg.over(x, coeffs.dk) for x in row]
+              for row in coeffs.lowered[i * n:(i + 1) * n]]
+        assert mi == [list(row) for row in linalg.mat_mul(m.metric.matrix, ni)]
+        assert all(mi[l][k] == -mi[k][l] for k in range(n) for l in range(n))
+
+
+@pytest.mark.parametrize("key", BESSE_INPUTS)
+def test_riemann_blocks_need_the_bracket_term_and_their_order(key):
+    """The block formula of ``lower`` gives the pairs reference's Riemann
+    tensor; negative controls: without the c^m_ij M_m term, or with
+    P[k][l] - P[l][k], it does not, on every non-flat input."""
+    m = besse_input(key)
+    want = curvature_by_pairs(m).riemann
+    assert riemann_by_blocks(m) == want == curvature_tensors(m).riemann
+    assert (riemann_by_blocks(m, bracket_term=False) == want) == (not want)
+    assert (riemann_by_blocks(m, swapped=True) == want) == (not want)
 
 
 def test_direct_ricci_needs_the_bracket_term(monkeypatch):
@@ -488,6 +542,7 @@ def test_pairs_reference_needs_the_bracket_term():
               catalog.n28_einstein_extension()):
         assert typed(curvature_by_pairs(m, bracket_term=False)) != \
             typed(curvature_tensors(m))
+        assert typed(curvature_by_pairs(m)) == typed(curvature_tensors(m))
 
 
 def count_mat_mul(monkeypatch):
@@ -510,9 +565,10 @@ def count_mat_mul(monkeypatch):
                                  "n28_ext-dense"])
 def test_curvature_makes_a_fixed_number_of_products(monkeypatch, key):
     # Ricci takes t times the side-by-side N_j and one contraction of the
-    # stacked N_x; the first read of riemann adds every N_i N_j in one
-    # product and one lowering of every R(e_i, e_j), in dimension 6 and 7
-    # alike, where the pairs took 3 C(n, 2)
+    # stacked N_x; the first read of riemann adds M_i times the N_j, j > i,
+    # side by side: n - 1 products of C(n, 2) n x n blocks in all, and no
+    # lowering by g, in dimension 6 and 7 alike, where the pairs took
+    # 3 C(n, 2) products
     m = besse_input(key)
     calls = count_mat_mul(monkeypatch)
     t = curvature_tensors(m)
@@ -522,15 +578,16 @@ def test_curvature_makes_a_fixed_number_of_products(monkeypatch, key):
     ricci = [(1, n, n * n), (n, n * n, n)]
     assert calls == koszul + ricci
     riemann = t.riemann
-    assert calls[4:] == [(n * n, n, n * n), (n, n, n * n * (n - 1) // 2)]
-    assert t.riemann is riemann and len(calls) == 6
+    assert calls[4:] == [(n, n, (n - 1 - i) * n) for i in range(n - 1)]
+    assert sum(cols for _, _, cols in calls[4:]) == n * n * (n - 1) // 2
+    assert t.riemann is riemann and len(calls) == 4 + n - 1
 
 
 def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
-    """metric analyze reads Ricci only: no 90-row L, no N_i N_j (the
-    (n^2, n, n^2) product) and no lowering of the R(e_i, e_j), the product
-    by g with n C(n, 2) columns; g2 analyze makes each once, for
-    star-Ricci."""
+    """metric analyze reads Ricci only: no 90-row L and no block products
+    M_i N_j (n - 1 products (n, n, (n - 1 - i) n) in a row); g2 analyze
+    makes the blocks once, for star-Ricci.  Neither lowers an R(e_i, e_j),
+    a product by g with n C(n, 2) columns."""
     built = []
     init = linalg.Sparse.__init__
 
@@ -546,14 +603,16 @@ def test_metric_analyze_builds_no_dense_map_and_no_riemann(monkeypatch):
                 if a == b and b > 1 and cols == b * b * (b - 1) // 2]
 
     def block_products():
-        return [b for a, b, cols in calls if a == cols == b * b and b > 1]
+        return [b for p, (a, b, cols) in enumerate(calls)
+                if a == b > 1 and cols == (b - 1) * b and calls[p:p + b - 1]
+                == [(b, b, (b - 1 - i) * b) for i in range(b - 1)]]
     for ring in ("exact", "float"):
         for name in ("n28", "n24", "n34"):
             assert main(["--ring", ring, "metric", "analyze", name]) in (0, 1)
     assert 90 not in built and not lowerings() and not block_products()
     phi = render_form(catalog.n28_ext_g2_form())
     assert main(["g2", "analyze", "n28_ext", "--phi", phi]) == 0
-    assert 90 not in built and lowerings() == [7] and block_products() == [7]
+    assert 90 not in built and not lowerings() and block_products() == [7]
 
 
 def test_nilpotency_takes_one_product_per_step(monkeypatch):
@@ -752,17 +811,19 @@ def test_dense_twist_exact_outputs_are_pinned(scale):
 
 
 def star_ricci_by_fractions(m, phi):
-    """Reference: rho*_{sm} = R_{ijkl} phi^{ij}_s phi^{kl}_m in star_ricci's
-    loop order, summed on the scalars as they come from Fraction(0):
-    Fractions in the exact ring, floats in the float ring."""
+    """Reference: rho*_{sm} = 4 R_{ijkl} phi^{ij}_s phi^{kl}_m over i < j
+    and k < l, in star_ricci's loop order, summed on the scalars as they
+    come from Fraction(0): Fractions in the exact ring, floats in the float
+    ring."""
     up = {}
     for t in range(1, 8):
         raised = pullback(contract_basis(t, phi), m.metric.minors)
-        for (i, j), c in raised.coeffs.items():
-            up.setdefault((i, j), {})[t] = c
-            up.setdefault((j, i), {})[t] = -c
+        for ij, c in raised.coeffs.items():
+            up.setdefault(ij, {})[t] = c
     contracted = {}
     for (i, j, k, l), r in curvature_tensors(m).riemann.items():
+        if i > j or k > l:
+            continue
         for s, c in up.get((i, j), {}).items():
             row = contracted.setdefault((k, l), {})
             row[s] = row.get(s, Fraction(0)) + r * c
@@ -771,7 +832,7 @@ def star_ricci_by_fractions(m, phi):
         for mm, c2 in up.get(kl, {}).items():
             for s, c1 in row.items():
                 rows[s - 1][mm - 1] = rows[s - 1][mm - 1] + c1 * c2
-    return tuple(tuple(row) for row in rows)
+    return tuple(tuple(4 * x for x in row) for row in rows)
 
 
 def bits(x):
@@ -785,8 +846,8 @@ def bits(x):
 def test_star_ricci_on_integers_matches_the_fraction_contraction(scale, ring):
     """The integer contraction over dr du^2 gives the Fractions of the
     reference in the exact ring and its bits in the float ring.  The
-    Riemann denominator dr is 4, 16 and 4; the raised phi's du is 1, 1
-    and 3."""
+    Riemann denominator dr is 32, 512 and 288 (dc dk dn); the raised phi's
+    du is 1, 1 and 3."""
     algebra, phi = dense_twist(scale)
     if ring == "float":
         algebra, phi = to_float_algebra(algebra), phi.to_float()
@@ -815,8 +876,11 @@ def test_star_ricci_reads_the_riemann_sums_over_their_denominator(ring):
     assert den == 4 if ring == "float" else den > 1
     assert {type(x) for x in sums.values()} == \
         ({int} if ring == "exact" else {float})
-    view = CurvatureTensors(tensors.riemann, tensors.ricci, tensors.scal)
-    assert view.lowered == (1, tensors.riemann)
+    half = {(i, j, k, l): r for (i, j, k, l), r in tensors.riemann.items()
+            if i < j and k < l}
+    assert len(half) == len(sums) and 4 * len(half) == len(tensors.riemann)
+    view = CurvatureTensors(lambda: (1, half), tensors.ricci, tensors.scal)
+    assert view.riemann == tensors.riemann
     want = star_ricci(m, phi, s, tensors=view).matrix
     assert [[bits(x) for x in row] for row in got] == \
         [[bits(x) for x in row] for row in want]
