@@ -2,8 +2,8 @@
 
 The six-dimensional nilpotent algebras are the 24 that carry a half-flat
 reduction; they ship as structure-equation text.  Two rank-one solvable
-extensions and a distinguished non-integer frame on n9 are built
-programmatically.
+extensions are built programmatically, and the nilsoliton metric of n9 is
+kept as data, a rational diagonal metric on the catalog n9.
 """
 from __future__ import annotations
 
@@ -48,14 +48,16 @@ NILPOTENT6: Dict[str, str] = {
 
 TABLE_ORDER: Tuple[str, ...] = tuple(NILPOTENT6)
 
+# the diagonal of g0, the nilsoliton metric of n9, unique up to automorphism
+# and scale (Lauret, Math. Ann. 319, 2001): Ric = -5/2 g0 + D, D a derivation
+N9_SOLITON_METRIC = tuple(Fraction(x) for x in "1 1 5/4 5/4 5/4 25/16".split())
+
 
 @functools.lru_cache(maxsize=None)
 def algebra(name: str) -> LieAlgebra:
     """The catalog algebra by name: one shared instance, built on first use."""
     if name in NILPOTENT6:
         return parse_structure_equations(NILPOTENT6[name], name=name)
-    if name == "n9_nilsoliton":
-        return n9_nilsoliton_frame()
     if name == "n28_ext":
         return n28_einstein_extension().algebra
     if name == "abelian_ext":
@@ -64,15 +66,14 @@ def algebra(name: str) -> LieAlgebra:
 
 
 def names() -> List[str]:
-    return list(TABLE_ORDER) + ["n9_nilsoliton", "n28_ext", "abelian_ext"]
+    return list(TABLE_ORDER) + ["n28_ext", "abelian_ext"]
 
 
 def n9_nilsoliton_frame() -> LieAlgebra:
-    """n9 rewritten in the orthonormal frame whose metric is a Ricci soliton.
-
-    Structure equations (0,0,0,(sqrt5/2)e12, e14-e23, (sqrt5/2)e15+e34);
-    the irrational constants put this entry in the float ring.
-    """
+    """n9 in floats in the coframe diag(sqrt g0) e, orthonormal for g0 =
+    ``N9_SOLITON_METRIC``: (0,0,0,(sqrt5/2)e12, e14-e23, (sqrt5/2)e15+e34).
+    Kept for the benchmark only, which builds a sampler on it; ROADMAP.md
+    item 1 deletes it."""
     s = math.sqrt(5.0) / 2.0
     z = KForm.zero(6, 2)
     d4 = KForm(6, 2, {(1, 2): s})

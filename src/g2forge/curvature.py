@@ -154,8 +154,7 @@ def einstein_constant(m: MetricLieAlgebra,
     # candidate from the first diagonal entry
     lam = tensors.ricci[0][0] / g.matrix[0][0]
     c = [f.coeffs.values() for f in m.algebra.d_coframe]
-    bound = scaled(tol, g.matrix, g.inverse, c, c) \
-        if isinstance(lam, float) else 0.0
+    bound = scaled(tol, g.matrix, g.inverse, c, c)
     for i in range(n):
         for j in range(n):
             if not is_zero(tensors.ricci[i][j] - lam * g.matrix[i][j], bound):

@@ -227,22 +227,19 @@ class Vector:
                               for j in range(1, dim + 1)))
 
 
-def magnitude(*parts) -> float:
-    """Largest |c| over the nonzero numeric coefficients of forms and the
-    entries of matrices; 0.0 when there are none."""
-    return max((abs(x) for p in parts
-                for x in (p.coeffs.values() if isinstance(p, KForm)
-                          else (y for row in p for y in row))
-                if x and isinstance(x, (float, Fraction))), default=0.0)
-
-
 def scaled(tol: float, *factors) -> float:
-    """tol times the product of the factors' magnitudes, with no floor: the
-    one rule of every float zero test (exact ones ignore tol).  Float
-    rounding grows with the size of the terms a residual sums, so a test of
-    a product of forms, or of d of a form, scales by each factor, and does
-    not change with the scale of the forms."""
-    return tol * math.prod(magnitude(f) for f in factors)
+    """tol times the product of the factors' magnitudes (largest |c| over
+    the nonzero numeric entries of a form or matrix), with no floor: the one
+    rule of every float zero test.  Float rounding grows with the size of
+    the terms a residual sums, so a test of a product of forms, or of d of a
+    form, scales by each factor.  With no float among the factors the test
+    is exact and the bound 0.0, read off no Fraction's size."""
+    numbers = [[x for x in (f.coeffs.values() if isinstance(f, KForm)
+                            else (y for row in f for y in row))
+                if x and isinstance(x, (float, Fraction))] for f in factors]
+    if not any(isinstance(x, float) for xs in numbers for x in xs):
+        return 0.0
+    return tol * math.prod(max(map(abs, xs), default=0.0) for xs in numbers)
 
 
 class InnerProduct:

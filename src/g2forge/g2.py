@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
@@ -19,7 +18,7 @@ from .curvature import CurvatureTensors, curvature_tensors
 from .exterior import (InnerProduct, KForm, Orientation, Vector,
                        basis_indices, codifferential, complement_sign,
                        contract, contract_basis, form_inner, hodge_star,
-                       magnitude, pullback, scaled, wedge)
+                       pullback, scaled, wedge)
 from .liealg import LieAlgebra, MetricLieAlgebra, restrict
 from .scalars import Polynomial, Scalar, is_zero
 from .stable_forms import StablePair, coupling_constant
@@ -59,12 +58,6 @@ class G2Structure:
     volume: Orientation
     star_phi: KForm
     orientation_sign: int = 1
-
-    @cached_property
-    def kappa(self) -> float:
-        """max|g| max|g^-1|: float rounding grows by it in the projections
-        and stars of the type decomposition, and phi -> c^3 phi keeps it."""
-        return magnitude(self.metric.matrix) * magnitude(self.metric.inverse)
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def metric_from_phi(phi: KForm) -> G2Structure:
     # dense B may have |det B| far below max|B|^7); the eigenvalues in the
     # positivity test decide near-degenerate forms.  Exact tests ignore the
     # 1e-12; a float det B or bound past the float range decides nothing.
-    b_tol = scaled(1e-12, b) if isinstance(det_b, float) else 0.0
+    b_tol = scaled(1e-12, b)
     det_tol = math.prod([b_tol] * 7)
     if isinstance(det_b, float) and not math.isfinite(det_b + det_tol):
         raise OverflowError("det B of phi is past the float range")
@@ -172,10 +165,12 @@ def _type_relation(a: KForm, rest: KForm, forms: Tuple[KForm, ...],
                    s: G2Structure, tol: float, name: str) -> KForm:
     """``rest``, what is left of a after its other parts, once it wedges to
     zero with each of ``forms`` within scaled(tol, g, g^-1, a, form) =
-    kappa tol max|a| max|form| (see ``G2Structure.kappa``).  The bound
-    reads a and form, not the wedge: its true value is 0, and a bound from
-    it collapses to rounding size on input of pure type."""
-    if not all(wedge(rest, f).is_zero(scaled(tol * s.kappa, a, f))
+    kappa tol max|a| max|form|.  kappa = max|g| max|g^-1|, by which float
+    rounding grows in the projections and stars, is kept by phi -> c^3 phi.
+    The bound reads a and form, not the wedge: its true value is 0, and a
+    bound from it collapses to rounding size on input of pure type."""
+    g = s.metric
+    if not all(wedge(rest, f).is_zero(scaled(tol, g.matrix, g.inverse, a, f))
                for f in forms):
         raise TorsionInconsistencyError(
             "%s-part failed its defining relation" % name)
@@ -253,9 +248,14 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
     star_dstar = hodge_star(dstar, g, orient)
     parts3, tau0, x3 = three_form_components(star_dphi, s, tol)
     parts2, x2 = two_form_components(star_dstar, s, tol)
-    kappa_tol = tol * s.kappa
-    t3 = kappa_tol * magnitude(star_dphi, *parts3.values())
-    t2 = kappa_tol * magnitude(star_dstar, *parts2.values())
+
+    def bound(*forms: KForm) -> float:
+        # kappa tol times the largest coefficient among the forms
+        return scaled(tol, g.matrix, g.inverse,
+                      [f.coeffs.values() for f in forms])
+
+    t3 = bound(star_dphi, *parts3.values())
+    t2 = bound(star_dstar, *parts2.values())
     # the 7-part of *d phi is -3 i(tau1#) *phi = -3/4 i(X2) *phi
     agree = parts3["7"] + Fraction(3, 4) * contract(x2, star_phi)
     if not agree.is_zero(t3):
@@ -265,8 +265,7 @@ def torsion_forms(algebra: LieAlgebra, phi: KForm,
                         / 3 for i, row in enumerate(g.matrix, 1)})
     tau2 = -s.orientation_sign * parts2["14"]
     terms5 = (4 * wedge(tau1, star_phi), wedge(tau2, phi))
-    if not (terms5[0] + terms5[1] - dstar).is_zero(
-            kappa_tol * magnitude(dstar, *terms5)):
+    if not (terms5[0] + terms5[1] - dstar).is_zero(bound(dstar, *terms5)):
         raise TorsionInconsistencyError("torsion reconstruction failed")
     z0, z1, z3 = (parts3[k].is_zero(t3) for k in ("1", "7", "27"))
     z2 = parts2["14"].is_zero(t2)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, scalars
 from .exterior import (DimensionMismatchError, Index, InnerProduct, KForm,
-                       magnitude, merge_table, render_form, scaled)
+                       merge_table, render_form, scaled)
 from .scalars import Polynomial, Scalar, is_zero
 
 
@@ -79,7 +79,9 @@ class LieAlgebra:
         the terms c e^ab of de^k, of |c| (max|de^a| + max|de^b|): the size
         of the products d^2 e^k sums."""
         float_ring = self.is_float_ring()   # exact zero tests ignore tol
-        sizes = [magnitude(f) for f in self.d_coframe] if float_ring else ()
+        sizes = [max((abs(c) for c in f.coeffs.values()
+                      if not isinstance(c, Polynomial)), default=0.0)
+                 for f in self.d_coframe] if float_ring else ()
         for k, f in enumerate(self.d_coframe, start=1):
             bound = tol * sum(abs(c) * (sizes[a - 1] + sizes[b - 1])
                               for (a, b), c in f.coeffs.items()

@@ -146,12 +146,12 @@ def suite_coupled_n28(ring: str = "exact", tol: float = 1e-10) -> Dict[str, Any]
     }
 
 
-def suite_coupled_n9(tol: float = 1e-10) -> Dict[str, Any]:
+def suite_coupled_n9(ring: str, tol: float) -> Dict[str, Any]:
     omega, sigma = catalog.n9_coupled_pair()
     su3, pair = analyze_su3(catalog.algebra("n9"), omega, sigma, tol)
-    frame = catalog.algebra("n9_nilsoliton")
-    soliton = analyze_metric(frame, InnerProduct.euclidean(frame.dim),
-                             max(tol, 1e-8))
+    soliton = analyze_metric(
+        to_ring(catalog.algebra("n9"), ring),
+        to_ring(InnerProduct.diagonal(catalog.N9_SOLITON_METRIC), ring), tol)
     return {
         "lambda": float(su3["lambda"]),
         "lambda_expected": -225.0 / 64.0,
@@ -226,7 +226,7 @@ def compute_suite(name: str, ring: str = "exact", tol: float = 1e-10,
     if name == "coupled_n28":
         return suite_coupled_n28(ring=ring, tol=tol)
     if name == "coupled_n9":
-        return suite_coupled_n9(tol=max(tol, 1e-10))
+        return suite_coupled_n9(ring, max(tol, 1e-10))
     if name == "einstein_extension":
         return suite_einstein_extension(ring=ring, tol=tol)
     if name == "lcp_extension":

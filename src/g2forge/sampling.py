@@ -3,24 +3,23 @@ six-dimensional algebra.
 
 The generic 2-form is parametrized by the 15 coefficients b_1..b_15 in
 lexicographic pair order.  K, omega ^ sigma and the Pfaffian of omega are
-read once per process off the exact code (``k_endomorphism``, ``wedge``,
-``omega_cubed``) at the generic forms, into numpy tables that do not depend
-on the algebra; each sampler contracts them with its own matrix of d on
+read once per process off the exact index tables (``stable_forms._k_table``
+and ``exterior.merge_sign``), into numpy tables that do not depend on the
+algebra; each sampler contracts them with its own matrix of d on
 2-forms, so the samplers can evaluate lambda, J and h in microseconds.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import scalars
-from .exterior import KForm, wedge
+from .exterior import KForm, merge_sign
 from .liealg import LieAlgebra
-from .scalars import Polynomial
-from .stable_forms import k_endomorphism, omega_cubed
+from .stable_forms import _k_table
 
 PAIRS: List[Tuple[int, int]] = list(combinations(range(1, 7), 2))
 TRIPLES: List[Tuple[int, int, int]] = list(combinations(range(1, 7), 3))
@@ -32,46 +31,35 @@ PAIR_ROW = np.array([p - 1 for p, _ in PAIRS])
 PAIR_COL = np.array([q - 1 for _, q in PAIRS])
 
 
-def generic_form(degree: int, prefix: str) -> KForm:
-    """The 6-dimensional form with symbolic coefficients prefix1, prefix2,
-    ... in lexicographic index order: generic_form(2, "b") is
-    b1 e^12 + b2 e^13 + ... + b15 e^56."""
-    return KForm(6, degree, {
-        idx: Polynomial.variable("%s%d" % (prefix, i))
-        for i, idx in enumerate(combinations(range(1, 7), degree), start=1)})
-
-
-def _terms(p):
-    """(0-based positions of its variables, coefficient) for each term of a
-    polynomial in the coefficients of ``generic_form``; a square lists its
-    variable twice, and the exact zero, a Fraction, has no terms."""
-    for mono, coeff in getattr(p, "terms", {}).items():
-        yield (tuple(int(v[1:]) - 1 for v, e in mono for _ in range(e)),
-               float(coeff))
-
-
 @lru_cache(maxsize=None)
 def _tables():
-    """The exact K, omega ^ sigma and Pfaffian at the generic omega =
-    sum b_p e^(pair p) and sigma = sum s_a e^(triple a), as numpy tables:
-    K[m, j] = sum k[m, j, a, b] s_a s_b, with each monomial once;
+    """K, omega ^ sigma and the Pfaffian at the generic omega =
+    sum b_p e^(pair p) and sigma = sum s_a e^(triple a), as numpy tables
+    read off the exact index tables (``_k_table`` and ``merge_sign``):
+    K[m, j] = sum k[m, j, a, b] s_a s_b over a < b, each monomial once;
     (omega ^ sigma) on e^(complement of m) = sum u[m, p, a] b_p s_a;
-    Pf(omega) = sum_i sign[i] prod b[index[i]], over the 15 matchings."""
-    omega, sigma = generic_form(2, "b"), generic_form(3, "s")
+    Pf(omega) = sum_i sign[i] prod b[index[i]], over the 15 matchings
+    p < q < r in pair order."""
     k = np.zeros((6, 6, len(TRIPLES), len(TRIPLES)))
-    for m, row in enumerate(k_endomorphism(sigma)):
-        for j, entry in enumerate(row):
-            for pos, coeff in _terms(entry):
-                k[(m, j) + pos] = coeff
+    for a, b, entries in _k_table():
+        for mj, coeff in entries:
+            k[divmod(mj, 6) + (_TRIP_POS[a], _TRIP_POS[b])] = coeff
     u = np.zeros((6, len(PAIRS), len(TRIPLES)))
-    for idx, entry in wedge(omega, sigma).items():
-        (missing,) = set(range(1, 7)) - set(idx)
-        for pos, coeff in _terms(entry):
-            u[(missing - 1,) + pos] = coeff
-    # omega^3 = 3! Pf(omega) e^123456
-    pf = sorted(_terms(omega_cubed(omega)[tuple(range(1, 7))]))
-    index = np.array([pos for pos, _ in pf])
-    sign = np.array([coeff / 6 for _, coeff in pf])
+    for (p, pair), (a, triple) in product(enumerate(PAIRS),
+                                          enumerate(TRIPLES)):
+        sign, merged = merge_sign(pair, triple)
+        if sign:
+            (missing,) = set(range(1, 7)) - set(merged)
+            u[missing - 1, p, a] = sign
+    matchings = []
+    for pqr in combinations(range(len(PAIRS)), 3):
+        first, merged = merge_sign(PAIRS[pqr[0]], PAIRS[pqr[1]])
+        if first:
+            last, _ = merge_sign(merged, PAIRS[pqr[2]])
+            if last:
+                matchings.append((pqr, first * last))
+    index = np.array([pqr for pqr, _ in matchings])
+    sign = np.array([float(x) for _, x in matchings])
     return k, u, index, sign
 
 

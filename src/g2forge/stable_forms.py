@@ -201,15 +201,20 @@ class SU3Verdict:
 
 def coupling_constant(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                       tol: float = 1e-10) -> Optional[Scalar]:
-    """The unique nonzero c with d(omega) = c * sigma, if it exists."""
+    """The unique nonzero c with d(omega) = c * sigma, if it exists.  A
+    float d(omega) is zero within tol max|a| max|omega|, a the structure
+    constants; d(omega) - c sigma within tol times its larger term."""
     domega = algebra.d(omega)
-    if domega.is_zero(scaled(tol, omega)) or sigma.is_zero():
+    consts = [f.coeffs.values() for f in algebra.d_coframe]
+    if domega.is_zero(scaled(tol, consts, omega)) or sigma.is_zero():
         return None
     # pivot on the largest float coefficient of sigma, or on any exact one
     pivot_idx = max(sigma.coeffs, key=lambda idx: abs(sigma.coeffs[idx])
                     if isinstance(sigma.coeffs[idx], float) else 0.0)
     c_val = domega.coeffs.get(pivot_idx, Fraction(0)) / sigma.coeffs[pivot_idx]
-    if (domega - c_val * sigma).is_zero(scaled(tol, domega)):
+    c_sigma = c_val * sigma
+    if (domega - c_sigma).is_zero(scaled(tol, [domega.coeffs.values(),
+                                               c_sigma.coeffs.values()])):
         return c_val
     return None
 
@@ -226,9 +231,10 @@ def su3_predicates(algebra: LieAlgebra, omega: KForm, sigma: KForm,
                 scaled(tol, omega, omega, omega)):
         pair = _pair_structure(omega, sigma, k, lam, tol)
     c_val = coupling_constant(algebra, omega, sigma, tol=tol)
+    consts = [f.coeffs.values() for f in algebra.d_coframe]
     half_flat = algebra.d(wedge(omega, omega)).is_zero(
-        scaled(tol, omega, omega)) and \
-        algebra.d(sigma).is_zero(scaled(tol, sigma))
+        scaled(tol, consts, omega, omega)) and \
+        algebra.d(sigma).is_zero(scaled(tol, consts, sigma))
     if c_val is not None and not half_flat:
         raise RuntimeError("coupled structure failed to be half-flat; "
                            "differential conventions are inconsistent")

@@ -11,15 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import catalog
+from .exterior import KForm
 from .liealg import LieAlgebra, render_structure_equations
-from .sampling import PAIR_COL, PAIR_ROW, StableFormSampler, generic_form
+from .sampling import PAIR_COL, PAIR_ROW, StableFormSampler
 from .scalars import Polynomial, _mono_div, poly_sqrt
 from .stable_forms import lambda_invariant
 
@@ -56,6 +57,15 @@ class SurveyRow:
     lambda_poly: Polynomial
     sign_class: str
     certificate: Certificate
+
+
+def generic_form(degree: int, prefix: str) -> KForm:
+    """The 6-dimensional form with symbolic coefficients prefix1, prefix2,
+    ... in lexicographic index order: generic_form(2, "b") is
+    b1 e^12 + b2 e^13 + ... + b15 e^56."""
+    return KForm(6, degree, {
+        idx: Polynomial.variable("%s%d" % (prefix, i))
+        for i, idx in enumerate(combinations(range(1, 7), degree), start=1)})
 
 
 def generic_lambda(algebra: LieAlgebra) -> Polynomial:
@@ -321,7 +331,6 @@ class InfeasibilityReport:
     best_lambda: float
     best_objective: float
     best_objective_lambda: float
-    best_point: Tuple[float, ...] = field(repr=False, default=())
     starts_detail: Tuple[SearchStart, ...] = field(repr=False, default=())
 
 
@@ -329,21 +338,20 @@ class InfeasibilityReport:
 _Terms = Callable[[np.ndarray], Tuple[float, np.ndarray, float, float]]
 
 
-def _isotropy_terms(sampler: StableFormSampler,
-                    target: Optional[np.ndarray] = None) -> _Terms:
+def _isotropy_terms(sampler: StableFormSampler, target: np.ndarray
+                    ) -> _Terms:
     """The n9 search objective at b, as (value, gradient, lambda, residual).
 
     sigma = d(omega_b) gives K, lambda = tr K^2 / 6, J = eps K / sqrt(-lambda)
     with eps the orientation sign (locally constant) and h = J^T omega_b.
-    With t the projection of sym(h) on the symmetric ``target`` (the
-    identity unless a control sets it), the constraint residual is
+    With t the projection of sym(h) on the symmetric ``target``, the
+    constraint residual is
     |sym(h) - t target|^2 + |h - h^T|^2 + |omega ^ sigma|^2 + max(0, -t)^2
     and the value adds (lambda + 1)^2.  Off the admissible branch,
     lambda >= -1e-14, the value is 1e3 + lambda^2 and the residual inf.
     The gradient is exact, each stage above differentiated in turn.
     """
-    shape = np.eye(6) if target is None else np.asarray(target, dtype=float)
-    unit = shape / float(np.sum(shape * shape))        # dt/dh
+    unit = target / float(np.sum(target * target))     # dt/dh
 
     def terms(b: np.ndarray):
         dk = sampler.k_b_tensor @ b                     # dK/db, 6 x 6 x 15
@@ -359,7 +367,7 @@ def _isotropy_terms(sampler: StableFormSampler,
         h = j.T @ om
         hs = 0.5 * (h + h.T)
         t = float(np.sum(hs * unit))
-        iso = hs - t * shape
+        iso = hs - t * target
         skew = h - h.T
         v, dv = sampler.compat(b)
         neg_t = max(0.0, -t)
@@ -399,7 +407,6 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
     detail = []
     best_resid, best_lambda = math.inf, math.nan
     best_obj, best_obj_lambda = math.inf, math.nan
-    best_point: Tuple[float, ...] = ()
     feasible = False
     for x0 in x0s:
         res = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
@@ -413,7 +420,6 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
             continue
         if resid < best_resid:
             best_resid, best_lambda = resid, lam
-            best_point = tuple(float(z) for z in res.x)
         if resid <= N9_RESIDUAL_TOL:
             feasible = True
             if claimed:
@@ -425,17 +431,16 @@ def _isotropy_search(terms: _Terms, x0s: Sequence[np.ndarray], seed: int,
         starts=len(detail), seed=seed, claimed=claimed,
         feasible_found=feasible, best_residual=best_resid,
         best_lambda=best_lambda, best_objective=best_obj,
-        best_objective_lambda=best_obj_lambda, best_point=best_point,
-        starts_detail=tuple(detail))
+        best_objective_lambda=best_obj_lambda, starts_detail=tuple(detail))
 
 
 def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
                                      frame: str = "nilsoliton"
                                      ) -> InfeasibilityReport:
-    """Multi-start search for a coupled pair inducing a multiple of the
-    identity on the distinguished n9 frame.
+    """Multi-start search for a coupled pair on n9 inducing a multiple of
+    the nilsoliton metric g0 (``catalog.N9_SOLITON_METRIC``).
 
-    The constraint system is {lambda(sigma) < 0, h = t I with t > 0,
+    The constraint system is {lambda(sigma) < 0, h = t g0 with t > 0,
     omega ^ sigma = 0, h symmetric}; lambda is normalized to -1 by a
     penalty.  Each start is one L-BFGS-B run on the squared residuals
     with their exact gradient (``_isotropy_terms``), from a point drawn
@@ -443,22 +448,23 @@ def n9_nilsoliton_obstruction_sample(starts: int, seed: int,
     residual is at most ``N9_RESIDUAL_TOL`` (1e-9) and its lambda at most
     ``N9_LAMBDA_CUT`` (-1e-6), fixed constants that --tol does not reach;
     ``best_residual`` is the least residual among end points below the
-    cut.  On the soliton frame no feasible point may
-    appear (that would contradict the classification): feasibility in any
-    start raises ObstructionFailure.  With frame="standard" the same
-    search runs as an uncontrolled experiment and only reports what it
-    finds.  200 starts take about 1 s on one x86-64 core.
+    cut.  g0 is the nilsoliton metric of n9 up to automorphism and scale,
+    so no feasible point may appear (that would contradict the
+    classification): feasibility in any start raises ObstructionFailure.
+    With frame="standard" the target is the identity, and the same search
+    runs as an uncontrolled experiment that only reports what it finds.
+    200 starts take under 1 s on one x86-64 core.
     """
     if frame == "nilsoliton":
-        algebra = catalog.algebra("n9_nilsoliton")
-        claimed = True
+        target, claimed = np.diag(
+            [float(x) for x in catalog.N9_SOLITON_METRIC]), True
     elif frame == "standard":
-        algebra = catalog.algebra("n9")
-        claimed = False
+        target, claimed = np.eye(6), False
     else:
         raise ValueError("frame must be 'nilsoliton' or 'standard'")
-    sampler = StableFormSampler(algebra)
+    sampler = StableFormSampler(catalog.algebra("n9"))
     rng = Random(seed)
     x0s = [np.array([rng.uniform(-1.5, 1.5) for _ in range(15)])
            for _ in range(starts)]
-    return _isotropy_search(_isotropy_terms(sampler), x0s, seed, claimed)
+    return _isotropy_search(_isotropy_terms(sampler, target), x0s, seed,
+                            claimed)

@@ -370,5 +370,5 @@ def test_criterion_12b_isotropy_infeasibility():
     assert rep.starts == 200
     assert not rep.feasible_found
     assert rep.best_residual > 1e-9
-    report(12, "200 seeded starts: no coupled point with h = t id and "
+    report(12, "200 seeded starts: no coupled point with h = t g0 and "
                "lambda <= -1e-6 (best residual %.2e)" % rep.best_residual)

@@ -176,6 +176,18 @@ def test_obstruction_n4(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("seed", ["1", "23"])
+def test_obstruction_n9_finds_no_pair_inducing_the_soliton_metric(capsys,
+                                                                  seed):
+    code, out = run_cli(capsys, "obstruction", "n9", "--trials", "200",
+                        "--seed", seed, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["frame"] == "nilsoliton"
+    assert report["results"]["feasible_found"] is False
+    assert report["passed"] is True and len(report["checks"]) == 1
+
+
 def test_obstruction_n9_json_reports_each_start(capsys):
     code, out = run_cli(capsys, "obstruction", "n9", "--trials", "6",
                         "--seed", "1", "--format", "json")
@@ -191,7 +203,7 @@ def test_obstruction_n9_json_reports_each_start(capsys):
     assert results["best_objective"] is not None
 
 
-def _planted_infeasibility(sampler, target=None):
+def _planted_infeasibility(sampler, target):
     # every point is feasible: lambda = -1 and a zero residual
     return lambda b: (0.0, np.zeros(15), -1.0, 0.0)
 

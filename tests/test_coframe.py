@@ -8,6 +8,7 @@ tau0, the norms |tau_i|^2, the scalar curvature and the star-Ricci trace
 are invariants and must not change.
 """
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -55,13 +56,15 @@ P_DENSE_SHEAR = linalg.mat_mul(linalg.mat(P_DENSE), linalg.mat(P_SHEAR))
 
 
 class Coframe:
-    """The change of coframe f = P e for an integer P with det P = 1."""
+    """The change of coframe f = P e, for an integer P with det P = 1 or a
+    float P."""
 
     def __init__(self, p):
         self.p = linalg.mat(p)
-        assert linalg.det(self.p) == 1
         self.q = linalg.inverse(self.p)
-        assert all(x.denominator == 1 for row in self.q for x in row)
+        if not any(isinstance(x, float) for row in self.p for x in row):
+            assert linalg.det(self.p) == 1
+            assert all(x.denominator == 1 for row in self.q for x in row)
         n = len(p)
         # e^j written on the new coframe
         self.old_on_new = [KForm(n, 1, {(i + 1,): self.q[j][i]
@@ -87,6 +90,29 @@ class Coframe:
                 de = de + self.p[i][j] * alg.d_coframe[j]
             forms.append(self.form(de))
         return LieAlgebra(n, forms)
+
+
+def soliton_coframe(metric):
+    """theta = diag(sqrt g) e, orthonormal for the diagonal metric g."""
+    return Coframe([[math.sqrt(x) if i == j else 0.0 for j in range(6)]
+                    for i, x in enumerate(metric)])
+
+
+def test_the_float_n9_frame_is_n9_in_the_soliton_coframe():
+    """The benchmark's catalog.n9_nilsoliton_frame is the catalog n9
+    written in the g0-orthonormal coframe: h = t I on the frame is h = t g0
+    on n9."""
+    n9, frame = catalog.algebra("n9"), catalog.n9_nilsoliton_frame()
+
+    def distance(metric):
+        rewritten = soliton_coframe(metric).algebra(n9)
+        return max((abs(c) for a, b in zip(rewritten.d_coframe,
+                                           frame.d_coframe)
+                    for c in (a - b).coeffs.values()), default=0.0)
+
+    assert distance(catalog.N9_SOLITON_METRIC) <= 1e-15
+    # negative control: the orthonormal coframe of the identity is n9 itself
+    assert distance([1] * 6) > 0.1
 
 
 def twisted_n28_pair():

@@ -295,6 +295,29 @@ def test_nilsoliton_n9_soliton_frame():
     assert is_derivation(m.algebra, w.derivation)
 
 
+def test_n9_soliton_metric_has_the_exact_witness():
+    """g0 = diag(1, 1, 5/4, 5/4, 5/4, 25/16) on the catalog n9: Ric = c g0 + D
+    exactly, c = -5/2 and D = diag(3/4, 11/8, 3/2, 17/8, 23/8, 29/8); the
+    float ring finds the witness at the default tol."""
+    n9 = catalog.algebra("n9")
+    g0 = InnerProduct.diagonal(catalog.N9_SOLITON_METRIC)
+    w = nilsoliton_check(MetricLieAlgebra(n9, g0))
+    d = [Fraction(x) for x in "3/4 11/8 3/2 17/8 23/8 29/8".split()]
+    assert w.constant == Fraction(-5, 2)
+    assert w.derivation == tuple(tuple(d[i] if i == j else 0
+                                       for j in range(6)) for i in range(6))
+    assert is_derivation(n9, w.derivation)
+    wf = nilsoliton_check(MetricLieAlgebra(to_float_algebra(n9),
+                                           g0.to_float()), tol=1e-10)
+    assert abs(wf.constant + 2.5) <= 1e-12
+    # negative control: 25/16 -> 3/2 has no witness, in either ring
+    bent = InnerProduct.diagonal(catalog.N9_SOLITON_METRIC[:5]
+                                 + (Fraction(3, 2),))
+    assert nilsoliton_check(MetricLieAlgebra(n9, bent)) is None
+    assert nilsoliton_check(MetricLieAlgebra(to_float_algebra(n9),
+                                             bent.to_float())) is None
+
+
 def test_nilsoliton_standard_n9_frame_has_no_witness():
     # the identity product in the plain frame is not a soliton
     m = euclidean("n9")

@@ -532,3 +532,25 @@ def test_render_roundtrip_probe():
     a = KForm.from_terms(6, 2, (Fraction(1, 2), 1, 3), (-1, 2, 4))
     text = render_form(a)
     assert parse_form(text, 6) == a
+
+
+def test_scaled_is_exact_on_exact_input(monkeypatch):
+    """scaled decides the ring: with no float among its factors the zero
+    test is exact, the bound 0.0, and no Fraction's size is read; beside a
+    float it is tol max|float| max|Fraction|."""
+    calls = []
+    original = Fraction.__abs__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__abs__", counted)
+    form = KForm(3, 1, {(1,): Fraction(-3, 2), (2,): Fraction(1, 3)})
+    exact = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-5)]]
+    assert exterior.scaled(1e-10, exact, form, form) == 0.0
+    assert exterior.scaled(1e-10, exact, [[Polynomial.variable("a")]]) == 0.0
+    assert calls == []
+    floats = [[0.5, -4.0], [1.0, 0.0]]
+    assert exterior.scaled(1e-10, floats, form) == 1e-10 * (4.0 * 1.5)
+    assert calls

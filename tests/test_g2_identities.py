@@ -24,7 +24,7 @@ import pytest
 from g2forge import linalg
 from g2forge.exterior import (KForm, Orientation, Vector, basis_indices,
                               contract, contract_basis, form_inner,
-                              hodge_star, magnitude, wedge)
+                              hodge_star, scaled, wedge)
 from g2forge.g2 import (TorsionInconsistencyError, b_form, metric_from_phi,
                         three_form_components, torsion_forms,
                         two_form_14_basis, two_form_components)
@@ -181,7 +181,7 @@ def test_float_splits_accept_input_of_pure_type(case):
         exact, approx = split(a, s)[0], split(a.to_float(), s_float)[0]
         for key, part in exact.items():
             assert (approx[key] - part.to_float()).is_zero(
-                1e-9 * magnitude(a))
+                scaled(1e-9, a.to_float()))
 
 
 @pytest.mark.parametrize("case", INPUTS, ids=IDS)

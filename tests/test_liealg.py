@@ -124,10 +124,11 @@ def test_nilpotency():
 
 def exact_entry(name):
     """A catalog entry in the exact ring: abelian_ext at a = 2/3, and the
-    float n9_nilsoliton with its coefficients read as Fractions."""
+    float n9_nilsoliton frame with its coefficients read as Fractions."""
     if name == "abelian_ext":
         return abelian_ext_at(Fraction(2, 3))
-    algebra = catalog.algebra(name)
+    algebra = (catalog.n9_nilsoliton_frame() if name == "n9_nilsoliton"
+               else catalog.algebra(name))
     return LieAlgebra(algebra.dim,
                       [f.map_coeffs(Fraction) for f in algebra.d_coframe])
 
@@ -145,11 +146,13 @@ def nilpotency_disagreements(algebras):
 
 
 def test_nilpotency_agrees_across_rings_on_scaled_catalog():
-    """135 cases: the 27 catalog entries with structure constants times
-    10^-12 ... 10^12.  The float span rank counts singular values above
-    scaled(1e-9, c), so it does not change with the scale of c."""
+    """135 cases: the 26 catalog entries and the float n9 frame with
+    structure constants times 10^-12 ... 10^12.  The float span rank counts
+    singular values above scaled(1e-9, c), so it does not change with the
+    scale of c."""
     cases = [((name, k), times(exact_entry(name), Fraction(10) ** k))
-             for name in catalog.names() for k in (-12, -6, 0, 6, 12)]
+             for name in catalog.names() + ["n9_nilsoliton"]
+             for k in (-12, -6, 0, 6, 12)]
     assert len(cases) == 135
     assert nilpotency_disagreements(cases) == []
 
@@ -159,8 +162,6 @@ def test_nilpotency_agrees_across_rings_on_scaled_twists():
     10^-6, 1 and 10^6; every bracket span is then dense."""
     cases = []
     for name in catalog.names():
-        if name == "n9_nilsoliton":
-            continue
         algebra = exact_entry(name)
         twisted = Coframe(P6_DENSE if algebra.dim == 6 else P_DENSE
                           ).algebra(algebra)

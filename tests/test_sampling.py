@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from g2forge import catalog
 from g2forge.exterior import KForm, wedge
-from g2forge.sampling import PAIRS, StableFormSampler
+from g2forge.sampling import PAIRS, TRIPLES, StableFormSampler, _tables
 from g2forge.stable_forms import (NotStableError, k_endomorphism,
                                   lambda_invariant, metric_from_pair,
-                                  orientation_sign)
+                                  omega_cubed, orientation_sign)
 from g2forge.survey import (N9_LAMBDA_CUT, N9_RESIDUAL_TOL,
                             _isotropy_search, _isotropy_terms,
-                            draw_admissible_coefficients,
+                            draw_admissible_coefficients, generic_form,
                             n4_obstruction_sample,
                             n9_nilsoliton_obstruction_sample)
 
@@ -46,6 +46,47 @@ def test_numeric_lambda_agrees_with_exact(b_frac, c):
     v_fast = sampler.compat(b, float(c))[0]
     assert np.abs(v_fast - v_exact).max() <= 1e-9 * max(
         1.0, np.abs(v_exact).max())
+
+
+def polynomial_terms(p):
+    """(0-based positions of its variables, coefficient) for each term of a
+    polynomial in the coefficients of ``generic_form``; a square lists its
+    variable twice, and the exact zero, a Fraction, has no terms."""
+    for mono, coeff in getattr(p, "terms", {}).items():
+        yield (tuple(int(v[1:]) - 1 for v, e in mono for _ in range(e)),
+               float(coeff))
+
+
+def polynomial_tables():
+    """The reference: the sampler's tables read off K, omega ^ sigma and
+    omega^3 computed on the generic forms as polynomials."""
+    omega, sigma = generic_form(2, "b"), generic_form(3, "s")
+    k = np.zeros((6, 6, len(TRIPLES), len(TRIPLES)))
+    for m, row in enumerate(k_endomorphism(sigma)):
+        for j, entry in enumerate(row):
+            for pos, coeff in polynomial_terms(entry):
+                k[(m, j) + pos] = coeff
+    u = np.zeros((6, len(PAIRS), len(TRIPLES)))
+    for idx, entry in wedge(omega, sigma).items():
+        (missing,) = set(range(1, 7)) - set(idx)
+        for pos, coeff in polynomial_terms(entry):
+            u[(missing - 1,) + pos] = coeff
+    # omega^3 = 3! Pf(omega) e^123456
+    pf = sorted(polynomial_terms(omega_cubed(omega)[tuple(range(1, 7))]))
+    index = np.array([pos for pos, _ in pf])
+    sign = np.array([coeff / 6 for _, coeff in pf])
+    return k, u, index, sign
+
+
+def test_tables_from_index_tables_equal_the_polynomial_ones():
+    new, reference = _tables(), polynomial_tables()
+    for a, b in zip(new, reference):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # negative control: one K entry moved to the transposed monomial
+    k = new[0].copy()
+    m, j, a, b = np.argwhere(k)[0]
+    k[m, j, b, a], k[m, j, a, b] = k[m, j, a, b], 0.0
+    assert not np.array_equal(k, reference[0])
 
 
 def test_numeric_j_and_h_agree_with_exact_on_n28():
@@ -157,6 +198,22 @@ def test_n9_search_smoke():
     assert report.best_residual > N9_RESIDUAL_TOL
 
 
+def test_n9_search_runs_on_the_catalog_n9_with_target_g0(monkeypatch):
+    from g2forge import survey
+    seen = []
+
+    def spy(sampler, target):
+        seen.append((sampler.algebra, target))
+        return _isotropy_terms(sampler, target)
+
+    monkeypatch.setattr(survey, "_isotropy_terms", spy)
+    for frame in ("nilsoliton", "standard"):
+        n9_nilsoliton_obstruction_sample(starts=1, seed=1, frame=frame)
+    (nilsoliton, g0), (standard, identity) = seen
+    assert nilsoliton is standard is catalog.algebra("n9")
+    assert np.array_equal(g0, G0) and np.array_equal(identity, np.eye(6))
+
+
 def test_n9_zero_starts_vacuous():
     report = n9_nilsoliton_obstruction_sample(starts=0, seed=1)
     assert not report.feasible_found
@@ -223,8 +280,12 @@ def test_orientation_sign_agrees_with_exact(b_frac):
 # -- the exact gradient of the n9 search objective ------------------------------
 
 GRADIENT_TOL = 1e-6   # central differences with step 1e-6 reach ~1e-7
-FRAMES = {"nilsoliton": catalog.n9_nilsoliton_frame,
-          "standard": lambda: catalog.algebra("n9")}
+G0 = np.diag([float(x) for x in catalog.N9_SOLITON_METRIC])
+# (algebra, target): the float soliton frame with the identity, n9 with the
+# identity, and n9 with its nilsoliton metric g0, the target of the search
+FRAMES = {"nilsoliton": (catalog.n9_nilsoliton_frame, np.eye(6)),
+          "standard": (lambda: catalog.algebra("n9"), np.eye(6)),
+          "soliton_metric": (lambda: catalog.algebra("n9"), G0)}
 
 
 def gradient_error(terms, b, step=1e-6):
@@ -249,8 +310,9 @@ def points(sampler, branch, count=8, seed=6):
 @pytest.mark.parametrize("frame", sorted(FRAMES))
 @pytest.mark.parametrize("branch", ["admissible", "degenerate"])
 def test_isotropy_gradient_matches_central_differences(frame, branch):
-    sampler = StableFormSampler(FRAMES[frame]())
-    terms = _isotropy_terms(sampler)
+    algebra, target = FRAMES[frame]
+    sampler = StableFormSampler(algebra())
+    terms = _isotropy_terms(sampler, target)
     for b in points(sampler, branch):
         lam = terms(b)[2]
         assert (lam < -1e-14) == (branch == "admissible")
@@ -259,8 +321,8 @@ def test_isotropy_gradient_matches_central_differences(frame, branch):
 
 def test_gradient_check_catches_a_dropped_term():
     # negative control: the gradient without its |omega ^ sigma|^2 term
-    sampler = StableFormSampler(catalog.n9_nilsoliton_frame())
-    terms = _isotropy_terms(sampler)
+    sampler = StableFormSampler(catalog.algebra("n9"))
+    terms = _isotropy_terms(sampler, G0)
 
     def dropped(b):
         value, grad, lam, resid = terms(b)
@@ -288,7 +350,7 @@ def test_isotropy_search_finds_a_planted_feasible_point():
     # positive control: with the target t I replaced by the metric of the
     # catalog pair, the same search started near the pair must succeed
     sampler, b, h = n9_pair_at_unit_lambda()
-    terms = _isotropy_terms(sampler, target=h)
+    terms = _isotropy_terms(sampler, h)
     value, _, lam, resid = terms(b)
     assert abs(lam + 1.0) < 1e-12 and resid < 1e-20
     rng = np.random.default_rng(8)
@@ -297,8 +359,8 @@ def test_isotropy_search_finds_a_planted_feasible_point():
     assert report.feasible_found
     assert report.best_residual <= N9_RESIDUAL_TOL
     # the identity target from the same starts finds nothing
-    report = _isotropy_search(_isotropy_terms(sampler), starts, seed=8,
-                              claimed=False)
+    report = _isotropy_search(_isotropy_terms(sampler, np.eye(6)), starts,
+                              seed=8, claimed=False)
     assert not report.feasible_found
 
 
@@ -306,6 +368,6 @@ def test_claimed_search_raises_on_a_feasible_point():
     from g2forge.survey import ObstructionFailure
     sampler, b, h = n9_pair_at_unit_lambda()
     with pytest.raises(ObstructionFailure) as err:
-        _isotropy_search(_isotropy_terms(sampler, target=h), [b], seed=0,
+        _isotropy_search(_isotropy_terms(sampler, h), [b], seed=0,
                          claimed=True)
     assert "escalate, do not suppress" in str(err.value)

@@ -10,7 +10,7 @@ from g2forge import catalog, linalg, stable_forms
 from g2forge.exterior import (KForm, Orientation, basis_indices,
                               contract_basis, pullback, wedge)
 from g2forge.liealg import to_float_algebra
-from g2forge.sampling import generic_form
+from g2forge.survey import generic_form
 from g2forge.scalars import Polynomial
 from g2forge.stable_forms import (IncompatiblePairError, NotStableError,
                                   _quartic, almost_complex, coupling_constant,
@@ -361,3 +361,16 @@ def test_k_and_lambda_make_each_product_once(monkeypatch):
         del calls[:]
         _quartic(k)
         assert len(calls) <= 21
+
+
+def test_float_algebra_decides_the_d_test_of_an_exact_omega():
+    """d(omega) on a float algebra is float even for an exact omega: here
+    -(0.1 + 0.2 - 0.3) e123, a rounding residue of a true zero.  The bound
+    reads the structure constants, so the residue is zero and sigma = e123
+    is not coupled at c = -5.6e-17."""
+    from g2forge.liealg import parse_structure_equations
+    algebra = parse_structure_equations("(0,0,0,0.1*e12,0.2*e12,0.3*e12)")
+    omega = KForm.from_terms(6, 2, (1, 3, 4), (1, 3, 5), (-1, 3, 6))
+    assert not algebra.d(omega).is_zero()
+    sigma = KForm.from_terms(6, 3, (1, 1, 2, 3))
+    assert coupling_constant(algebra, omega, sigma) is None

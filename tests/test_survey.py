@@ -4,7 +4,7 @@ import pytest
 
 from g2forge import catalog
 from g2forge.reproduce import payload
-from g2forge.sampling import generic_form
+from g2forge.survey import generic_form
 from g2forge.scalars import Polynomial
 from g2forge.stable_forms import lambda_invariant
 from g2forge.survey import (SIGN_INDEFINITE, SIGN_NONNEG, SIGN_NONPOS,
