@@ -110,11 +110,16 @@ def _use_color(args) -> bool:
     return sys.stdout.isatty()
 
 
+# One parsed object per distinct input text (128 kept); errors are not kept.
+_parse_algebra = functools.lru_cache()(parse_structure_equations)
+_parse_form = functools.lru_cache()(parse_form)
+
+
 def _load_algebra(name_or_eqns: str, ring: str) -> LieAlgebra:
     try:
         algebra = catalog.algebra(name_or_eqns)
     except KeyError:
-        algebra = parse_structure_equations(name_or_eqns)
+        algebra = _parse_algebra(name_or_eqns)
     return to_ring(algebra, ring)
 
 
@@ -123,10 +128,11 @@ def _load_form(args, name: str, algebra: LieAlgebra, degree: int) -> KForm:
     text = getattr(args, name)
     if text is None:
         raise ValueError("%s is missing" % name)
-    form = parse_form(text, algebra.dim, degree=degree)
+    form = _parse_form(text, algebra.dim, degree)
     return to_ring(form, args.ring)
 
 
+@functools.lru_cache()
 def _parse_metric(text: Optional[str], dim: int) -> InnerProduct:
     """Rows split at ';' and entries at ','; a malformed entry is bad input
     named with its row and column."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -540,51 +541,140 @@ def test_float_metric_analyze_decides_nilpotency_once_per_process(
 
 
 @pytest.mark.parametrize("ring", ["exact", "float"])
-def test_structure_text_is_parsed_on_every_load(ring):
-    # negative control for the sharing: only catalog names are kept
+def test_structure_text_is_parsed_once_per_process(ring):
+    """Text that is not a catalog name is parsed once per distinct text and
+    kept, with its float twin; cache_clear drops it, and the same equations
+    with one more space are a text of their own."""
     text = catalog.NILPOTENT6["n28"]
     first, second = (cli._load_algebra(text, ring) for _ in range(2))
-    assert first is not second and first == second
+    assert first is second
     assert first is not cli._load_algebra("n28", ring)
+    cli._parse_algebra.cache_clear()
+    fresh = cli._load_algebra(text, ring)
+    assert fresh is not first and fresh == first
+    spaced = cli._load_algebra(text.replace(",", ", ", 1), ring)
+    assert spaced is not fresh and spaced == fresh
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_form_text_is_parsed_once_per_process(ring):
+    """Both loads of one form text read one kept parse, which the float
+    ring converts on each load; cache_clear drops it, and a text with one
+    more space is parsed on its own."""
+    args = argparse.Namespace(phi=PHI, ring=ring)
+    algebra = cli._load_algebra("n28_ext", ring)
+    cli._parse_form.cache_clear()
+    first, second = (cli._load_form(args, "phi", algebra, 3)
+                     for _ in range(2))
+    assert first == second
+    assert cli._parse_form.cache_info()[:2] == (1, 1)   # hits, misses
+    kept = cli._parse_form(PHI, 7, 3)
+    assert (kept is first) == (ring == "exact")
+    cli._parse_form.cache_clear()
+    fresh = cli._parse_form(PHI, 7, 3)
+    assert fresh is not kept and fresh == kept
+    spaced = cli._parse_form(PHI.replace("+", " +", 1), 7, 3)
+    assert spaced is not fresh and spaced == fresh
+
+
+def test_metric_text_is_parsed_once_per_process():
+    text = "2,1,0,0,0,0;1,2,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;0,0,0,0,1,0;" \
+           "0,0,0,0,0,1"
+    first = cli._parse_metric(text, 6)
+    assert cli._parse_metric(text, 6) is first
+    assert cli._parse_metric(None, 6) is cli._parse_metric(None, 6)
+    cli._parse_metric.cache_clear()
+    fresh = cli._parse_metric(text, 6)
+    assert fresh is not first and fresh.matrix == first.matrix
+    spaced = cli._parse_metric(text.replace(",", ", ", 1), 6)
+    assert spaced is not fresh and spaced.matrix == fresh.matrix
+
+
+@pytest.mark.parametrize("ring", ["exact", "float"])
+def test_jacobi_check_runs_once_per_structure_text(monkeypatch, ring):
+    from g2forge.liealg import LieAlgebra
+    text = render_structure_equations(
+        Coframe(P6_DENSE).algebra(catalog.algebra("n28")))
+    cli._parse_algebra.cache_clear()
+    checks = []
+    original = LieAlgebra.jacobi_defect
+
+    def counted(self, tol):
+        checks.append(tol)
+        return original(self, tol)
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_defect", counted)
+    for _ in range(2):
+        cli._load_algebra(text, ring)
+    assert len(checks) == 1
+    # negative control: a cleared cache parses, and checks, again
+    cli._parse_algebra.cache_clear()
+    cli._load_algebra(text, ring)
+    assert len(checks) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["algebra", "show", "(0,0,e1x,0,0,0)"],
+     "expected a 2-form (at position 5)"),
+    (["algebra", "show", "(0,e12,e23,0,0,0)"],
+     "d^2 e^3 = e123 is nonzero"),
+    (["su3", "check", "n28", "--omega", "e12+e3x", "--sigma", "e135"],
+     "mixed degrees in one form (at position 7)"),
+    (["metric", "analyze", "n28", "--metric", "1;2,x"],
+     "'x' at row 2, column 2"),
+])
+def test_bad_input_text_is_reported_on_every_call(capsys, argv, message):
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and message in errors[0]
 
 
 def fresh_catalog_algebra(name):
     """The catalog algebra of that name built anew, not the shared one."""
     if name in catalog.NILPOTENT6:
         return parse_structure_equations(catalog.NILPOTENT6[name], name=name)
-    return {"n9_nilsoliton": catalog.n9_nilsoliton_frame,
-            "n28_ext": lambda: catalog.n28_einstein_extension().algebra,
+    return {"n28_ext": lambda: catalog.n28_einstein_extension().algebra,
             "abelian_ext": lambda: catalog.abelian_scaling_extension().algebra,
             }[name]()
 
 
-def shared_catalog_faults():
-    """(name, what) for each shared catalog algebra that differs from a
-    fresh build: in its rendering or typed coefficients, in its float twin,
-    or in a nilpotency verdict it keeps."""
+def typed_coeffs(form):
+    return [(i, type(c), c) for i, c in form.coeffs.items()]
+
+
+def algebra_faults(kept, fresh):
+    """What differs between a kept algebra and a fresh build of it: its
+    rendering or typed coefficients, its float twin, or a nilpotency
+    verdict it keeps."""
     from g2forge.liealg import is_nilpotent, to_float_algebra
     from g2forge.reproduce import to_ring
 
     def coeffs(algebra):
-        return [[(i, type(c), c) for i, c in f.items()]
-                for f in algebra.d_coframe]
+        return [typed_coeffs(f) for f in algebra.d_coframe]
 
     faults = []
-    for name in catalog.names():
-        shared, fresh = catalog.algebra(name), fresh_catalog_algebra(name)
-        if (render_structure_equations(shared)
-                != render_structure_equations(fresh)
-                or coeffs(shared) != coeffs(fresh)):
-            faults.append((name, "structure"))
-        if shared.is_polynomial_ring():
-            continue
-        twin, fresh_twin = to_ring(shared, "float"), to_float_algebra(fresh)
-        if coeffs(twin) != coeffs(fresh_twin):
-            faults.append((name, "float twin"))
-        if (is_nilpotent(shared), is_nilpotent(twin)) != (
-                is_nilpotent(fresh), is_nilpotent(fresh_twin)):
-            faults.append((name, "nilpotency"))
+    if (render_structure_equations(kept) != render_structure_equations(fresh)
+            or coeffs(kept) != coeffs(fresh)):
+        faults.append("structure")
+    if kept.is_polynomial_ring():
+        return faults
+    twin, fresh_twin = to_ring(kept, "float"), to_float_algebra(fresh)
+    if coeffs(twin) != coeffs(fresh_twin):
+        faults.append("float twin")
+    if (is_nilpotent(kept), is_nilpotent(twin)) != (
+            is_nilpotent(fresh), is_nilpotent(fresh_twin)):
+        faults.append("nilpotency")
     return faults
+
+
+def shared_catalog_faults():
+    """(name, what) for each shared catalog algebra that differs from a
+    fresh build."""
+    return [(name, what) for name in catalog.names()
+            for what in algebra_faults(catalog.algebra(name),
+                                       fresh_catalog_algebra(name))]
 
 
 def test_catalog_commands_leave_the_shared_algebras_as_built(capsys):
@@ -611,6 +701,69 @@ def test_catalog_commands_leave_the_shared_algebras_as_built(capsys):
         form.coeffs[(1, 3)] = Fraction(1)
         catalog.algebra.cache_clear()
     assert shared_catalog_faults() == []
+
+
+def cached_input_faults(structures, forms, metrics):
+    """(kind, text) for each kept parse that differs from a fresh one."""
+    from g2forge.liealg import parse_form
+    faults = [("algebra", text) for text in structures
+              if algebra_faults(cli._parse_algebra(text),
+                                parse_structure_equations(text))]
+    for text, dim, degree in forms:
+        kept, fresh = cli._parse_form(text, dim, degree), \
+            parse_form(text, dim, degree)
+        if (render_form(kept) != render_form(fresh)
+                or typed_coeffs(kept) != typed_coeffs(fresh)):
+            faults.append(("form", text))
+    for text, dim in metrics:
+        kept = cli._parse_metric(text, dim)
+        fresh = cli._parse_metric.__wrapped__(text, dim)
+        if ([[(type(x), x) for x in row] for row in kept.matrix]
+                != [[(type(x), x) for x in row] for row in fresh.matrix]):
+            faults.append(("metric", text))
+    return faults
+
+
+def test_commands_leave_the_cached_inputs_as_parsed(capsys):
+    """g2 analyze, metric analyze --metric (P^T P) and su3 check, twice in
+    each ring on catalog inputs rewritten on the dense coframes, read the
+    kept parses and leave them equal to a fresh parse; a changed
+    coefficient is seen (negative control)."""
+    s7, phi = g2_case("n28_ext", "dense")
+    s6, omega, sigma = su3_case("n28", True)
+    phi, omega, sigma = (render_form(f) for f in (phi, omega, sigma))
+    p = linalg.mat(P6_DENSE)
+    metric = ";".join(",".join(str(x) for x in row) for row in
+                      linalg.mat_mul([list(col) for col in zip(*p)], p))
+    structures, metrics = [s7, s6], [(metric, 6)]
+    forms = [(phi, 7, 3), (omega, 6, 2), (sigma, 6, 3)]
+    caches = (cli._parse_algebra, cli._parse_form, cli._parse_metric)
+    for cache in caches:
+        cache.cache_clear()
+    for ring in ("exact", "float"):
+        for argv in (["g2", "analyze", s7, "--phi=" + phi],
+                     ["metric", "analyze", s6, "--metric=" + metric],
+                     ["su3", "check", s6, "--omega=" + omega,
+                      "--sigma=" + sigma]) * 2:
+            code, _ = run_cli(capsys, "--ring", ring, "--format", "json",
+                              *argv)
+            assert code == 0, argv
+    # one parse per distinct text, the kept one that the check reads
+    misses = [cache.cache_info().misses for cache in caches]
+    assert misses == [2, 3, 1]
+    assert cached_input_faults(structures, forms, metrics) == []
+    assert [cache.cache_info().misses for cache in caches] == misses
+    form = cli._parse_form(*forms[0])
+    key = next(iter(form.coeffs))
+    value = form.coeffs[key]
+    try:
+        form.coeffs[key] = value + 1
+        assert cached_input_faults(structures, forms, metrics) == [
+            ("form", phi)]
+    finally:
+        form.coeffs[key] = value
+        cli._parse_form.cache_clear()
+    assert cached_input_faults(structures, forms, metrics) == []
 
 
 def test_scenario_computes_curvature_once(tmp_path, capsys, curvature_calls):

@@ -214,6 +214,38 @@ def test_n9_search_runs_on_the_catalog_n9_with_target_g0(monkeypatch):
     assert np.array_equal(g0, G0) and np.array_equal(identity, np.eye(6))
 
 
+def test_each_n9_minimize_result_reads_on_the_benchmark_frame(monkeypatch):
+    """A traced benchmark run reads lambda of every scipy minimize result
+    of the n9 search on a sampler of catalog.n9_nilsoliton_frame(), through
+    the class's own k_matrix: each result of the samplers workload's
+    10-start search is a 15-vector with integer counts, which that reading
+    takes; a 16-vector raises there (negative control)."""
+    import scipy.optimize
+    results = []
+    original = scipy.optimize.minimize
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+    n9_nilsoliton_obstruction_sample(10, 1)
+    assert len(results) == 10
+    sampler = StableFormSampler(catalog.n9_nilsoliton_frame())
+    k_matrix = StableFormSampler.__dict__["k_matrix"]
+
+    def lam(x):
+        k = k_matrix(sampler, sampler.sigma_coeffs(x, 1.0))
+        return float((k @ k).trace()) / 6.0
+
+    for result in results:
+        assert result.x.shape == (15,)
+        assert isinstance(result.nfev, int) and isinstance(result.nit, int)
+        assert math.isfinite(lam(result.x))
+    with pytest.raises(ValueError):
+        lam(np.append(results[0].x, 0.0))
+
+
 def test_n9_zero_starts_vacuous():
     report = n9_nilsoliton_obstruction_sample(starts=0, seed=1)
     assert not report.feasible_found
