@@ -6,7 +6,8 @@ lexicographic pair order.  K, omega ^ sigma and the Pfaffian of omega are
 read once per process off the exact index tables (``stable_forms._k_table``
 and ``exterior.merge_sign``), into numpy tables that do not depend on the
 algebra; each sampler contracts them with its own matrix of d on
-2-forms, so the samplers can evaluate lambda, J and h in microseconds.
+2-forms.  K of sigma is two BLAS mat-vecs, the K table as 720 rows of 20
+times the 20 coefficients of sigma twice, and lambda and J share one K.
 """
 from __future__ import annotations
 
@@ -71,13 +72,13 @@ class StableFormSampler:
             raise ValueError("sampler works on six-dimensional algebras")
         self.algebra = algebra
         self.d_matrix = self._build_d_matrix()
-        self.k_tensor, compat_tensor, self._pf_index, self._pf_sign = \
-            _tables()
+        k_tensor, compat_tensor, self._pf_index, self._pf_sign = _tables()
+        self._k_rows = k_tensor.reshape(-1, len(TRIPLES))
         # K and omega ^ sigma for c = 1 written directly on b, summed with
         # their transposes so that one contraction with b gives the
         # Jacobian: dK/db = k_b_tensor @ b and K = (dK/db) b / 2
         self.k_b_tensor = _symmetrize(np.einsum(
-            "mjab,ap,bq->mjpq", self.k_tensor, self.d_matrix, self.d_matrix,
+            "mjab,ap,bq->mjpq", k_tensor, self.d_matrix, self.d_matrix,
             optimize=True))
         self.compat_b_tensor = _symmetrize(np.einsum(
             "mpa,aq->mpq", compat_tensor, self.d_matrix))
@@ -93,27 +94,26 @@ class StableFormSampler:
         return m
 
     # -- evaluation ------------------------------------------------------------
-    def sigma_coeffs(self, b: np.ndarray, c: float = 1.0) -> np.ndarray:
+    def sigma_coeffs(self, b: np.ndarray, c: float) -> np.ndarray:
         return c * (self.d_matrix @ b)
 
     def k_matrix(self, s: np.ndarray) -> np.ndarray:
-        return np.einsum("mjab,a,b->mj", self.k_tensor, s, s)
+        """K of sigma = sum s_a e^(triple a): the einsum "mjab,a,b->mj" of
+        the K table with s twice, as two mat-vecs on its 720 x 20 rows."""
+        return ((self._k_rows @ s).reshape(36, -1) @ s).reshape(6, 6)
 
-    def lambda_of(self, b: np.ndarray, c: float = 1.0) -> float:
+    def lambda_of(self, b: np.ndarray, c: float) -> float:
         k = self.k_matrix(self.sigma_coeffs(b, c))
         return float(np.trace(k @ k)) / 6.0
 
-    def j_matrix(self, b: np.ndarray, c: float = 1.0) -> Optional[np.ndarray]:
-        """J for sigma = c d(omega_b) in the omega-oriented volume, or None."""
-        s = self.sigma_coeffs(b, c)
-        k = self.k_matrix(s)
+    def lambda_and_j(self, b: np.ndarray, c: float
+                     ) -> Tuple[float, Optional[np.ndarray]]:
+        """lambda and J for sigma = c d(omega_b) from one K; J is in the
+        omega-oriented volume, and None unless lambda < 0."""
+        k = self.k_matrix(self.sigma_coeffs(b, c))
         lam = float(np.trace(k @ k)) / 6.0
-        if lam >= 0.0:
-            return None
-        j = k / np.sqrt(-lam)
-        if self.orientation_sign(b) < 0:
-            j = -j
-        return j
+        j = k / (self.orientation_sign(b) * np.sqrt(-lam)) if lam < 0 else None
+        return lam, j
 
     def omega_matrix(self, b: np.ndarray) -> np.ndarray:
         om = np.zeros((6, 6))

@@ -160,9 +160,9 @@ def sign_partition(rows: Sequence[SurveyRow]) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 # the quartic lambda on the first obstruction algebra involves only
-# b12..b15, so compatibility may be imposed by moving four of b1..b11
-# without touching lambda or the predicted null vector
-_ADJUSTABLE = tuple(range(11))
+# b12..b15, so compatibility may be imposed by moving four of the first
+# _ADJUSTABLE coefficients without touching lambda or the null vector
+_ADJUSTABLE = 11
 _B12, _B13, _B14, _B15 = 11, 12, 13, 14
 
 # the fixed bounds of the two samplers; --tol does not reach them
@@ -228,11 +228,14 @@ def n4_obstruction_sample(trials: int, seed: int) -> NullVectorReport:
     stable sigma is the compatibility omega ^ sigma = 0, by a Newton
     adjustment of four of b1..b11.  Those coefficients never enter the
     quartic lambda, so the drawn sign of lambda and the predicted null
-    vector v = e4 - (b14/b15) e5 + (b13/b15) e6 are untouched.  Every
-    trial must end with |h(v,v)| and the residual at most
-    ``N4_NULL_BOUND`` and h not positive definite.
+    vector v = e4 - (b14/b15) e5 + (b13/b15) e6 are untouched.  A Newton
+    step takes its four columns and its least-squares step from one
+    LAPACK pivoted QR (``geqp3``) of the Jacobian in b1..b11, J P = Q R:
+    step = R11^-1 (Q^T (-g))[:4].  lambda and J at the end point come
+    from one K.  Every trial must end with |h(v,v)| and the residual at
+    most ``N4_NULL_BOUND`` and h not positive definite.
     """
-    from scipy.linalg import qr
+    from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
     algebra = catalog.algebra("n4")
     sampler = StableFormSampler(algebra)
@@ -245,8 +248,9 @@ def n4_obstruction_sample(trials: int, seed: int) -> NullVectorReport:
     for _ in range(trials):
         b_frac, c_frac, rejected = draw_admissible_coefficients(rng)
         resampled_total += rejected
-        b = np.array([float(x) for x in b_frac])
-        c = float(c_frac)
+        # p / q from the integers, as float(Fraction) rounds it
+        b = np.array([x.numerator / x.denominator for x in b_frac])
+        c = c_frac.numerator / c_frac.denominator
         lam0 = sampler.lambda_of(b, c)
         if not lam0 < 0:
             raise ObstructionFailure("drawn coefficients have lambda >= 0")
@@ -256,15 +260,14 @@ def n4_obstruction_sample(trials: int, seed: int) -> NullVectorReport:
             gn = float(np.linalg.norm(g))
             if gn <= 1e-13:
                 break
-            jac = jac[:, :len(_ADJUSTABLE)]
-            piv = qr(jac, mode="r", pivoting=True)[1]
-            subset = [_ADJUSTABLE[p] for p in piv[:4]]
-            step = np.linalg.lstsq(jac[:, piv[:4]], -g, rcond=None)[0]
+            qr, piv, tau, _, _ = dgeqp3(jac[:, :_ADJUSTABLE])
+            subset = piv[:4] - 1            # 1-based pivots of b1..b11
+            qtg = dormqr("L", "T", qr[:, :4], tau[:4], -g[:, None], 1)[0]
+            step = dtrtrs(qr[:4, :4], qtg[:4])[0][:, 0]
             scale = 1.0
             for _ in range(30):
                 trial_b = b.copy()
-                for col, pos in enumerate(subset):
-                    trial_b[pos] += scale * step[col]
+                trial_b[subset] += scale * step
                 if float(np.linalg.norm(
                         sampler.compat(trial_b, c)[0])) < gn:
                     b = trial_b
@@ -273,18 +276,14 @@ def n4_obstruction_sample(trials: int, seed: int) -> NullVectorReport:
             else:
                 break
         compat = float(np.max(np.abs(sampler.compat(b, c)[0])))
-        lam = sampler.lambda_of(b, c)
+        lam, j = sampler.lambda_and_j(b, c)
         if not lam < 0 or abs(lam - lam0) > 1e-8 * max(1.0, abs(lam0)):
             raise ObstructionFailure("lambda moved during the Newton solve")
-        j = sampler.j_matrix(b, c)
         pull = sampler.pullback_matrix(j)
         residual = max(compat, float(np.max(np.abs(b - pull @ b))))
         h = sampler.metric_of(b, j)
-        b15 = b[_B15]
-        v = np.zeros(6)
-        v[3] = 1.0
-        v[4] = -b[_B14] / b15
-        v[5] = b[_B13] / b15
+        v = np.array([0.0, 0.0, 0.0, 1.0,
+                      -b[_B14] / b[_B15], b[_B13] / b[_B15]])
         null_val = float(v @ h @ v)
         hs = 0.5 * (h + h.T)
         min_eig = float(np.linalg.eigvalsh(hs).min())

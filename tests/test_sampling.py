@@ -97,7 +97,7 @@ def test_numeric_j_and_h_agree_with_exact_on_n28():
         coeff = omega.coeffs.get(p)
         if coeff is not None:
             b[i] = float(coeff)
-    j = sampler.j_matrix(b, -1.0)
+    _, j = sampler.lambda_and_j(b, -1.0)
     pair = metric_from_pair(omega, sigma)
     j_exact = np.array([[float(x) for x in row] for row in pair.J])
     assert np.abs(j - j_exact).max() < 1e-12
@@ -163,11 +163,12 @@ def report_digest(report):
     return h.hexdigest()
 
 
-# n4_obstruction_sample(100, seed) as the Fraction draws and the full
-# pivoted QR gave it: any change to the draw stream or the Newton loop shows
+# n4_obstruction_sample(100, seed) as the integer draws, the K table as
+# two mat-vecs and the step from one geqp3 give it: any change to the draw
+# stream or the Newton loop shows
 N4_REPORT_DIGESTS = {
-    1: "bcf9c27240514005212d06493ec1f85b37e3398db1571e651fb21504644b8b6c",
-    11: "cc55be9fb7a3df20dd2d608580ebab9e1a3fb1f49928c579b9274b8e385bfe9a",
+    1: "b54441e11df4a7b8d6cc71ae73eb17bd232084f5a2fa9cad81e077cbd4bc6abc",
+    11: "14d24d4021ca9aab5e8ae801deb988ca42835211d6c8df77d1b6c39306edef16",
 }
 
 
@@ -175,6 +176,128 @@ N4_REPORT_DIGESTS = {
 def test_n4_reports_are_pinned(seed):
     assert report_digest(n4_obstruction_sample(100, seed)) \
         == N4_REPORT_DIGESTS[seed]
+
+
+def drawn_digest(report):
+    # resampled, then each trial's drawn floats, c and b12..b15, which
+    # the Newton solve never moves
+    h = hashlib.sha256(b"%d\n" % report.resampled)
+    for t in report.trials_detail:
+        floats = (t.coupling,) + t.seed_b[11:]
+        h.update(" ".join(float.hex(x) for x in floats).encode() + b"\n")
+    return h.hexdigest()
+
+
+# the drawn part of n4_obstruction_sample(100, seed): float(Fraction) of
+# each drawn c and b12..b15, which no change to the Newton loop may move
+N4_DRAWN_DIGESTS = {
+    1: "7242b55205100f31a00aa62986a91133c82d56e62680729cb5a7eeb21c807c8a",
+    11: "f0cbb12e722acda8167c6361cf1f68c7b7508a9a13352651dbbdaf97b7ee2813",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(N4_DRAWN_DIGESTS))
+def test_n4_draws_are_the_fraction_floats(seed):
+    report = n4_obstruction_sample(100, seed)
+    assert drawn_digest(report) == N4_DRAWN_DIGESTS[seed]
+    # and each is float(Fraction) of the replayed draw
+    from random import Random
+    rng = Random(seed)
+    for trial in report.trials_detail:
+        b, c, _ = draw_admissible_coefficients(rng)
+        assert trial.coupling == float(c)
+        assert trial.seed_b[11:] == tuple(float(x) for x in b[11:])
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_n4_lambda_is_the_exact_lambda_of_the_draw(seed):
+    # lambda on n4 reads only b12..b15 and c, which the Newton solve keeps,
+    # so each trial's lambda is the exact lambda of its Fraction draw
+    from random import Random
+    algebra = catalog.algebra("n4")
+    rng = Random(seed)
+    for trial in n4_obstruction_sample(100, seed).trials_detail:
+        b, c, _ = draw_admissible_coefficients(rng)
+        exact = float(lambda_invariant(
+            c * algebra.d(KForm(6, 2, dict(zip(PAIRS, b))))))
+        assert abs(trial.lambda_value - exact) <= 1e-12 * abs(exact)
+
+
+def k_error(sampler, s):
+    """Distance of k_matrix from its einsum definition on the K table,
+    relative to the largest entry of K."""
+    reference = np.einsum("mjab,a,b->mj", _tables()[0], s, s)
+    return (np.abs(sampler.k_matrix(s) - reference).max()
+            / np.abs(reference).max())
+
+
+def test_k_matrix_is_the_einsum_of_the_k_table():
+    rng = np.random.default_rng(12)
+    samplers = [StableFormSampler(catalog.algebra(name))
+                for name in ("n4", "n9")]
+    for _ in range(20):
+        assert k_error(samplers[0], rng.standard_normal(20)) <= 1e-13
+        for sampler in samplers:
+            s = sampler.sigma_coeffs(rng.uniform(-2, 2, 15), 1.0)
+            assert k_error(sampler, s) <= 1e-13
+    # negative control: the table with m and j swapped gives K transposed
+    transposed = samplers[0]
+    transposed._k_rows = np.swapaxes(_tables()[0], 0, 1).reshape(720, 20)
+    assert k_error(transposed, rng.standard_normal(20)) > 1e-3
+
+
+@pytest.mark.parametrize("part", ["value", "jacobian"])
+@pytest.mark.parametrize("onwards", [False, True])
+def test_a_non_finite_newton_step_is_a_failed_trial(monkeypatch, part,
+                                                    onwards):
+    # geqp3, unlike scipy.linalg.qr, takes non-finite input without
+    # complaint: a NaN from the third compat call of the first trial on
+    # (or from that call only) must end in ObstructionFailure
+    from g2forge.survey import ObstructionFailure
+    assert n4_obstruction_sample(1, 1).all_confirmed     # positive control
+    original = StableFormSampler.compat
+    calls = []
+
+    def poisoned(self, b, c=1.0):
+        value, jac = original(self, b, c)
+        calls.append(b)
+        if len(calls) == 3 or onwards and len(calls) > 3:
+            if part == "value":
+                value = np.full_like(value, np.nan)
+            else:
+                jac = np.full_like(jac, np.nan)
+        return value, jac
+
+    monkeypatch.setattr(StableFormSampler, "compat", poisoned)
+    with pytest.raises(ObstructionFailure):
+        n4_obstruction_sample(1, 1)
+    assert len(calls) > 3
+
+
+def test_n4_sample_reads_two_k_per_trial(monkeypatch):
+    """A traced benchmark run counts StableFormSampler.k_matrix calls and
+    n4 draws, and reads each n9 minimize result through sigma_coeffs and
+    k_matrix on catalog.n9_nilsoliton_frame(): 100 trials with seed 1 make
+    one K for the drawn lambda and one for lambda and J at the end point,
+    from 502 draws, and the names the run calls keep their parameters."""
+    import inspect
+    assert list(inspect.signature(catalog.n9_nilsoliton_frame).parameters) \
+        == []
+    assert list(inspect.signature(StableFormSampler.sigma_coeffs).parameters) \
+        == ["self", "b", "c"]
+    assert list(inspect.signature(StableFormSampler.k_matrix).parameters) \
+        == ["self", "s"]
+    calls = []
+    original = StableFormSampler.k_matrix
+
+    def counted(self, s):
+        calls.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(StableFormSampler, "k_matrix", counted)
+    report = n4_obstruction_sample(100, 1)
+    assert len(calls) == 2 * report.trials == 200
+    assert report.trials + report.resampled == 502
 
 
 def test_n4_sampler_confirms_null_vector():
@@ -334,7 +457,7 @@ def points(sampler, branch, count=8, seed=6):
     out = []
     while len(out) < count:
         b = rng.uniform(-1.5, 1.5, 15)
-        if (sampler.lambda_of(b) < -1e-3) == (branch == "admissible"):
+        if (sampler.lambda_of(b, 1.0) < -1e-3) == (branch == "admissible"):
             out.append(b)
     return out
 
@@ -372,7 +495,7 @@ def n9_pair_at_unit_lambda():
     omega, sigma = catalog.n9_coupled_pair()
     sampler = StableFormSampler(catalog.algebra("n9"))
     b = np.array([float(omega.coeffs.get(p, 0.0)) for p in PAIRS])
-    b = b * (-sampler.lambda_of(b)) ** -0.25
+    b = b * (-sampler.lambda_of(b, 1.0)) ** -0.25
     metric = metric_from_pair(omega, sigma).metric
     h = np.array([[float(x) for x in row] for row in metric.matrix])
     return sampler, b, h
